@@ -9,8 +9,10 @@ single-linkage dendrogram builder.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -175,7 +177,7 @@ class DistanceMatrix:
 
 
 class DendrogramLevel(NamedTuple):
-    """One level of an agglomerative merge sequence."""
+    """One level of a dendrogram, as read from :attr:`Dendrogram.levels`."""
 
     distance: float
     partition: Partition
@@ -183,51 +185,105 @@ class DendrogramLevel(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Dendrogram:
-    """Ordered merge sequence from N singleton clusters down to one cluster.
+    """Agglomerative hierarchy over ``n_points`` points, stored as its merges.
 
-    Level ``i`` (1-based) holds the partition into ``N - i + 1`` clusters and
-    the distance at which it was formed; level 1 is all singletons at
-    distance 0 and level N is the single all-inclusive cluster. Distances are
-    nondecreasing and each level coarsens the one before it.
+    ``merges`` is an ``(n_points - 1, 2)`` integer array under the usual
+    linkage-matrix id convention: ids ``0 .. n_points-1`` are the points and
+    merge row ``r`` (0-based) creates cluster id ``n_points + r`` from the two
+    clusters it names. ``distances`` holds the ``n_points - 1`` merge
+    distances, finite, nonnegative and nondecreasing. Both are validated here,
+    once, and stored read-only; a bad row raises ValueError naming the row.
+
+    Level ``i`` (1-based) is the partition into ``N - i + 1`` clusters left
+    after the first ``i - 1`` merges, formed at the distance of the last of
+    them: level 1 is all singletons at distance 0 and level N is the single
+    all-inclusive cluster. Partitions are not stored: :meth:`partition_at`
+    derives one in O(N) and :attr:`levels` is a read-only sequence that
+    derives each level when it is read. The merge array is O(N) memory.
     """
 
-    levels: tuple[DendrogramLevel, ...]
+    n_points: int
+    merges: np.ndarray
+    distances: np.ndarray
 
     def __post_init__(self) -> None:
-        levels = tuple(DendrogramLevel(float(d), p) for d, p in self.levels)
-        if not levels:
-            raise ValueError("dendrogram has no levels")
-        n = levels[0].partition.n_items
-        if len(levels) != n:
-            raise ValueError(f"expected {n} levels for {n} points, got {len(levels)}")
-        for i, (distance, partition) in enumerate(levels):
-            if partition.n_items != n:
-                raise ValueError(f"level {i + 1} partitions {partition.n_items} items, expected {n}")
-            if partition.n_clusters != n - i:
-                raise ValueError(f"level {i + 1} must have {n - i} clusters, got {partition.n_clusters}")
-            if not np.isfinite(distance) or distance < 0:
-                raise ValueError(f"level {i + 1} merge distance must be finite and nonnegative, got {distance}")
-            if i and distance < levels[i - 1].distance:
-                raise ValueError(
-                    f"merge distances must be nondecreasing: level {i + 1} has "
-                    f"{distance} after {levels[i - 1].distance}"
-                )
-            if i and not _is_coarsening(levels[i - 1].partition, partition):
-                raise ValueError(f"level {i + 1} is not a coarsening of level {i}")
-        object.__setattr__(self, "levels", levels)
+        n = self.n_points
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"n_points must be an integer >= 1, got {n!r}")
+        n = int(n)
+        merges = np.asarray(self.merges)
+        if merges.size == 0:
+            merges = merges.reshape(0, 2)
+        distances = np.asarray(self.distances, dtype=float)
+        if merges.ndim != 2 or merges.shape[1] != 2:
+            raise ValueError(f"merges must be an array of shape (n_points - 1, 2), got shape {merges.shape}")
+        if distances.shape != (len(merges),):
+            raise ValueError(f"expected one distance per merge, got shape {distances.shape} for {len(merges)} merges")
+        if len(merges) != n - 1:
+            raise ValueError(f"expected {n - 1} merges for {n} points, got {len(merges)}")
+
+        merged = bytearray(2 * n - 1)
+        previous = 0.0
+        for row, (pair, distance) in enumerate(zip(merges.tolist(), distances.tolist()), start=1):
+            limit = n + row - 1
+            for cid in pair:
+                if not float(cid).is_integer():
+                    raise ValueError(f"merge row {row}: cluster id {cid!r} is not an integer")
+                if not 0 <= cid < limit:
+                    raise ValueError(f"merge row {row}: cluster id {int(cid)} out of range 0..{limit - 1}")
+                if merged[int(cid)]:
+                    raise ValueError(f"merge row {row}: cluster id {int(cid)} already merged")
+            left, right = int(pair[0]), int(pair[1])
+            if left == right:
+                raise ValueError(f"merge row {row}: cannot merge cluster {left} with itself")
+            if not math.isfinite(distance) or distance < 0:
+                raise ValueError(f"merge row {row}: distance must be finite and nonnegative, got {distance}")
+            if distance < previous:
+                raise ValueError(f"merge row {row}: distance {distance} decreases below previous {previous}")
+            merged[left] = merged[right] = 1
+            previous = distance
+        object.__setattr__(self, "n_points", n)
+        object.__setattr__(self, "merges", _readonly(merges.astype(np.intp)))
+        object.__setattr__(self, "distances", _readonly(distances))
+
+    def partition_at(self, level: int) -> Partition:
+        """Partition at 1-based ``level``, after the first ``level - 1`` merges.
+
+        Clusters are labelled in the order of their smallest point index.
+        """
+        n = self.n_points
+        if not 1 <= level <= n:
+            raise ValueError(f"level must be in 1..{n}, got {level}")
+        # walk the applied merges from the last: each node's root is its parent's
+        root = list(range(n + level - 1))
+        merges = self.merges[: level - 1].tolist()
+        for node in range(n + level - 2, n - 1, -1):
+            left, right = merges[node - n]
+            root[left] = root[right] = root[node]
+        label_of: dict[int, int] = {}
+        return Partition(np.array([label_of.setdefault(r, len(label_of)) for r in root[:n]]))
 
     @property
-    def n_points(self) -> int:
-        return self.levels[0].partition.n_items
+    def levels(self) -> Sequence[DendrogramLevel]:
+        """The N levels in order, each derived when it is read."""
+        return _Levels(self)
 
 
-def _is_coarsening(fine: Partition, coarse: Partition) -> bool:
-    mapping: dict[int, int] = {}
-    for fine_label, coarse_label in zip(fine.labels, coarse.labels):
-        seen = mapping.setdefault(int(fine_label), int(coarse_label))
-        if seen != coarse_label:
-            return False
-    return True
+class _Levels(Sequence):
+    """Read-only sequence view of a dendrogram's levels."""
+
+    def __init__(self, dendrogram: Dendrogram) -> None:
+        self._dendrogram = dendrogram
+
+    def __len__(self) -> int:
+        return self._dendrogram.n_points
+
+    def __getitem__(self, index: int | slice) -> DendrogramLevel | tuple[DendrogramLevel, ...]:
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        level = range(1, len(self) + 1)[index]
+        distance = float(self._dendrogram.distances[level - 2]) if level > 1 else 0.0
+        return DendrogramLevel(distance, self._dendrogram.partition_at(level))
 
 
 def euclidean_distance(a: Sequence[float], b: Sequence[float]) -> float:
@@ -342,60 +398,183 @@ def synthetic_dataset(dataset_id: str) -> tuple[Dataset, Partition]:
 
 
 def dendrogram_from_merges(
-    n_points: int, merges: Iterable[tuple[int, int, float]]
+    n_points: int, merges: Iterable[Sequence[float]]
 ) -> Dendrogram:
-    """Build a Dendrogram from an agglomerative merge sequence.
+    """Build a Dendrogram from linkage rows ``(left, right, distance)``.
 
-    ``merges`` lists ``n_points - 1`` rows ``(left, right, distance)`` under
-    the usual linkage-matrix id convention: ids ``0 .. n_points-1`` are the
-    original points and merge row ``r`` creates cluster id ``n_points + r``.
-    Raises ValueError naming the offending row for ids that are out of range
-    or merged twice, and for decreasing distances.
+    ``merges`` lists ``n_points - 1`` rows under the usual linkage-matrix id
+    convention: ids ``0 .. n_points-1`` are the original points and merge row
+    ``r`` creates cluster id ``n_points + r``. Ids may be integral floats, as
+    in the first two columns of a scipy linkage matrix. Raises ValueError
+    naming the offending row for a row that is not three values, for ids that
+    are not integers, out of range or merged twice, and for decreasing
+    distances.
     """
-    merges = list(merges)
-    if n_points < 1:
-        raise ValueError("n_points must be at least 1")
-    if len(merges) != n_points - 1:
-        raise ValueError(f"expected {n_points - 1} merges for {n_points} points, got {len(merges)}")
-
-    member_lists: dict[int, list[int]] = {i: [i] for i in range(n_points)}
-    active = set(range(n_points))
-    levels = [DendrogramLevel(0.0, _partition_from_members(n_points, member_lists, active))]
-    previous = 0.0
-    for row, (left, right, distance) in enumerate(merges):
-        limit = n_points + row
-        for cid in (left, right):
-            if not 0 <= cid < limit:
-                raise ValueError(f"merge row {row + 1}: cluster id {cid} out of range 0..{limit - 1}")
-            if cid not in active:
-                raise ValueError(f"merge row {row + 1}: cluster id {cid} already merged")
-        if left == right:
-            raise ValueError(f"merge row {row + 1}: cannot merge cluster {left} with itself")
-        if not np.isfinite(distance) or distance < 0:
-            raise ValueError(f"merge row {row + 1}: distance must be finite and nonnegative, got {distance}")
-        if distance < previous:
-            raise ValueError(
-                f"merge row {row + 1}: distance {distance} decreases below previous {previous}"
-            )
-        previous = distance
-        new_id = n_points + row
-        member_lists[new_id] = member_lists.pop(left) + member_lists.pop(right)
-        active.discard(left)
-        active.discard(right)
-        active.add(new_id)
-        levels.append(DendrogramLevel(float(distance), _partition_from_members(n_points, member_lists, active)))
-    return Dendrogram(tuple(levels))
+    rows = list(merges)
+    for row, values in enumerate(rows, start=1):
+        if len(values) != 3:
+            raise ValueError(f"merge row {row}: expected 3 values (left, right, distance), got {len(values)}")
+    ids = np.array([values[:2] for values in rows], dtype=float)
+    distances = np.array([values[2] for values in rows], dtype=float)
+    return Dendrogram(n_points, ids, distances)
 
 
-def _partition_from_members(
-    n_points: int, member_lists: dict[int, list[int]], active: set[int]
-) -> Partition:
-    # canonical labels: clusters numbered by their smallest point index
-    labels = np.empty(n_points, dtype=int)
-    ordered = sorted((min(member_lists[cid]), cid) for cid in active)
-    for label, (_, cid) in enumerate(ordered):
-        labels[member_lists[cid]] = label
-    return Partition(labels)
+def _distances_to(points: np.ndarray, point: np.ndarray) -> np.ndarray:
+    # the arithmetic of pairwise_distances, so each entry is bit-identical to it
+    diff = points - point
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def _minimum_spanning_tree(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prim's algorithm on the complete Euclidean graph: (n-1, 2) ends and lengths.
+
+    One distance row per step, so O(N^2 d) time and O(N d) memory.
+    """
+    n = points.shape[0]
+    outside = np.ones(n, dtype=bool)
+    best = np.full(n, np.inf)  # distance from each outside point to the tree
+    nearest = np.zeros(n, dtype=np.intp)  # the tree point at that distance
+    ends = np.empty((n - 1, 2), dtype=np.intp)
+    lengths = np.empty(n - 1)
+    current = 0
+    for step in range(n - 1):
+        outside[current] = False
+        best[current] = np.inf
+        row = _distances_to(points, points[current])
+        closer = outside & (row < best)
+        best[closer] = row[closer]
+        nearest[closer] = current
+        current = int(np.argmin(best))
+        ends[step] = nearest[current], current
+        lengths[step] = best[current]
+    return ends, lengths
+
+
+class _Forest:
+    """The clusters of a single-linkage hierarchy as it grows: union-find over
+    cluster ids, each merge recorded as a linkage row."""
+
+    def __init__(self, n_points: int) -> None:
+        self.n_points = n_points
+        self.parent = list(range(2 * n_points - 1))  # cluster id -> the id it merged into
+        self.members = {p: [p] for p in range(n_points)}  # active cluster id -> points
+        self.merges: list[tuple[int, int]] = []
+        self.distances: list[float] = []
+
+    def cluster_of(self, point: int) -> int:
+        root = point
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[point] != root:  # path compression
+            self.parent[point], point = root, self.parent[point]
+        return root
+
+    def merge(self, a: int, b: int, distance: float) -> int:
+        """Merge active clusters ``a`` and ``b`` and return the new cluster's id."""
+        new_id = self.n_points + len(self.merges)
+        self.parent[a] = self.parent[b] = new_id
+        larger, smaller = sorted((self.members.pop(a), self.members.pop(b)), key=len, reverse=True)
+        larger.extend(smaller)
+        self.members[new_id] = larger
+        self.merges.append((min(a, b), max(a, b)))
+        self.distances.append(distance)
+        return new_id
+
+
+class _TieGroup:
+    """Clusters that a run of equal-length MST edges joins into one, with the
+    boolean matrix of which pairs of them are at the run's distance.
+
+    Only clusters in one group can be at that distance from each other. Each
+    cluster is compared with the larger ones through member distances, so
+    over a whole hierarchy this costs at most one distance per pair of points;
+    the matrix takes m^2 bytes for m tied clusters.
+    """
+
+    def __init__(self, points: np.ndarray, forest: _Forest, clusters: list[int], distance: float) -> None:
+        clusters = sorted(clusters, key=lambda c: (-len(forest.members[c]), c))
+        sizes = [len(forest.members[c]) for c in clusters]
+        members = points[[p for c in clusters for p in forest.members[c]]]
+        slot = np.repeat(np.arange(len(clusters)), sizes)
+        ends = np.cumsum(sizes)
+        self.tied = np.zeros((len(clusters), len(clusters)), dtype=bool)
+        for i in range(1, len(clusters)):
+            before = ends[i - 1]
+            for row in range(before, ends[i]):
+                near = _distances_to(members[:before], members[row]) <= distance
+                self.tied[i, slot[:before][near]] = True
+        self.tied |= self.tied.T
+        self.degree = self.tied.sum(axis=1)
+        self.ids = np.array(clusters)
+
+    def smallest_pair(self) -> tuple[int, int] | None:
+        """Slots of the tied pair with the lexicographically smallest ids."""
+        linked = np.flatnonzero(self.degree)
+        if not linked.size:
+            return None
+        a = linked[np.argmin(self.ids[linked])]
+        partners = np.flatnonzero(self.tied[a])
+        return int(a), int(partners[np.argmin(self.ids[partners])])
+
+    def merge(self, a: int, b: int, new_id: int) -> None:
+        """Replace slots ``a`` and ``b`` by their union, in slot ``a``: the
+        union is tied to every cluster either part was tied to."""
+        row = self.tied[a] | self.tied[b]
+        row[[a, b]] = False
+        self.degree -= self.tied[a]
+        self.degree -= self.tied[b]
+        self.degree += row
+        self.tied[[a, b], :] = False
+        self.tied[:, [a, b]] = False
+        self.tied[a] = row
+        self.tied[:, a] = row
+        self.degree[a] = row.sum()
+        self.degree[b] = 0
+        self.ids[a] = new_id
+
+
+def _merge_tied(points: np.ndarray, forest: _Forest, edges: list[list[int]], distance: float) -> None:
+    """Merge the clusters joined by a run of equal-length MST edges.
+
+    Reproduces the closest-pair scan: among active clusters at single-link
+    distance ``distance`` the lexicographically smallest pair of ids merges
+    first, and a merged cluster is at that distance from every cluster either
+    part was. The MST alone cannot say which pairs are at that distance, so
+    each group of joined clusters builds its tie matrix from member distances.
+    """
+    import heapq  # only tied runs need it; importing the package stays lean
+
+    parent: dict[int, int] = {}  # touched cluster -> union-find parent
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]  # path halving
+        return c
+
+    for u, v in edges:
+        a, b = forest.cluster_of(u), forest.cluster_of(v)
+        parent.setdefault(a, a)
+        parent.setdefault(b, b)
+        parent[find(a)] = find(b)
+    joined: dict[int, list[int]] = {}
+    for c in parent:
+        joined.setdefault(find(c), []).append(c)
+    groups = [_TieGroup(points, forest, clusters, distance) for clusters in joined.values()]
+
+    # one entry per group, its current smallest pair: (id, id, group, slot, slot)
+    heap = []
+    for g, group in enumerate(groups):
+        a, b = group.smallest_pair()
+        heap.append((int(group.ids[a]), int(group.ids[b]), g, a, b))
+    heapq.heapify(heap)
+    while heap:
+        left, right, g, a, b = heapq.heappop(heap)
+        group = groups[g]
+        group.merge(a, b, forest.merge(left, right, distance))
+        pair = group.smallest_pair()
+        if pair is not None:
+            a, b = pair
+            heapq.heappush(heap, (int(group.ids[a]), int(group.ids[b]), g, a, b))
 
 
 def single_linkage(dataset: Dataset) -> Dendrogram:
@@ -403,29 +582,31 @@ def single_linkage(dataset: Dataset) -> Dendrogram:
 
     Merges the closest pair of clusters under minimum inter-cluster distance;
     ties go to the lexicographically smallest pair of cluster ids, which makes
-    the result deterministic.
+    the result deterministic. Built as Gower & Ross (1969) do: a Prim minimum
+    spanning tree, whose edges sorted by length are the merges, joined with
+    union-find. O(N^2) time and O(N) memory beyond the points; no N x N
+    matrix is formed. A run of equal-length edges is resolved against member
+    distances so that the tie rule holds exactly; ``m`` clusters tied at one
+    distance take an ``m x m`` boolean matrix while they are merged.
     """
     n = dataset.n_points
     if n < 2:
         raise ValueError("single linkage needs at least 2 points")
-
-    total = 2 * n - 1
-    dist = np.full((total, total), np.inf)
-    dist[:n, :n] = pairwise_distances(dataset.points)
-    active = list(range(n))  # kept sorted; new ids are always largest
-    merges: list[tuple[int, int, float]] = []
-    for step in range(n - 1):
-        block = dist[np.ix_(active, active)]
-        block[np.tril_indices(len(active))] = np.inf
-        flat = int(np.argmin(block))  # first minimum = smallest (i, j) pair
-        i, j = divmod(flat, len(active))
-        left, right = active[i], active[j]
-        merged_dist = float(block[i, j])
-
-        new_id = n + step
-        rest = [c for c in active if c != left and c != right]
-        dist[new_id, rest] = np.minimum(dist[left, rest], dist[right, rest])
-        dist[rest, new_id] = dist[new_id, rest]
-        merges.append((left, right, merged_dist))
-        active = rest + [new_id]
-    return dendrogram_from_merges(n, merges)
+    points = dataset.points
+    ends, lengths = _minimum_spanning_tree(points)
+    order = np.argsort(lengths, kind="stable")
+    ends, lengths = ends[order].tolist(), lengths[order].tolist()
+    forest = _Forest(n)
+    start = 0
+    while start < n - 1:
+        distance = lengths[start]
+        stop = start + 1
+        while stop < n - 1 and lengths[stop] == distance:
+            stop += 1
+        if stop - start == 1:
+            u, v = ends[start]
+            forest.merge(forest.cluster_of(u), forest.cluster_of(v), distance)
+        else:
+            _merge_tied(points, forest, ends[start:stop], distance)
+        start = stop
+    return Dendrogram(n, np.array(forest.merges), np.array(forest.distances))

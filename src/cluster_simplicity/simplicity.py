@@ -138,17 +138,58 @@ class SiCurve:
 
 
 def si_curve(dataset: Dataset, dendrogram: Dendrogram) -> SiCurve:
-    """Centroid-form simplicity index at every level of a dendrogram."""
-    if dendrogram.n_points != dataset.n_points:
-        raise ValueError(
-            f"dendrogram covers {dendrogram.n_points} points, dataset has {dataset.n_points}"
-        )
-    return SiCurve(
-        tuple(
-            (level.distance, si_centroid(dataset, level.partition))
-            for level in dendrogram.levels
-        )
-    )
+    """Centroid-form simplicity index at every level of a dendrogram.
+
+    Walks the merges once with the points in the dendrogram's leaf order,
+    where every cluster is one contiguous slice. A merge changes only two
+    clusters, so each step computes the merged cluster's radius alone and
+    updates the running sum of exponent * ln(size); the sum is compensated,
+    so it carries no more rounding than a fresh one. No Partition is built.
+    """
+    n = dendrogram.n_points
+    if n != dataset.n_points:
+        raise ValueError(f"dendrogram covers {n} points, dataset has {dataset.n_points}")
+    order, start, size = _leaf_layout(dendrogram)
+    points = dataset.points[order]
+    dataset_radius = radius_centroid(dataset.points)
+    term = [0.0] * (2 * n - 1)  # exponent * ln(size) per cluster id
+    total = compensation = 0.0
+    samples = [(0.0, float(n))]
+    merges = dendrogram.merges.tolist()
+    for row, distance in enumerate(dendrogram.distances.tolist()):
+        node = n + row
+        if dataset_radius != 0.0:
+            left, right = merges[row]
+            members = points[start[node] : start[node] + size[node]]
+            term[node] = radius_centroid(members) / dataset_radius * math.log(size[node])
+            for x in (term[node], -term[left], -term[right]):
+                # Neumaier summation
+                t = total + x
+                if abs(total) >= abs(x):
+                    compensation += (total - t) + x
+                else:
+                    compensation += (x - t) + total
+                total = t
+        k = n - row - 1
+        samples.append((distance, k * math.exp((total + compensation) / k)))
+    return SiCurve(tuple(samples))
+
+
+def _leaf_layout(dendrogram: Dendrogram) -> tuple[np.ndarray, list[int], list[int]]:
+    """Leaf order of the points, and each cluster id's start and size in it."""
+    n = dendrogram.n_points
+    merges = dendrogram.merges.tolist()
+    size = [1] * (2 * n - 1)
+    for row, (left, right) in enumerate(merges):
+        size[n + row] = size[left] + size[right]
+    start = [0] * (2 * n - 1)
+    for row in range(n - 2, -1, -1):
+        left, right = merges[row]
+        start[left] = start[n + row]
+        start[right] = start[left] + size[left]
+    order = np.empty(n, dtype=np.intp)
+    order[start[:n]] = np.arange(n)
+    return order, start, size
 
 
 def si_hierarchical(curve: SiCurve) -> IndexValue:

@@ -69,3 +69,35 @@ def si_hierarchical_oracle(samples):
     n = len(samples)
     numerator = sum((v[i] + v[i - 1]) * (d[i] - d[i - 1]) / 2.0 for i in range(1, n))
     return numerator / ((n - 1) * (d[-1] - d[0]))
+
+
+def single_linkage_merges(points):
+    """Closest-pair scan: ``(left, right, distance)`` rows of single linkage.
+
+    Every step merges the pair of active clusters at the smallest single-link
+    distance; among equal distances the first pair in lexicographic id order
+    wins. Ids follow the linkage-matrix convention: points are 0 .. n-1 and
+    step ``s`` creates cluster ``n + s``. O(n^3), for small inputs only.
+    """
+    n = len(points)
+    link = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            link[(i, j)] = dist(points[i], points[j])
+    active = list(range(n))  # sorted: a new id is always the largest
+    merges = []
+    for step in range(n - 1):
+        best = None
+        for x in range(len(active)):
+            for y in range(x + 1, len(active)):
+                pair = (active[x], active[y])
+                if best is None or link[pair] < link[best]:
+                    best = pair
+        left, right = best
+        new_id = n + step
+        rest = [c for c in active if c != left and c != right]
+        for c in rest:
+            link[(c, new_id)] = min(link[(min(c, left), max(c, left))], link[(min(c, right), max(c, right))])
+        merges.append((left, right, link[best]))
+        active = rest + [new_id]
+    return merges

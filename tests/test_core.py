@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cluster_simplicity import (
@@ -50,6 +50,13 @@ def _grouping(labels):
     for index, label in enumerate(labels):
         clusters.setdefault(int(label), set()).add(index)
     return frozenset(frozenset(members) for members in clusters.values())
+
+
+def _merge_rows(dendrogram):
+    return [
+        (left, right, distance)
+        for (left, right), distance in zip(dendrogram.merges.tolist(), dendrogram.distances.tolist())
+    ]
 
 
 class TestUndefined:
@@ -291,6 +298,31 @@ class TestSingleLinkage:
         # lexicographic tie-break merges points 0 and 1 first
         assert dg.levels[1].partition.labels.tolist() == [0, 0, 1]
 
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda dim: st.lists(
+                st.lists(st.integers(-2, 2).map(float), min_size=dim, max_size=dim),
+                min_size=2,
+                max_size=30,
+            )
+        )
+    )
+    # point 2 is tied only to point 1; once {0, 1} merges, (2, {0, 1}) comes before (3, 4)
+    @example([[2.0], [1.0], [0.0], [3.0], [4.0]])
+    @settings(max_examples=40, deadline=None)
+    def test_tie_order_matches_closest_pair_scan(self, pts):
+        # small integer grids: many duplicates and equal heights, exact distances
+        assert _merge_rows(single_linkage(Dataset(pts))) == oracles.single_linkage_merges(pts)
+
+    def test_matches_closest_pair_scan_on_floats(self):
+        rng = np.random.default_rng(97)
+        for n in (2, 5, 17, 30):
+            points = rng.normal(size=(n, 3))
+            ours = _merge_rows(single_linkage(Dataset(points)))
+            reference = oracles.single_linkage_merges(points.tolist())
+            assert [row[:2] for row in ours] == [row[:2] for row in reference]
+            assert [row[2] for row in ours] == pytest.approx([row[2] for row in reference], rel=1e-12)
+
     def test_rejects_single_point(self):
         with pytest.raises(ValueError, match="at least 2"):
             single_linkage(Dataset([[0.0]]))
@@ -346,6 +378,18 @@ class TestDendrogramFromMerges:
         with pytest.raises(ValueError, match="expected 2 merges"):
             dendrogram_from_merges(3, [(0, 1, 1.0)])
 
+    def test_non_integral_id_names_row(self):
+        with pytest.raises(ValueError, match="merge row 1: cluster id 1.5 is not an integer"):
+            dendrogram_from_merges(2, [(0, 1.5, 1.0)])
+
+    def test_linkage_matrix_row_names_row(self):
+        # a scipy linkage matrix carries a fourth column of cluster sizes
+        z = np.array([[0.0, 1.0, 1.0, 2.0], [2.0, 3.0, 2.0, 3.0]])
+        with pytest.raises(ValueError, match="merge row 1: expected 3 values"):
+            dendrogram_from_merges(3, z)
+        # its first three columns are accepted: the ids are integral floats
+        assert dendrogram_from_merges(3, z[:, :3]).merges.tolist() == [[0, 1], [2, 3]]
+
     def test_matches_linkage_convention(self):
         dg = dendrogram_from_merges(3, [(0, 1, 1.0), (2, 3, 2.0)])
         assert dg.levels[1].partition.labels.tolist() == [0, 0, 1]
@@ -354,36 +398,28 @@ class TestDendrogramFromMerges:
 
 class TestDendrogramValidation:
     def test_accepts_valid_chain(self):
-        dg = Dendrogram(
-            (
-                (0.0, Partition(np.array([0, 1, 2]))),
-                (1.0, Partition(np.array([0, 1, 0]))),
-                (2.0, Partition(np.array([0, 0, 0]))),
-            )
-        )
+        dg = Dendrogram(3, np.array([[0, 2], [1, 3]]), np.array([1.0, 2.0]))
         assert dg.n_points == 3
-
-    def test_rejects_non_coarsening(self):
-        # level 3 splits the {0, 1} cluster of level 2 across two clusters
-        with pytest.raises(ValueError, match="not a coarsening"):
-            Dendrogram(
-                (
-                    (0.0, Partition(np.array([0, 1, 2, 3]))),
-                    (1.0, Partition(np.array([0, 0, 1, 2]))),
-                    (2.0, Partition(np.array([0, 1, 1, 0]))),
-                    (3.0, Partition(np.array([0, 0, 0, 0]))),
-                )
-            )
+        assert dg.merges.tolist() == [[0, 2], [1, 3]]
+        assert dg.partition_at(2).labels.tolist() == [0, 1, 0]
 
     def test_rejects_wrong_level_count(self):
-        with pytest.raises(ValueError, match="expected 3 levels"):
-            Dendrogram(((0.0, Partition(np.array([0, 1, 2]))),))
+        with pytest.raises(ValueError, match="expected 2 merges for 3 points"):
+            Dendrogram(3, np.empty((0, 2), dtype=int), np.empty(0))
 
     def test_rejects_decreasing_distances(self):
-        with pytest.raises(ValueError, match="nondecreasing"):
-            Dendrogram(
-                (
-                    (1.0, Partition(np.array([0, 1]))),
-                    (0.5, Partition(np.array([0, 0]))),
-                )
-            )
+        with pytest.raises(ValueError, match="merge row 2: distance 0.5 decreases"):
+            Dendrogram(3, np.array([[0, 1], [2, 3]]), np.array([1.0, 0.5]))
+
+    def test_levels_are_derived_read_only_views(self):
+        dg = Dendrogram(4, np.array([[2, 3], [0, 4], [1, 5]]), np.array([0.5, 1.0, 1.0]))
+        assert len(dg.levels) == 4
+        assert [lvl.distance for lvl in dg.levels] == [0.0, 0.5, 1.0, 1.0]
+        assert dg.levels[-2].partition.labels.tolist() == [0, 1, 0, 0]
+        assert [lvl.partition.n_clusters for lvl in dg.levels[1:3]] == [3, 2]
+        with pytest.raises(ValueError):
+            dg.merges[0, 0] = 1
+        with pytest.raises(TypeError):
+            dg.levels[0] = dg.levels[1]
+        with pytest.raises(ValueError, match="level must be in 1..4"):
+            dg.partition_at(5)

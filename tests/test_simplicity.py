@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from cluster_simplicity import (
     Partition,
     SiCurve,
     UNDEFINED,
+    dendrogram_from_merges,
     is_defined,
     scale_dataset,
     shift_dataset,
@@ -45,6 +48,16 @@ def dataset_with_partition(draw, min_points=2, max_points=10, dim=3):
 
 def si_distance_of(dataset, partition):
     return si_distance(DistanceMatrix.from_dataset(dataset), partition)
+
+
+def _assert_curve_matches_oracle(data, dendrogram):
+    # the incremental curve against a fresh literal-formula score of each level
+    curve = si_curve(data, dendrogram)
+    points = data.points.tolist()
+    assert curve.distances == (0.0, *dendrogram.distances.tolist())
+    for level, value in enumerate(curve.values, start=1):
+        labels = dendrogram.partition_at(level).labels.tolist()
+        assert value == pytest.approx(oracles.si_centroid_oracle(points, labels), rel=1e-12)
 
 
 class TestSiCentroidAnchors:
@@ -180,6 +193,35 @@ class TestSiCurve:
         assert len(curve) == 2
         assert curve.values[0] == pytest.approx(2.0, abs=1e-12)
         assert curve.values[1] == pytest.approx(2.0, abs=1e-12)
+
+    def test_matches_oracle_at_every_single_linkage_level(self):
+        rng = np.random.default_rng(31)
+        points = np.vstack([rng.normal(loc=c, size=(12, 3)) for c in (-4.0, 0.0, 5.0)])
+        points[5] = points[4]  # a duplicate point merges at distance 0
+        data = Dataset(points)
+        _assert_curve_matches_oracle(data, single_linkage(data))
+
+    def test_matches_oracle_at_every_average_linkage_level(self):
+        hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+        rng = np.random.default_rng(32)
+        points = np.vstack([rng.normal(loc=c, size=(12, 2)) for c in (-3.0, 0.0, 3.0)])
+        data = Dataset(points)
+        linkage = hierarchy.linkage(points, method="average")
+        _assert_curve_matches_oracle(data, dendrogram_from_merges(len(points), linkage[:, :3]))
+
+    def test_hierarchy_memory_stays_linear(self):
+        # N = 2000, d = 8: one N x N float matrix alone would take 32 MB
+        rng = np.random.default_rng(2000)
+        centres = rng.normal(scale=10.0, size=(8, 8))
+        data = Dataset(centres[rng.integers(0, 8, size=2000)] + rng.normal(size=(2000, 8)))
+        tracemalloc.start()
+        try:
+            curve = si_curve(data, single_linkage(data))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(curve) == 2000
+        assert peak < 8 * 2**20
 
     def test_minimum_reports_first_smallest_level(self):
         assert SiCurve(((0.0, 3.0), (1.0, 2.3), (2.0, 3.0))).minimum() == (2, 2.3)
