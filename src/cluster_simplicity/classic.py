@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import (
     UNDEFINED,
+    ClusterStats,
     Dataset,
     DistanceMatrix,
     IndexValue,
@@ -35,30 +36,19 @@ class UnknownIndexError(ValueError):
     """Raised for an index id that is not in the registry."""
 
 
-def _centroids_and_sizes(dataset: Dataset, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
-    k = partition.n_clusters
-    centroids = np.empty((k, dataset.dim))
-    for label in range(k):
-        centroids[label] = dataset.points[partition.members(label)].mean(axis=0)
-    return centroids, partition.cluster_sizes()
-
-
 def calinski_harabasz(dataset: Dataset, partition: Partition) -> IndexValue:
     """Variance-ratio criterion: between-cluster over within-cluster dispersion.
 
     UNDEFINED for k = 1, k = N, or zero within-cluster dispersion (the
     degrees-of-freedom or dispersion denominator vanishes).
     """
-    n, k = dataset.n_points, partition.n_clusters
+    stats = ClusterStats(partition, points=dataset.points)
+    n, k = stats.n, stats.k
     if k == 1 or k == n:
         return UNDEFINED
     overall = dataset.points.mean(axis=0)
-    centroids, sizes = _centroids_and_sizes(dataset, partition)
-    between = float(np.dot(sizes, ((centroids - overall) ** 2).sum(axis=1)))
-    within = 0.0
-    for label in range(k):
-        members = dataset.points[partition.members(label)]
-        within += float(((members - centroids[label]) ** 2).sum())
+    between = float(np.dot(stats.sizes, ((stats.centroids - overall) ** 2).sum(axis=1)))
+    within = float((stats.offsets**2).sum())
     if within == 0.0:
         return UNDEFINED
     return (between / (k - 1)) / (within / (n - k))
@@ -72,24 +62,19 @@ def silhouette(dataset: Dataset, partition: Partition) -> IndexValue:
     (b - a) scaled by max(a, b), taken as 0 when a = b. Singletons score 0.
     UNDEFINED on a single-cluster partition (no other cluster exists).
     """
-    n, k = dataset.n_points, partition.n_clusters
-    if k == 1:
+    stats = ClusterStats(partition, points=dataset.points)
+    if stats.k == 1:
         return UNDEFINED
-    dm = pairwise_distances(dataset.points)
-    members = [partition.members(label) for label in range(k)]
-    total = 0.0
-    for i in range(n):
-        own = partition.labels[i]
-        own_others = members[own][members[own] != i]
-        if own_others.size == 0:
-            continue  # singleton convention: width 0
-        a = float(dm[i, own_others].mean())
-        b = min(float(dm[i, members[lab]].mean()) for lab in range(k) if lab != own)
-        if a < b:
-            total += 1.0 - a / b
-        elif a > b:
-            total += b / a - 1.0
-    return total / n
+    rows, own = np.arange(stats.n), stats.sorted_labels
+    own_size = stats.sizes[own]
+    a = stats.row_sums[rows, own] / np.maximum(own_size - 1, 1)
+    mean_to = stats.row_sums / stats.sizes
+    mean_to[rows, own] = np.inf
+    b = mean_to.min(axis=1)
+    scale = np.maximum(a, b)
+    # singletons and a = b = 0 keep width 0
+    width = np.divide(b - a, scale, out=np.zeros(stats.n), where=(own_size > 1) & (scale > 0))
+    return float(width.sum()) / stats.n
 
 
 def score_function(dataset: Dataset, partition: Partition) -> IndexValue:
@@ -99,18 +84,13 @@ def score_function(dataset: Dataset, partition: Partition) -> IndexValue:
     per-cluster mean member-to-centroid distances (within) through a double
     exponential, yielding a value in (0, 1). No zero-denominator path.
     """
-    n, k = dataset.n_points, partition.n_clusters
+    stats = ClusterStats(partition, points=dataset.points)
     overall = dataset.points.mean(axis=0)
-    centroids, sizes = _centroids_and_sizes(dataset, partition)
-    between = float(np.dot(sizes, np.linalg.norm(centroids - overall, axis=1))) / (n * k)
-    within = 0.0
-    for label in range(k):
-        members = dataset.points[partition.members(label)]
-        within += float(np.linalg.norm(members - centroids[label], axis=1).mean())
-    gap = between - within
+    between = float(np.dot(stats.sizes, np.linalg.norm(stats.centroids - overall, axis=1))) / (stats.n * stats.k)
+    gap = between - float(stats.radii.sum())
     if gap > 700.0:  # exp(exp(gap)) overflows; the score saturates at 1
         return 1.0
-    return 1.0 - math.exp(-math.exp(gap))
+    return -math.expm1(-math.exp(gap))  # not 1 - exp(...), which rounds a tiny score to 0
 
 
 def dunn(dataset: Dataset, partition: Partition) -> IndexValue:
@@ -119,21 +99,13 @@ def dunn(dataset: Dataset, partition: Partition) -> IndexValue:
     UNDEFINED for k = 1 (no cluster pair) and for zero maximum diameter
     (every cluster a singleton or coincident).
     """
-    k = partition.n_clusters
-    if k == 1:
+    stats = ClusterStats(partition, points=dataset.points)
+    if stats.k == 1:
         return UNDEFINED
-    dm = pairwise_distances(dataset.points)
-    members = [partition.members(label) for label in range(k)]
-    max_diameter = 0.0
-    for idx in members:
-        if idx.size > 1:
-            max_diameter = max(max_diameter, float(dm[np.ix_(idx, idx)].max()))
+    max_diameter = float(stats.blocks(np.maximum).diagonal().max())
     if max_diameter == 0.0:
         return UNDEFINED
-    min_separation = math.inf
-    for a in range(k):
-        for b in range(a + 1, k):
-            min_separation = min(min_separation, float(dm[np.ix_(members[a], members[b])].min()))
+    min_separation = float(stats.blocks(np.minimum)[np.triu_indices(stats.k, k=1)].min())
     return min_separation / max_diameter
 
 
@@ -143,26 +115,15 @@ def davies_bouldin(dataset: Dataset, partition: Partition) -> IndexValue:
     Dispersion of a cluster is the mean member-to-centroid distance.
     UNDEFINED for k = 1 and whenever two cluster centroids coincide.
     """
-    k = partition.n_clusters
-    if k == 1:
+    stats = ClusterStats(partition, points=dataset.points)
+    if stats.k == 1:
         return UNDEFINED
-    centroids, _ = _centroids_and_sizes(dataset, partition)
-    dispersion = np.empty(k)
-    for label in range(k):
-        members = dataset.points[partition.members(label)]
-        dispersion[label] = np.linalg.norm(members - centroids[label], axis=1).mean()
-    total = 0.0
-    for a in range(k):
-        worst = 0.0
-        for b in range(k):
-            if a == b:
-                continue
-            gap = float(np.linalg.norm(centroids[a] - centroids[b]))
-            if gap == 0.0:
-                return UNDEFINED
-            worst = max(worst, (dispersion[a] + dispersion[b]) / gap)
-        total += worst
-    return total / k
+    gaps = pairwise_distances(stats.centroids)
+    np.fill_diagonal(gaps, np.inf)  # a cluster is not compared with itself
+    if not gaps.all():
+        return UNDEFINED
+    worst = ((stats.radii[:, None] + stats.radii[None, :]) / gaps).max(axis=1)
+    return float(worst.sum()) / stats.k
 
 
 def c_index(dataset: Dataset, partition: Partition) -> IndexValue:
@@ -173,13 +134,10 @@ def c_index(dataset: Dataset, partition: Partition) -> IndexValue:
     pairwise distances in the whole dataset. UNDEFINED when S_max = S_min
     (covers k = 1, k = N, and all-equal pairwise distances).
     """
-    n = dataset.n_points
-    dm = pairwise_distances(dataset.points)
-    iu = np.triu_indices(n, k=1)
-    all_distances = np.sort(dm[iu])
-    same_cluster = partition.labels[iu[0]] == partition.labels[iu[1]]
-    n_within = int(same_cluster.sum())
-    within_sum = float(dm[iu][same_cluster].sum())
+    stats = ClusterStats(partition, points=dataset.points)
+    all_distances = np.sort(stats.distances[np.triu_indices(stats.n, k=1)])
+    n_within = int((stats.sizes * (stats.sizes - 1)).sum()) // 2
+    within_sum = float(stats.blocks(np.add).trace()) / 2  # each pair twice
     smallest_sum = float(all_distances[:n_within].sum())
     largest_sum = float(all_distances[len(all_distances) - n_within:].sum())
     if largest_sum == smallest_sum:

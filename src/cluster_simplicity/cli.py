@@ -16,7 +16,8 @@ results are rendered as the token ``"undefined"`` and still exit 0. Exit code
 File formats: points are headerless CSV, one point per row; labels are
 headerless, one nonnegative integer per row; linkage files have N-1 rows
 ``left right distance`` (whitespace or comma separated) where ids 0..N-1 are
-the points and row r creates cluster id N+r.
+the points and row r creates cluster id N+r; ids may be written as integral
+floats, as ``np.savetxt`` writes them.
 """
 
 from __future__ import annotations
@@ -107,12 +108,13 @@ def _read_labels(path: str, n_points: int) -> Partition:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _read_linkage(path: str, n_points: int) -> list[tuple[int, int, float]]:
+def _read_linkage(path: str, n_points: int) -> list[tuple[float, float, float]]:
+    # ids are read as floats: dendrogram_from_merges rejects a non-integral id by row
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise InputError(f"cannot read linkage file {path}: {exc}") from exc
-    merges: list[tuple[int, int, float]] = []
+    merges: list[tuple[float, float, float]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -122,8 +124,7 @@ def _read_linkage(path: str, n_points: int) -> list[tuple[int, int, float]]:
                 f"{path}: row {lineno}: expected 'left right distance', got {line.strip()!r}"
             )
         try:
-            left, right = int(fields[0]), int(fields[1])
-            distance = float(fields[2])
+            left, right, distance = map(float, fields)
         except ValueError:
             raise InputError(f"{path}: row {lineno}: malformed linkage row {line.strip()!r}") from None
         merges.append((left, right, distance))

@@ -2,9 +2,10 @@
 
 Holds the immutable container types (:class:`Dataset`, :class:`Partition`,
 :class:`DistanceMatrix`, :class:`Dendrogram`), the distinguished
-:data:`UNDEFINED` result, plain Euclidean geometry helpers, the builtin
-synthetic benchmark datasets, affine transforms, and a deterministic
-single-linkage dendrogram builder.
+:data:`UNDEFINED` result, plain Euclidean geometry helpers, the per-cluster
+statistics every partition index reads, the builtin synthetic benchmark
+datasets, affine transforms, and a deterministic single-linkage dendrogram
+builder.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -328,14 +330,78 @@ def diameter(points: object) -> float:
 
 
 def pairwise_distances(points: object) -> np.ndarray:
-    """Full square matrix of Euclidean distances between rows of ``points``."""
+    """Full square matrix of Euclidean distances between rows of ``points``.
+
+    Built row by row in O(N d) extra memory. The squares of ``p_j - p_i`` are
+    exactly those of ``p_i - p_j``, so the matrix is exactly symmetric.
+    """
     pts = _as_points(points)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dm = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    # exact symmetry and zero diagonal regardless of rounding
-    dm = np.maximum(dm, dm.T)
-    np.fill_diagonal(dm, 0.0)
+    dm = np.empty((pts.shape[0], pts.shape[0]))
+    for i, point in enumerate(pts):
+        dm[i] = _distances_to(pts, point)
     return dm
+
+
+class ClusterStats:
+    """Per-cluster statistics of one partition, shared by every partition index.
+
+    Built from the ``points`` the partition labels or from their ``distances``
+    matrix; ValueError if the partition labels another number of items. Each
+    quantity is computed when first read and belongs to this object alone.
+    Distance quantities reduce the matrix over blocks of label-sorted rows and
+    columns, in which each cluster is one contiguous slice.
+    """
+
+    def __init__(
+        self, partition: Partition, *, points: np.ndarray | None = None, distances: np.ndarray | None = None
+    ) -> None:
+        self.n = (points if distances is None else distances).shape[0]
+        if partition.n_items != self.n:
+            raise ValueError(f"partition labels {partition.n_items} items, dataset has {self.n}")
+        self.points = points
+        self.labels = partition.labels
+        self.sizes = partition.cluster_sizes()
+        self.k = len(self.sizes)
+        self.sorted_labels = np.repeat(np.arange(self.k), self.sizes)
+        self._starts = np.cumsum(self.sizes) - self.sizes
+        self._matrix = distances
+
+    @cached_property
+    def centroids(self) -> np.ndarray:
+        """k x d cluster means: in-order member sums divided by size."""
+        sums = np.zeros((self.k, self.points.shape[1]))
+        np.add.at(sums, self.labels, self.points)
+        return sums / self.sizes[:, None]
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Each point minus its cluster's centroid, in point order."""
+        return self.points - self.centroids[self.labels]
+
+    @cached_property
+    def radii(self) -> np.ndarray:
+        """Mean member-to-centroid distance of each cluster; 0 for a singleton."""
+        member_distances = np.linalg.norm(self.offsets, axis=1)
+        return np.bincount(self.labels, weights=member_distances, minlength=self.k) / self.sizes
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """N x N distance matrix with rows and columns in label order."""
+        order = np.argsort(self.labels, kind="stable")
+        if self._matrix is None:
+            return pairwise_distances(self.points[order])
+        return self._matrix[order[:, None], order]
+
+    @cached_property
+    def row_sums(self) -> np.ndarray:
+        """N x k: summed distance from each point, in label order, to each cluster."""
+        return np.add.reduceat(self.distances, self._starts, axis=1)
+
+    def blocks(self, ufunc: np.ufunc) -> np.ndarray:
+        """k x k: ``ufunc`` (np.add, np.minimum or np.maximum) over the
+        distances between the members of each pair of clusters."""
+        rows = self.row_sums if ufunc is np.add else ufunc.reduceat(self.distances, self._starts, axis=1)
+        return ufunc.reduceat(rows, self._starts, axis=0)
 
 
 def scale_dataset(dataset: Dataset, factor: float) -> Dataset:
@@ -420,7 +486,7 @@ def dendrogram_from_merges(
 
 
 def _distances_to(points: np.ndarray, point: np.ndarray) -> np.ndarray:
-    # the arithmetic of pairwise_distances, so each entry is bit-identical to it
+    # the one distance kernel: pairwise_distances and the spanning tree both use it
     diff = points - point
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 

@@ -84,20 +84,54 @@ def _variant_datasets(variant: str) -> dict[str, str]:
         raise ValueError(f"unknown variant {variant!r} (expected 'short' or 'long')") from None
 
 
-def check_invariance(index_id: str, variant: str = "short") -> tuple[bool, bool]:
-    """(scale_ok, shift_ok) for the index on the variant's two-cluster dataset."""
+def _probe_values(index_id: str, variant: str) -> dict[str, IndexValue]:
+    """The index on each of the variant's 10 probes, by name, in audit order:
+    ``X2`` (two clusters), its rescaled and shifted copies ``X2*a`` and ``X2+b``,
+    ``Y1`` and ``Y2`` (coincident points), ``X1`` and ``Xmax`` (extreme partitions)."""
     ids = _variant_datasets(variant)
     dataset, partition = synthetic_dataset(ids["X2"])
-    reference = evaluate(index_id, dataset, partition)
-    scale_ok = all(
-        values_equal(evaluate(index_id, scale_dataset(dataset, a), partition), reference)
-        for a in SCALE_FACTORS
+    values = {"X2": evaluate(index_id, dataset, partition)}
+    for a in SCALE_FACTORS:
+        values[f"X2*{a:g}"] = evaluate(index_id, scale_dataset(dataset, a), partition)
+    for b in SHIFT_OFFSETS:
+        values[f"X2{b:+g}"] = evaluate(index_id, shift_dataset(dataset, b), partition)
+    for name in ("Y1", "Y2", "X1", "Xmax"):
+        values[name] = evaluate(index_id, *synthetic_dataset(ids[name]))
+    return values
+
+
+def _detail(index_id: str, variant: str) -> tuple[AuditDetail, dict[str, IndexValue]]:
+    """The six checks of an audit, all derived from one probe table, and the table."""
+    values = _probe_values(index_id, variant)
+    meta = descriptor(index_id)
+    reference, y1_value, y2_value = values["X2"], values["Y1"], values["Y2"]
+    if not is_defined(y1_value) or not is_defined(y2_value):
+        split_worse = False
+    elif meta.direction == "lower-better":
+        split_worse = y2_value > y1_value
+    else:
+        split_worse = y2_value < y1_value
+    ids = _variant_datasets(variant)
+    at_baseline = {
+        name: meta.baseline is not None
+        and values_equal(values[name], meta.baseline(synthetic_dataset(ids[name])[0].n_points))
+        for name in ("X1", "Xmax")
+    }
+    detail = AuditDetail(
+        scale_ok=all(values_equal(values[f"X2*{a:g}"], reference) for a in SCALE_FACTORS),
+        shift_ok=all(values_equal(values[f"X2{b:+g}"], reference) for b in SHIFT_OFFSETS),
+        is_best_at_y1=meta.best_value is not None and values_equal(y1_value, meta.best_value),
+        y2_worse_than_y1=split_worse,
+        baseline_at_x1=at_baseline["X1"],
+        baseline_at_xmax=at_baseline["Xmax"],
     )
-    shift_ok = all(
-        values_equal(evaluate(index_id, shift_dataset(dataset, b), partition), reference)
-        for b in SHIFT_OFFSETS
-    )
-    return scale_ok, shift_ok
+    return detail, values
+
+
+def check_invariance(index_id: str, variant: str = "short") -> tuple[bool, bool]:
+    """(scale_ok, shift_ok) for the index on the variant's two-cluster dataset."""
+    detail, _ = _detail(index_id, variant)
+    return detail.scale_ok, detail.shift_ok
 
 
 def check_optimality(index_id: str, variant: str = "short") -> tuple[bool, bool]:
@@ -108,69 +142,32 @@ def check_optimality(index_id: str, variant: str = "short") -> tuple[bool, bool]
     worse in the index's direction. UNDEFINED on either side fails the
     affected check (an undefined score is not comparable).
     """
-    ids = _variant_datasets(variant)
-    meta = descriptor(index_id)
-    y1_value = evaluate(index_id, *synthetic_dataset(ids["Y1"]))
-    y2_value = evaluate(index_id, *synthetic_dataset(ids["Y2"]))
-    is_best = meta.best_value is not None and values_equal(y1_value, meta.best_value)
-    if not is_defined(y1_value) or not is_defined(y2_value):
-        split_worse = False
-    elif meta.direction == "lower-better":
-        split_worse = y2_value > y1_value
-    else:
-        split_worse = y2_value < y1_value
-    return is_best, split_worse
+    detail, _ = _detail(index_id, variant)
+    return detail.is_best_at_y1, detail.y2_worse_than_y1
 
 
 def check_baseline(index_id: str, variant: str = "short") -> tuple[bool, bool]:
     """(at_x1, at_xmax): declared baseline attained at both extreme partitions."""
-    ids = _variant_datasets(variant)
-    meta = descriptor(index_id)
-    if meta.baseline is None:
-        return False, False
-    x1_data, x1_part = synthetic_dataset(ids["X1"])
-    xmax_data, xmax_part = synthetic_dataset(ids["Xmax"])
-    at_x1 = values_equal(evaluate(index_id, x1_data, x1_part), meta.baseline(x1_data.n_points))
-    at_xmax = values_equal(evaluate(index_id, xmax_data, xmax_part), meta.baseline(xmax_data.n_points))
-    return at_x1, at_xmax
-
-
-def _undefined_probes(index_id: str, variant: str) -> tuple[str, ...]:
-    ids = _variant_datasets(variant)
-    dataset, partition = synthetic_dataset(ids["X2"])
-    probes: list[tuple[str, IndexValue]] = [("X2", evaluate(index_id, dataset, partition))]
-    probes += [
-        (f"X2*{a:g}", evaluate(index_id, scale_dataset(dataset, a), partition))
-        for a in SCALE_FACTORS
-    ]
-    probes += [
-        (f"X2{b:+g}", evaluate(index_id, shift_dataset(dataset, b), partition))
-        for b in SHIFT_OFFSETS
-    ]
-    for name in ("Y1", "Y2", "X1", "Xmax"):
-        probes.append((name, evaluate(index_id, *synthetic_dataset(ids[name]))))
-    return tuple(name for name, value in probes if not is_defined(value))
+    detail, _ = _detail(index_id, variant)
+    return detail.baseline_at_x1, detail.baseline_at_xmax
 
 
 def audit(index_id: str, variant: str = "short") -> PropertyFlags:
-    """Run all five evaluations for one index and compose its flag row."""
-    scale_ok, shift_ok = check_invariance(index_id, variant)
-    is_best, split_worse = check_optimality(index_id, variant)
-    at_x1, at_xmax = check_baseline(index_id, variant)
-
-    if scale_ok and shift_ok:
+    """Evaluate the 10 probes once for one index and compose its flag row."""
+    detail, values = _detail(index_id, variant)
+    if detail.scale_ok and detail.shift_ok:
         invariance = "S"
-    elif scale_ok or shift_ok:
+    elif detail.scale_ok or detail.shift_ok:
         invariance = "s"
     else:
         invariance = "none"
-    if is_best and split_worse:
+    if detail.is_best_at_y1 and detail.y2_worse_than_y1:
         optimality = "B"
-    elif is_best:
+    elif detail.is_best_at_y1:
         optimality = "b"
     else:
         optimality = "none"
-    baseline = "C" if at_x1 and at_xmax else "none"
+    baseline = "C" if detail.baseline_at_x1 and detail.baseline_at_xmax else "none"
 
     return PropertyFlags(
         index_id=index_id,
@@ -178,15 +175,8 @@ def audit(index_id: str, variant: str = "short") -> PropertyFlags:
         invariance=invariance,
         optimality=optimality,
         baseline=baseline,
-        detail=AuditDetail(
-            scale_ok=scale_ok,
-            shift_ok=shift_ok,
-            is_best_at_y1=is_best,
-            y2_worse_than_y1=split_worse,
-            baseline_at_x1=at_x1,
-            baseline_at_xmax=at_xmax,
-        ),
-        undefined_probes=_undefined_probes(index_id, variant),
+        detail=detail,
+        undefined_probes=tuple(name for name, value in values.items() if not is_defined(value)),
     )
 
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from .core import (
     UNDEFINED,
+    ClusterStats,
     Dataset,
     Dendrogram,
     DistanceMatrix,
@@ -36,11 +37,6 @@ from .core import (
     Partition,
     radius_centroid,
 )
-
-
-def _check_sizes(n_points: int, partition: Partition) -> None:
-    if partition.n_items != n_points:
-        raise ValueError(f"partition labels {partition.n_items} items, dataset has {n_points}")
 
 
 def _si_from_exponents(sizes: np.ndarray, exponents: np.ndarray) -> float:
@@ -57,17 +53,10 @@ def si_centroid(dataset: Dataset, partition: Partition) -> float:
     dataset_radius``, where a radius is the mean member-to-centroid distance.
     Always returns a finite value >= 1.
     """
-    _check_sizes(dataset.n_points, partition)
+    stats = ClusterStats(partition, points=dataset.points)
     dataset_radius = radius_centroid(dataset.points)
-    k = partition.n_clusters
-    sizes = np.empty(k)
-    exponents = np.zeros(k)
-    for label in range(k):
-        members = dataset.points[partition.members(label)]
-        sizes[label] = len(members)
-        if dataset_radius != 0.0:
-            exponents[label] = radius_centroid(members) / dataset_radius
-    return _si_from_exponents(sizes, exponents)
+    exponents = stats.radii / dataset_radius if dataset_radius != 0.0 else np.zeros(stats.k)
+    return _si_from_exponents(stats.sizes, exponents)
 
 
 def si_distance(distances: DistanceMatrix, partition: Partition) -> float:
@@ -77,20 +66,12 @@ def si_distance(distances: DistanceMatrix, partition: Partition) -> float:
     pairwise distance (0 for a singleton), and the reference radius is the
     mean over all pairs in the matrix.
     """
-    _check_sizes(distances.n_items, partition)
-    entries = distances.entries
-    n = distances.n_items
-    whole_mean = float(entries[np.triu_indices(n, k=1)].mean()) if n > 1 else 0.0
-    k = partition.n_clusters
-    sizes = np.empty(k)
-    exponents = np.zeros(k)
-    for label in range(k):
-        idx = partition.members(label)
-        sizes[label] = len(idx)
-        if whole_mean != 0.0 and len(idx) > 1:
-            sub = entries[np.ix_(idx, idx)]
-            cluster_mean = float(sub[np.triu_indices(len(idx), k=1)].mean())
-            exponents[label] = cluster_mean / whole_mean
+    stats = ClusterStats(partition, distances=distances.entries)
+    n, sizes = stats.n, stats.sizes
+    sums = stats.blocks(np.add)  # every pair counted twice, as are the pair counts below
+    whole_mean = float(sums.sum()) / (n * (n - 1)) if n > 1 else 0.0
+    cluster_means = sums.diagonal() / np.maximum(sizes * (sizes - 1), 1)  # 0 for a singleton
+    exponents = cluster_means / whole_mean if whole_mean != 0.0 else np.zeros(stats.k)
     return _si_from_exponents(sizes, exponents)
 
 

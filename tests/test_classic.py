@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cluster_simplicity import (
     Dataset,
@@ -165,6 +167,12 @@ class TestScoreFunction:
             shifted = score_function(scale_dataset(data, a), part)
             assert abs(shifted - reference) > 1e-6
 
+    def test_tiny_score_stays_positive(self):
+        # one cluster of two points 100 apart: between = 0, within = 50, gap = -50
+        value = score_function(Dataset(np.array([[-50.0], [50.0]])), Partition(np.array([0, 0])))
+        assert value > 0.0
+        assert value == pytest.approx(math.exp(-50.0), rel=1e-12)
+
     def test_saturates_instead_of_overflowing(self):
         # far-apart tight clusters drive the inner exponential over the top
         pts = np.vstack([np.zeros((2, 1)), np.full((2, 1), 1e6)])
@@ -201,6 +209,22 @@ class TestDescriptors:
     def test_unknown_id(self):
         with pytest.raises(UnknownIndexError):
             descriptor("bogus")
+
+
+# a coarse half-integer grid, so duplicate points, exact distance ties and
+# coincident centroids occur; its span keeps the SF oracle's exp(exp(.)) finite
+half_grid = st.integers(-6, 6).map(lambda v: v / 2.0)
+
+
+@st.composite
+def grid_partition(draw, max_points=10):
+    n = draw(st.integers(2, max_points))
+    dim = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.lists(half_grid, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    k = draw(st.integers(2, n))
+    extra = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    labels = draw(st.permutations(list(range(k)) + extra))
+    return Dataset(np.array(pts)), Partition(np.array(labels))
 
 
 def _random_labeled_dataset(rng, max_points=30, max_clusters=6):
@@ -262,14 +286,17 @@ class TestAgainstNaiveOracles:
 
         disp = [sum(oracles.dist(p, g) for p in c) / len(c) for c, g in zip(clusters, cents)]
         ratios = []
-        for a_ in range(k):
-            worst = max(
-                (disp[a_] + disp[b_]) / oracles.dist(cents[a_], cents[b_])
-                for b_ in range(k)
-                if b_ != a_
-            )
-            ratios.append(worst)
-        db_value = sum(ratios) / k
+        try:
+            for a_ in range(k):
+                worst = max(
+                    (disp[a_] + disp[b_]) / oracles.dist(cents[a_], cents[b_])
+                    for b_ in range(k)
+                    if b_ != a_
+                )
+                ratios.append(worst)
+            db_value = sum(ratios) / k
+        except ZeroDivisionError:  # two centroids coincide
+            db_value = None
 
         all_pairs = sorted(
             oracles.dist(pts[i], pts[j]) for i in range(n) for j in range(i + 1, n)
@@ -297,6 +324,19 @@ class TestAgainstNaiveOracles:
                     assert actual is UNDEFINED, index_id
                 else:
                     assert actual == pytest.approx(value, rel=1e-9), index_id
+
+
+    @given(grid_partition())
+    @settings(max_examples=300, deadline=None)
+    def test_degenerate_grid_datasets(self, data_part):
+        data, part = data_part
+        expected = self._naive(data.points.tolist(), part.labels.tolist())
+        for index_id, value in expected.items():
+            actual = evaluate(index_id, data, part)
+            if value is None:
+                assert actual is UNDEFINED, index_id
+            else:
+                assert actual == pytest.approx(value, rel=1e-9, abs=1e-12), index_id
 
 
 class TestAgainstScikitLearn:
@@ -352,6 +392,12 @@ class TestEvaluateRegistry:
     def test_hierarchy_scorer_rejected(self):
         with pytest.raises(UnknownIndexError, match="dendrogram"):
             evaluate("si_hierarchical", *X2S)
+
+    @pytest.mark.parametrize("index_id", PARTITION_INDEX_IDS)
+    def test_partition_length_mismatch_names_both_counts(self, index_id):
+        data, _ = X3S
+        with pytest.raises(ValueError, match="labels 5 items, dataset has 3"):
+            evaluate(index_id, data, Partition(np.arange(5)))
 
     def test_never_nan_or_infinite(self):
         for dataset_id in SYNTHETIC_DATASET_IDS:

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cluster_simplicity import evaluate, si_curve, si_hierarchical, single_linkage, synthetic_dataset
@@ -284,6 +285,23 @@ class TestHierarchical:
         linkage.write_text("0,1,1.0\n2,3,2.0\n")
         report = run_json(capsys, "hierarchical", "--data", line_csv, "--linkage", str(linkage))
         assert report["si_h"] == pytest.approx(1.3343886242806229, rel=1e-12)
+
+    def test_savetxt_linkage_matches_integer_ids(self, line_csv, tmp_path, capsys):
+        # np.savetxt writes the ids of a linkage matrix as floats such as 2.000e+00
+        integer = tmp_path / "integer.txt"
+        integer.write_text("0 1 1.0\n2 3 2.0\n")
+        floats = tmp_path / "floats.txt"
+        np.savetxt(floats, np.array([[0.0, 1.0, 1.0], [2.0, 3.0, 2.0]]))
+        expected = run_json(capsys, "hierarchical", "--data", line_csv, "--linkage", str(integer))
+        report = run_json(capsys, "hierarchical", "--data", line_csv, "--linkage", str(floats))
+        assert {**report, "linkage": None} == {**expected, "linkage": None}
+
+    def test_non_integral_id_named(self, line_csv, tmp_path, capsys):
+        linkage = tmp_path / "bad.txt"
+        linkage.write_text("0 1.5 1.0\n2 3 2.0\n")
+        code, _, err = run_cli(capsys, "hierarchical", "--data", line_csv, "--linkage", str(linkage))
+        assert code == 2
+        assert "merge row 1" in err and "not an integer" in err
 
     def test_identical_points_undefined(self, tmp_path, capsys):
         data = tmp_path / "same.csv"
