@@ -6,17 +6,18 @@ centroids. Every zero-denominator path returns :data:`UNDEFINED` instead of
 raising or producing NaN/infinity.
 
 All indices, including the simplicity forms, are reachable through the string
-registry used by the CLI and the property harness: :func:`evaluate` scores a
-partition by index id and :func:`descriptor` reports an index's direction,
-formula-defined best value (when one exists) and reference baseline (when one
-exists).
+registry used by the CLI and the property harness: :func:`evaluate_many`
+scores a partition by several index ids in one pass, :func:`evaluate` by one,
+and :func:`descriptor` reports an index's direction, formula-defined best
+value (when one exists) and reference baseline (when one exists).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -24,29 +25,29 @@ from .core import (
     UNDEFINED,
     ClusterStats,
     Dataset,
-    DistanceMatrix,
     IndexValue,
     Partition,
-    pairwise_distances,
+    _distances_to,
+    is_defined,
+    points_index,
 )
-from .simplicity import si_centroid, si_distance
+from .simplicity import _si_centroid, _si_distance
 
 
 class UnknownIndexError(ValueError):
     """Raised for an index id that is not in the registry."""
 
 
-def calinski_harabasz(dataset: Dataset, partition: Partition) -> IndexValue:
+def _ch(stats: ClusterStats) -> IndexValue:
     """Variance-ratio criterion: between-cluster over within-cluster dispersion.
 
     UNDEFINED for k = 1, k = N, or zero within-cluster dispersion (the
     degrees-of-freedom or dispersion denominator vanishes).
     """
-    stats = ClusterStats(partition, points=dataset.points)
     n, k = stats.n, stats.k
     if k == 1 or k == n:
         return UNDEFINED
-    overall = dataset.points.mean(axis=0)
+    overall = stats.points.mean(axis=0)
     between = float(np.dot(stats.sizes, ((stats.centroids - overall) ** 2).sum(axis=1)))
     within = float((stats.offsets**2).sum())
     if within == 0.0:
@@ -54,7 +55,7 @@ def calinski_harabasz(dataset: Dataset, partition: Partition) -> IndexValue:
     return (between / (k - 1)) / (within / (n - k))
 
 
-def silhouette(dataset: Dataset, partition: Partition) -> IndexValue:
+def _silhouette(stats: ClusterStats) -> IndexValue:
     """Mean silhouette width over all points.
 
     Per point: cohesion a = mean distance to the rest of its own cluster,
@@ -62,7 +63,6 @@ def silhouette(dataset: Dataset, partition: Partition) -> IndexValue:
     (b - a) scaled by max(a, b), taken as 0 when a = b. Singletons score 0.
     UNDEFINED on a single-cluster partition (no other cluster exists).
     """
-    stats = ClusterStats(partition, points=dataset.points)
     if stats.k == 1:
         return UNDEFINED
     rows, own = np.arange(stats.n), stats.sorted_labels
@@ -77,15 +77,14 @@ def silhouette(dataset: Dataset, partition: Partition) -> IndexValue:
     return float(width.sum()) / stats.n
 
 
-def score_function(dataset: Dataset, partition: Partition) -> IndexValue:
+def _sf(stats: ClusterStats) -> IndexValue:
     """Bounded score from the gap between inter- and intra-cluster spread.
 
     Combines size-weighted centroid-to-grand-centroid distances (between) with
     per-cluster mean member-to-centroid distances (within) through a double
     exponential, yielding a value in (0, 1). No zero-denominator path.
     """
-    stats = ClusterStats(partition, points=dataset.points)
-    overall = dataset.points.mean(axis=0)
+    overall = stats.points.mean(axis=0)
     between = float(np.dot(stats.sizes, np.linalg.norm(stats.centroids - overall, axis=1))) / (stats.n * stats.k)
     gap = between - float(stats.radii.sum())
     if gap > 700.0:  # exp(exp(gap)) overflows; the score saturates at 1
@@ -93,13 +92,12 @@ def score_function(dataset: Dataset, partition: Partition) -> IndexValue:
     return -math.expm1(-math.exp(gap))  # not 1 - exp(...), which rounds a tiny score to 0
 
 
-def dunn(dataset: Dataset, partition: Partition) -> IndexValue:
+def _dunn(stats: ClusterStats) -> IndexValue:
     """Smallest inter-cluster distance over largest cluster diameter.
 
     UNDEFINED for k = 1 (no cluster pair) and for zero maximum diameter
     (every cluster a singleton or coincident).
     """
-    stats = ClusterStats(partition, points=dataset.points)
     if stats.k == 1:
         return UNDEFINED
     max_diameter = float(stats.blocks(np.maximum).diagonal().max())
@@ -109,16 +107,16 @@ def dunn(dataset: Dataset, partition: Partition) -> IndexValue:
     return min_separation / max_diameter
 
 
-def davies_bouldin(dataset: Dataset, partition: Partition) -> IndexValue:
+def _db(stats: ClusterStats) -> IndexValue:
     """Mean worst-case ratio of summed dispersions to centroid separation.
 
     Dispersion of a cluster is the mean member-to-centroid distance.
     UNDEFINED for k = 1 and whenever two cluster centroids coincide.
     """
-    stats = ClusterStats(partition, points=dataset.points)
     if stats.k == 1:
         return UNDEFINED
-    gaps = pairwise_distances(stats.centroids)
+    # the pairwise_distances rows, unchecked: overflowed centroids give NaN for the finiteness guard
+    gaps = np.array([_distances_to(stats.centroids, c) for c in stats.centroids])
     np.fill_diagonal(gaps, np.inf)  # a cluster is not compared with itself
     if not gaps.all():
         return UNDEFINED
@@ -126,7 +124,7 @@ def davies_bouldin(dataset: Dataset, partition: Partition) -> IndexValue:
     return float(worst.sum()) / stats.k
 
 
-def c_index(dataset: Dataset, partition: Partition) -> IndexValue:
+def _cindex(stats: ClusterStats) -> IndexValue:
     """Within-cluster distance sum scaled between its attainable extremes.
 
     With w within-cluster pairs: (S - S_min) / (S_max - S_min), where S sums
@@ -134,15 +132,26 @@ def c_index(dataset: Dataset, partition: Partition) -> IndexValue:
     pairwise distances in the whole dataset. UNDEFINED when S_max = S_min
     (covers k = 1, k = N, and all-equal pairwise distances).
     """
-    stats = ClusterStats(partition, points=dataset.points)
-    all_distances = np.sort(stats.distances[np.triu_indices(stats.n, k=1)])
     n_within = int((stats.sizes * (stats.sizes - 1)).sum()) // 2
+    n_pairs = stats.n * (stats.n - 1) // 2
+    if not 0 < n_within < n_pairs:  # k = N, k = 1 or N = 1: S_max = S_min
+        return UNDEFINED
+    all_distances = stats.distances[np.triu(np.ones((stats.n, stats.n), dtype=bool), k=1)]
+    all_distances.partition((n_within - 1, n_pairs - n_within))  # the w smallest and w largest to the ends
     within_sum = float(stats.blocks(np.add).trace()) / 2  # each pair twice
     smallest_sum = float(all_distances[:n_within].sum())
-    largest_sum = float(all_distances[len(all_distances) - n_within:].sum())
+    largest_sum = float(all_distances[-n_within:].sum())
     if largest_sum == smallest_sum:
         return UNDEFINED
     return (within_sum - smallest_sum) / (largest_sum - smallest_sum)
+
+
+calinski_harabasz = points_index("calinski_harabasz", _ch)
+silhouette = points_index("silhouette", _silhouette)
+score_function = points_index("score_function", _sf)
+dunn = points_index("dunn", _dunn)
+davies_bouldin = points_index("davies_bouldin", _db)
+c_index = points_index("c_index", _cindex)
 
 
 @dataclass(frozen=True)
@@ -162,48 +171,24 @@ class IndexDescriptor:
     baseline: Callable[[int], float] | None = None
 
 
-def _baseline_n(n: int) -> float:
-    return float(n)
-
-
-_DESCRIPTORS: dict[str, IndexDescriptor] = {
-    d.id: d
-    for d in (
-        IndexDescriptor("si_centroid", "lower-better", best_value=1.0, baseline=_baseline_n),
-        IndexDescriptor("si_distance", "lower-better", best_value=1.0, baseline=_baseline_n),
-        IndexDescriptor("si_hierarchical", "lower-better"),
-        IndexDescriptor("ch", "higher-better"),
-        IndexDescriptor("silhouette", "higher-better", best_value=1.0),
-        IndexDescriptor("sf", "higher-better"),
-        IndexDescriptor("dunn", "higher-better"),
-        IndexDescriptor("db", "lower-better"),
-        IndexDescriptor("cindex", "lower-better", best_value=0.0),
+# id -> (metadata, scorer); the scorer is None for the dendrogram scorer
+_INDICES: dict[str, tuple[IndexDescriptor, Callable[[ClusterStats], IndexValue] | None]] = {
+    meta.id: (meta, scorer)
+    for meta, scorer in (
+        (IndexDescriptor("si_centroid", "lower-better", best_value=1.0, baseline=float), _si_centroid),
+        (IndexDescriptor("si_distance", "lower-better", best_value=1.0, baseline=float), _si_distance),
+        (IndexDescriptor("ch", "higher-better"), _ch),
+        (IndexDescriptor("silhouette", "higher-better", best_value=1.0), _silhouette),
+        (IndexDescriptor("sf", "higher-better"), _sf),
+        (IndexDescriptor("dunn", "higher-better"), _dunn),
+        (IndexDescriptor("db", "lower-better"), _db),
+        (IndexDescriptor("cindex", "lower-better", best_value=0.0), _cindex),
+        (IndexDescriptor("si_hierarchical", "lower-better"), None),
     )
 }
 
-_EVALUATORS: dict[str, Callable[[Dataset, Partition], IndexValue]] = {
-    "si_centroid": si_centroid,
-    "si_distance": lambda d, p: si_distance(DistanceMatrix.from_dataset(d), p),
-    "ch": calinski_harabasz,
-    "silhouette": silhouette,
-    "sf": score_function,
-    "dunn": dunn,
-    "db": davies_bouldin,
-    "cindex": c_index,
-}
-
 #: Every registered index id, partition scorers first.
-INDEX_IDS: tuple[str, ...] = (
-    "si_centroid",
-    "si_distance",
-    "ch",
-    "silhouette",
-    "sf",
-    "dunn",
-    "db",
-    "cindex",
-    "si_hierarchical",
-)
+INDEX_IDS: tuple[str, ...] = tuple(_INDICES)
 
 #: Ids that score a (dataset, partition) pair; excludes the hierarchy scorer.
 PARTITION_INDEX_IDS: tuple[str, ...] = INDEX_IDS[:-1]
@@ -212,27 +197,36 @@ PARTITION_INDEX_IDS: tuple[str, ...] = INDEX_IDS[:-1]
 def descriptor(index_id: str) -> IndexDescriptor:
     """Metadata for a registered index id."""
     try:
-        return _DESCRIPTORS[index_id]
+        return _INDICES[index_id][0]
     except KeyError:
-        known = ", ".join(INDEX_IDS)
-        raise UnknownIndexError(f"unknown index {index_id!r} (known: {known})") from None
+        raise UnknownIndexError(f"unknown index {index_id!r} (known: {', '.join(INDEX_IDS)})") from None
+
+
+def evaluate_many(index_ids: Sequence[str], dataset: Dataset, partition: Partition) -> list[IndexValue]:
+    """Score a partition with each index in ``index_ids``, in request order.
+
+    Every id is checked before any scoring (``si_hierarchical`` scores
+    dendrograms: see :func:`cluster_simplicity.simplicity.si_hierarchical`).
+    The indices share one set of cluster statistics, so the points' distance
+    matrix is built at most once. A value that overflows to NaN or infinity
+    raises ValueError naming its index.
+    """
+    for index_id in index_ids:
+        if index_id == "si_hierarchical":
+            raise UnknownIndexError(
+                "si_hierarchical scores a dendrogram, not a partition; "
+                "build a curve with si_curve and score it with si_hierarchical"
+            )
+        if index_id not in PARTITION_INDEX_IDS:
+            raise UnknownIndexError(f"unknown index {index_id!r} (known: {', '.join(PARTITION_INDEX_IDS)})")
+    stats = ClusterStats(partition, points=dataset.points)
+    values = [_INDICES[index_id][1](stats) for index_id in index_ids]
+    for index_id, value in zip(index_ids, values):
+        if is_defined(value) and not math.isfinite(value):
+            raise ValueError(f"index {index_id!r}: the arithmetic overflowed to {value}; the coordinates are too large")
+    return values
 
 
 def evaluate(index_id: str, dataset: Dataset, partition: Partition) -> IndexValue:
-    """Score a partition with the index named by ``index_id``.
-
-    Returns a finite float or UNDEFINED, never NaN or infinity.
-    ``si_hierarchical`` scores dendrograms, not partitions, so it is rejected
-    here; use :func:`cluster_simplicity.simplicity.si_hierarchical`.
-    """
-    if index_id == "si_hierarchical":
-        raise UnknownIndexError(
-            "si_hierarchical scores a dendrogram, not a partition; "
-            "build a curve with si_curve and score it with si_hierarchical"
-        )
-    try:
-        evaluator = _EVALUATORS[index_id]
-    except KeyError:
-        known = ", ".join(PARTITION_INDEX_IDS)
-        raise UnknownIndexError(f"unknown index {index_id!r} (known: {known})") from None
-    return evaluator(dataset, partition)
+    """Score a partition with one index: :func:`evaluate_many` for ``[index_id]``."""
+    return evaluate_many([index_id], dataset, partition)[0]

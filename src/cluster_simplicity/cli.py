@@ -23,13 +23,14 @@ floats, as ``np.savetxt`` writes them.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .classic import PARTITION_INDEX_IDS, UnknownIndexError, evaluate
+from .classic import PARTITION_INDEX_IDS, UnknownIndexError, evaluate_many
 from .core import (
     Dataset,
     IndexValue,
@@ -142,32 +143,18 @@ def _check_index_ids(ids: list[str], parser: _Parser) -> None:
 
 
 def _flags_record(flags: PropertyFlags) -> dict:
-    return {
-        "index": flags.index_id,
-        "variant": flags.variant,
-        "invariance": flags.invariance,
-        "optimality": flags.optimality,
-        "baseline": flags.baseline,
-        "detail": {
-            "scale_ok": flags.detail.scale_ok,
-            "shift_ok": flags.detail.shift_ok,
-            "is_best_at_y1": flags.detail.is_best_at_y1,
-            "y2_worse_than_y1": flags.detail.y2_worse_than_y1,
-            "baseline_at_x1": flags.detail.baseline_at_x1,
-            "baseline_at_xmax": flags.detail.baseline_at_xmax,
-        },
-        "undefined_probes": list(flags.undefined_probes),
-    }
+    record = dataclasses.asdict(flags)
+    return {"index": record.pop("index_id"), **record}
 
 
 def _cmd_compute(args: argparse.Namespace, parser: _Parser) -> dict:
     _check_index_ids(args.index, parser)
     dataset = _read_points(args.data)
     partition = _read_labels(args.labels, dataset.n_points)
-    results = [
-        {"index": index_id, "value": _render(evaluate(index_id, dataset, partition))}
-        for index_id in args.index
-    ]
+    try:
+        values = evaluate_many(args.index, dataset, partition)
+    except ValueError as exc:  # an index overflowed on these coordinates
+        raise InputError(f"{args.data}: {exc}") from exc
     return {
         "command": "compute",
         "data": args.data,
@@ -175,7 +162,7 @@ def _cmd_compute(args: argparse.Namespace, parser: _Parser) -> dict:
         "n_points": dataset.n_points,
         "dim": dataset.dim,
         "n_clusters": partition.n_clusters,
-        "results": results,
+        "results": [{"index": index_id, "value": _render(value)} for index_id, value in zip(args.index, values)],
     }
 
 

@@ -11,7 +11,7 @@ builder.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -402,6 +402,16 @@ class ClusterStats:
         distances between the members of each pair of clusters."""
         rows = self.row_sums if ufunc is np.add else ufunc.reduceat(self.distances, self._starts, axis=1)
         return ufunc.reduceat(rows, self._starts, axis=0)
+
+
+def points_index(name: str, scorer: Callable[[ClusterStats], IndexValue]) -> Callable[[Dataset, Partition], IndexValue]:
+    """The public ``name(dataset, partition)`` form of a ClusterStats scorer."""
+    def index(dataset: Dataset, partition: Partition):
+        return scorer(ClusterStats(partition, points=dataset.points))
+    index.__name__ = index.__qualname__ = name
+    index.__module__, index.__doc__ = scorer.__module__, scorer.__doc__
+    index.__annotations__["return"] = scorer.__annotations__["return"]
+    return index
 
 
 def scale_dataset(dataset: Dataset, factor: float) -> Dataset:

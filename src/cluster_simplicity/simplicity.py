@@ -35,6 +35,7 @@ from .core import (
     DistanceMatrix,
     IndexValue,
     Partition,
+    points_index,
     radius_centroid,
 )
 
@@ -46,17 +47,28 @@ def _si_from_exponents(sizes: np.ndarray, exponents: np.ndarray) -> float:
     return k * math.exp(log_sum / k)
 
 
-def si_centroid(dataset: Dataset, partition: Partition) -> float:
+def _si_centroid(stats: ClusterStats) -> float:
     """Simplicity index of a partition, centroid-radius form.
 
     Each cluster's size enters with exponent ``cluster_radius /
     dataset_radius``, where a radius is the mean member-to-centroid distance.
     Always returns a finite value >= 1.
     """
-    stats = ClusterStats(partition, points=dataset.points)
-    dataset_radius = radius_centroid(dataset.points)
+    dataset_radius = radius_centroid(stats.points)
     exponents = stats.radii / dataset_radius if dataset_radius != 0.0 else np.zeros(stats.k)
     return _si_from_exponents(stats.sizes, exponents)
+
+
+si_centroid = points_index("si_centroid", _si_centroid)
+
+
+def _si_distance(stats: ClusterStats) -> float:
+    n, sizes = stats.n, stats.sizes
+    sums = stats.blocks(np.add)  # every pair counted twice, as are the pair counts below
+    whole_mean = float(sums.sum()) / (n * (n - 1)) if n > 1 else 0.0
+    cluster_means = sums.diagonal() / np.maximum(sizes * (sizes - 1), 1)  # 0 for a singleton
+    exponents = cluster_means / whole_mean if whole_mean != 0.0 else np.zeros(stats.k)
+    return _si_from_exponents(sizes, exponents)
 
 
 def si_distance(distances: DistanceMatrix, partition: Partition) -> float:
@@ -66,13 +78,7 @@ def si_distance(distances: DistanceMatrix, partition: Partition) -> float:
     pairwise distance (0 for a singleton), and the reference radius is the
     mean over all pairs in the matrix.
     """
-    stats = ClusterStats(partition, distances=distances.entries)
-    n, sizes = stats.n, stats.sizes
-    sums = stats.blocks(np.add)  # every pair counted twice, as are the pair counts below
-    whole_mean = float(sums.sum()) / (n * (n - 1)) if n > 1 else 0.0
-    cluster_means = sums.diagonal() / np.maximum(sizes * (sizes - 1), 1)  # 0 for a singleton
-    exponents = cluster_means / whole_mean if whole_mean != 0.0 else np.zeros(stats.k)
-    return _si_from_exponents(sizes, exponents)
+    return _si_distance(ClusterStats(partition, distances=distances.entries))
 
 
 @dataclass(frozen=True)

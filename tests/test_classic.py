@@ -1,4 +1,6 @@
+import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from cluster_simplicity import (
     Dataset,
+    DistanceMatrix,
     Partition,
     UNDEFINED,
     UnknownIndexError,
@@ -17,10 +20,13 @@ from cluster_simplicity import (
     descriptor,
     dunn,
     evaluate,
+    evaluate_many,
     is_defined,
     scale_dataset,
     shift_dataset,
     score_function,
+    si_centroid,
+    si_distance,
     silhouette,
     synthetic_dataset,
     values_equal,
@@ -227,6 +233,26 @@ def grid_partition(draw, max_points=10):
     return Dataset(np.array(pts)), Partition(np.array(labels))
 
 
+# the public (dataset, partition) function behind each partition index id
+PUBLIC_FUNCTIONS = {
+    "si_centroid": si_centroid,
+    "si_distance": lambda data, part: si_distance(DistanceMatrix.from_dataset(data), part),
+    "ch": calinski_harabasz,
+    "silhouette": silhouette,
+    "sf": score_function,
+    "dunn": dunn,
+    "db": davies_bouldin,
+    "cindex": c_index,
+}
+
+
+def _assert_many_matches_public_functions(data, part):
+    values = evaluate_many(PARTITION_INDEX_IDS, data, part)
+    for index_id, value in zip(PARTITION_INDEX_IDS, values, strict=True):
+        direct = PUBLIC_FUNCTIONS[index_id](data, part)
+        assert value == direct or (value is UNDEFINED and direct is UNDEFINED), index_id
+
+
 def _random_labeled_dataset(rng, max_points=30, max_clusters=6):
     n = int(rng.integers(4, max_points))
     k = int(rng.integers(2, min(n - 1, max_clusters) + 1))
@@ -337,6 +363,7 @@ class TestAgainstNaiveOracles:
                 assert actual is UNDEFINED, index_id
             else:
                 assert actual == pytest.approx(value, rel=1e-9, abs=1e-12), index_id
+        _assert_many_matches_public_functions(data, part)
 
 
 class TestAgainstScikitLearn:
@@ -384,6 +411,45 @@ class TestEvaluateRegistry:
         assert evaluate("ch", data, part) == calinski_harabasz(data, part)
         assert evaluate("sf", data, part) == score_function(data, part)
         assert evaluate("cindex", data, part) is c_index(data, part)
+        _assert_many_matches_public_functions(data, part)
+
+    def test_public_functions_keep_their_signature(self):
+        # built from ClusterStats scorers, they still take (dataset, partition)
+        for function in (si_centroid, calinski_harabasz, silhouette, score_function, dunn, davies_bouldin, c_index):
+            assert list(inspect.signature(function).parameters) == ["dataset", "partition"], function.__name__
+            assert function.__doc__, function.__name__
+
+    def test_many_checks_every_id_first(self):
+        with pytest.raises(UnknownIndexError, match="unknown index 'bogus'"):
+            evaluate_many(["ch", "bogus"], *X2S)
+        with pytest.raises(UnknownIndexError, match="dendrogram"):
+            evaluate_many(["ch", "si_hierarchical"], *X2S)
+
+    def test_many_shares_one_distance_matrix(self):
+        # N = 1000, d = 8, k = 64 blobs: each index building its own matrix peaks
+        # above two N x N float matrices
+        n = 1000
+        rng = np.random.default_rng(64)
+        labels = rng.permutation(np.arange(n) % 64)
+        data = Dataset(rng.uniform(-10.0, 10.0, (64, 8))[labels] + rng.standard_normal((n, 8)))
+        part = Partition(labels)
+        tracemalloc.start()
+        try:
+            values = evaluate_many(PARTITION_INDEX_IDS, data, part)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(is_defined(value) for value in values)
+        assert peak < 2 * n * n * 8
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("index_id", ["si_centroid", "ch", "silhouette", "sf", "db"])
+    def test_overflow_raises_naming_index(self, index_id):
+        # coordinates of +-1e308: centroid sums and squared offsets overflow to NaN
+        data = Dataset(np.array([[-1e308], [-1e308], [1e308], [1e308]]))
+        part = Partition(np.array([0, 0, 1, 1]))
+        with pytest.raises(ValueError, match=f"index '{index_id}': the arithmetic overflowed"):
+            evaluate_many([index_id], data, part)
 
     def test_unknown_id(self):
         with pytest.raises(UnknownIndexError, match="unknown index"):

@@ -221,6 +221,20 @@ class TestCompute:
         assert code == 2
         assert "label 1 has no members" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_is_input_error_naming_index(self, tmp_path, capsys):
+        points = tmp_path / "huge.csv"
+        points.write_text("-1e308\n-1e308\n1e308\n1e308\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("0\n0\n1\n1\n")
+        code, out, err = run_cli(
+            capsys, "compute", "--data", str(points), "--labels", str(labels),
+            "--index", "si_distance", "--index", "ch",
+        )
+        assert code == 2
+        assert "NaN" not in out
+        assert f"{points}: index 'ch': the arithmetic overflowed" in err
+
     def test_bad_label_names_row(self, x2s_files, tmp_path, capsys):
         points_path, _ = x2s_files
         labels = tmp_path / "bad_labels.csv"
