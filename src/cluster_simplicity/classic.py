@@ -202,6 +202,18 @@ def descriptor(index_id: str) -> IndexDescriptor:
         raise UnknownIndexError(f"unknown index {index_id!r} (known: {', '.join(INDEX_IDS)})") from None
 
 
+def _check_partition_ids(index_ids: Sequence[str]) -> None:
+    """UnknownIndexError for the first id that does not score a partition."""
+    for index_id in index_ids:
+        if index_id == "si_hierarchical":
+            raise UnknownIndexError(
+                "si_hierarchical scores a dendrogram, not a partition; score one with si_curve "
+                "and si_hierarchical, or with the CLI's 'hierarchical' command"
+            )
+        if index_id not in PARTITION_INDEX_IDS:
+            raise UnknownIndexError(f"unknown index {index_id!r} (known: {', '.join(PARTITION_INDEX_IDS)})")
+
+
 def evaluate_many(index_ids: Sequence[str], dataset: Dataset, partition: Partition) -> list[IndexValue]:
     """Score a partition with each index in ``index_ids``, in request order.
 
@@ -211,14 +223,7 @@ def evaluate_many(index_ids: Sequence[str], dataset: Dataset, partition: Partiti
     matrix is built at most once. A value that overflows to NaN or infinity
     raises ValueError naming its index.
     """
-    for index_id in index_ids:
-        if index_id == "si_hierarchical":
-            raise UnknownIndexError(
-                "si_hierarchical scores a dendrogram, not a partition; "
-                "build a curve with si_curve and score it with si_hierarchical"
-            )
-        if index_id not in PARTITION_INDEX_IDS:
-            raise UnknownIndexError(f"unknown index {index_id!r} (known: {', '.join(PARTITION_INDEX_IDS)})")
+    _check_partition_ids(index_ids)
     stats = ClusterStats(partition, points=dataset.points)
     values = [_INDICES[index_id][1](stats) for index_id in index_ids]
     for index_id, value in zip(index_ids, values):

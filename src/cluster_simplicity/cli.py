@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classic import PARTITION_INDEX_IDS, UnknownIndexError, evaluate_many
+from .classic import PARTITION_INDEX_IDS, UnknownIndexError, _check_partition_ids, evaluate_many
 from .core import (
     Dataset,
     IndexValue,
@@ -41,7 +41,7 @@ from .core import (
     synthetic_dataset,
     SYNTHETIC_DATASET_IDS,
 )
-from .harness import PropertyFlags, audit
+from .harness import PropertyFlags, _join_flags, audit_all
 from .simplicity import si_curve, si_hierarchical
 
 
@@ -135,11 +135,10 @@ def _read_linkage(path: str, n_points: int) -> list[tuple[float, float, float]]:
 
 
 def _check_index_ids(ids: list[str], parser: _Parser) -> None:
-    for index_id in ids:
-        if index_id == "si_hierarchical":
-            parser.error("si_hierarchical scores dendrograms; use the 'hierarchical' command")
-        if index_id not in PARTITION_INDEX_IDS:
-            parser.error(f"unknown index {index_id!r} (known: {', '.join(PARTITION_INDEX_IDS)})")
+    try:
+        _check_partition_ids(ids)
+    except UnknownIndexError as exc:
+        parser.error(str(exc))
 
 
 def _flags_record(flags: PropertyFlags) -> dict:
@@ -172,7 +171,7 @@ def _cmd_properties(args: argparse.Namespace, parser: _Parser) -> dict:
     return {
         "command": "properties",
         "indices": ids,
-        "flags": [_flags_record(audit(index_id)) for index_id in ids],
+        "flags": [_flags_record(flags) for flags in audit_all(ids)],
     }
 
 
@@ -243,8 +242,7 @@ def _format_table(report: dict) -> str:
         header = f"{'index':<12} {'variant':<8} {'flags':<8} detail"
         lines.append(header)
         for row in report["flags"]:
-            parts = [f for f in (row["invariance"], row["optimality"], row["baseline"]) if f != "none"]
-            flag_str = " ".join(parts) if parts else "none"
+            flag_str = _join_flags(row["invariance"], row["optimality"], row["baseline"])
             detail = " ".join(f"{k}={'T' if v else 'F'}" for k, v in row["detail"].items())
             lines.append(f"{row['index']:<12} {row['variant']:<8} {flag_str:<8} {detail}")
             if row["undefined_probes"]:

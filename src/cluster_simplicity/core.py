@@ -64,8 +64,18 @@ def is_defined(value: IndexValue) -> bool:
     return not isinstance(value, Undefined)
 
 
+def _real(values: object, what: str) -> np.ndarray:
+    arr = np.asarray(values)
+    if arr.dtype.kind != "c":  # a float cast would keep the real part with only a warning
+        try:
+            return np.asarray(arr, dtype=float)
+        except TypeError:  # a complex number or another non-real object in an object array
+            pass
+    raise ValueError(f"{what} must be real numbers")
+
+
 def _as_points(points: object) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
+    pts = _real(points, "points")
     if pts.ndim != 2:
         raise ValueError(f"points must be a 2-D array of shape (n, dim), got shape {pts.shape}")
     if pts.shape[0] == 0:
@@ -118,15 +128,13 @@ class Partition:
         if labels.ndim != 1 or labels.size == 0:
             raise ValueError("labels must be a non-empty 1-D sequence")
         if not np.issubdtype(labels.dtype, np.integer):
-            as_int = labels.astype(int)
-            if labels.dtype != object and not np.array_equal(as_int, labels):
-                raise ValueError("labels must be integers")
-            labels = as_int
+            labels = _integral_labels(labels)
         labels = labels.astype(int)
         if labels.min() < 0:
             raise ValueError(f"cluster labels must be nonnegative, got {labels.min()}")
         k = int(labels.max()) + 1
-        counts = np.bincount(labels, minlength=k)
+        # counted up to N only: a label past N leaves a gap below N, and a huge one would size the count
+        counts = np.bincount(np.minimum(labels, labels.size))
         missing = np.flatnonzero(counts == 0)
         if missing.size:
             raise ValueError(f"cluster label {missing[0]} has no members (labels must cover 0..{k - 1})")
@@ -149,6 +157,20 @@ class Partition:
         return np.flatnonzero(self.labels == label)
 
 
+def _integral_labels(labels: np.ndarray) -> np.ndarray:
+    """Bool, float or object labels as int64; ValueError unless each is an integer value."""
+    if labels.dtype.kind not in "bfO":  # complex, strings, dates
+        raise ValueError("labels must be integers")
+    try:
+        with np.errstate(invalid="ignore"):  # nan, inf and floats past int64 cast to garbage, caught below
+            as_int = labels.astype(np.int64)
+    except (TypeError, ValueError, OverflowError):  # None, nan or an int past int64 among objects
+        raise ValueError("labels must be integers") from None
+    if not np.array_equal(as_int, labels):  # 1.5, Decimal("1.5") and the garbage casts
+        raise ValueError("labels must be integers")
+    return as_int
+
+
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """Symmetric nonnegative N x N matrix of pairwise distances, zero diagonal."""
@@ -156,7 +178,7 @@ class DistanceMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=float)
+        entries = _real(self.entries, "distance matrix entries")
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"distance matrix must be square, got shape {entries.shape}")
         if not np.all(np.isfinite(entries)):

@@ -19,10 +19,11 @@ the audit detail.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .classic import PARTITION_INDEX_IDS, descriptor, evaluate
-from .core import IndexValue, is_defined, scale_dataset, shift_dataset, synthetic_dataset
+from .classic import PARTITION_INDEX_IDS, descriptor, evaluate_many
+from .core import Dataset, IndexValue, Partition, is_defined, scale_dataset, shift_dataset, synthetic_dataset
 
 SCALE_FACTORS: tuple[float, ...] = (0.5, 2.0, 10.0)
 SHIFT_OFFSETS: tuple[float, ...] = (-5.0, 1.0, 100.0)
@@ -73,64 +74,72 @@ class PropertyFlags:
     undefined_probes: tuple[str, ...]
 
     def flags_string(self) -> str:
-        parts = [f for f in (self.invariance, self.optimality, self.baseline) if f != "none"]
-        return " ".join(parts) if parts else "none"
+        return _join_flags(self.invariance, self.optimality, self.baseline)
 
 
-def _variant_datasets(variant: str) -> dict[str, str]:
+def _join_flags(*flags: str) -> str:
+    """The flags that are not ``"none"``, space-separated, or ``"none"``."""
+    return " ".join(f for f in flags if f != "none") or "none"
+
+
+def _probes(variant: str) -> dict[str, tuple[Dataset, Partition]]:
+    """The variant's 11 probe inputs by name, in audit order: ``X2`` (two
+    clusters), its rescaled copies ``X2*0.5``, ``X2*2``, ``X2*10`` and shifted
+    copies ``X2-5``, ``X2+1``, ``X2+100``, ``Y1`` and ``Y2`` (coincident
+    points), ``X1`` and ``Xmax`` (extreme partitions)."""
     try:
-        return _VARIANTS[variant]
+        ids = _VARIANTS[variant]
     except KeyError:
         raise ValueError(f"unknown variant {variant!r} (expected 'short' or 'long')") from None
-
-
-def _probe_values(index_id: str, variant: str) -> dict[str, IndexValue]:
-    """The index on each of the variant's 10 probes, by name, in audit order:
-    ``X2`` (two clusters), its rescaled and shifted copies ``X2*a`` and ``X2+b``,
-    ``Y1`` and ``Y2`` (coincident points), ``X1`` and ``Xmax`` (extreme partitions)."""
-    ids = _variant_datasets(variant)
     dataset, partition = synthetic_dataset(ids["X2"])
-    values = {"X2": evaluate(index_id, dataset, partition)}
+    probes = {"X2": (dataset, partition)}
     for a in SCALE_FACTORS:
-        values[f"X2*{a:g}"] = evaluate(index_id, scale_dataset(dataset, a), partition)
+        probes[f"X2*{a:g}"] = scale_dataset(dataset, a), partition
     for b in SHIFT_OFFSETS:
-        values[f"X2{b:+g}"] = evaluate(index_id, shift_dataset(dataset, b), partition)
+        probes[f"X2{b:+g}"] = shift_dataset(dataset, b), partition
     for name in ("Y1", "Y2", "X1", "Xmax"):
-        values[name] = evaluate(index_id, *synthetic_dataset(ids[name]))
-    return values
+        probes[name] = synthetic_dataset(ids[name])
+    return probes
 
 
-def _detail(index_id: str, variant: str) -> tuple[AuditDetail, dict[str, IndexValue]]:
-    """The six checks of an audit, all derived from one probe table, and the table."""
-    values = _probe_values(index_id, variant)
-    meta = descriptor(index_id)
-    reference, y1_value, y2_value = values["X2"], values["Y1"], values["Y2"]
-    if not is_defined(y1_value) or not is_defined(y2_value):
-        split_worse = False
-    elif meta.direction == "lower-better":
-        split_worse = y2_value > y1_value
-    else:
-        split_worse = y2_value < y1_value
-    ids = _variant_datasets(variant)
-    at_baseline = {
-        name: meta.baseline is not None
-        and values_equal(values[name], meta.baseline(synthetic_dataset(ids[name])[0].n_points))
-        for name in ("X1", "Xmax")
-    }
-    detail = AuditDetail(
-        scale_ok=all(values_equal(values[f"X2*{a:g}"], reference) for a in SCALE_FACTORS),
-        shift_ok=all(values_equal(values[f"X2{b:+g}"], reference) for b in SHIFT_OFFSETS),
-        is_best_at_y1=meta.best_value is not None and values_equal(y1_value, meta.best_value),
-        y2_worse_than_y1=split_worse,
-        baseline_at_x1=at_baseline["X1"],
-        baseline_at_xmax=at_baseline["Xmax"],
-    )
-    return detail, values
+def _audit_table(index_ids: Sequence[str], variant: str) -> list[PropertyFlags]:
+    """Flag rows for ``index_ids`` on ``variant``: every probe is scored once,
+    by all the ids together, and each row is derived from its id's column."""
+    probes = _probes(variant)
+    table = [evaluate_many(index_ids, dataset, partition) for dataset, partition in probes.values()]
+    rows = []
+    for index_id, column in zip(index_ids, zip(*table)):
+        values = dict(zip(probes, column))
+        meta = descriptor(index_id)
+        reference, y1_value, y2_value = values["X2"], values["Y1"], values["Y2"]
+        if not is_defined(y1_value) or not is_defined(y2_value):
+            split_worse = False
+        elif meta.direction == "lower-better":
+            split_worse = y2_value > y1_value
+        else:
+            split_worse = y2_value < y1_value
+        scale_ok = all(values_equal(values[f"X2*{a:g}"], reference) for a in SCALE_FACTORS)
+        shift_ok = all(values_equal(values[f"X2{b:+g}"], reference) for b in SHIFT_OFFSETS)
+        is_best = meta.best_value is not None and values_equal(y1_value, meta.best_value)
+        at_x1, at_xmax = (
+            meta.baseline is not None and values_equal(values[name], meta.baseline(probes[name][0].n_points))
+            for name in ("X1", "Xmax")
+        )
+        rows.append(PropertyFlags(
+            index_id=index_id,
+            variant=variant,
+            invariance="S" if scale_ok and shift_ok else "s" if scale_ok or shift_ok else "none",
+            optimality="B" if is_best and split_worse else "b" if is_best else "none",
+            baseline="C" if at_x1 and at_xmax else "none",
+            detail=AuditDetail(scale_ok, shift_ok, is_best, split_worse, at_x1, at_xmax),
+            undefined_probes=tuple(name for name, value in values.items() if not is_defined(value)),
+        ))
+    return rows
 
 
 def check_invariance(index_id: str, variant: str = "short") -> tuple[bool, bool]:
     """(scale_ok, shift_ok) for the index on the variant's two-cluster dataset."""
-    detail, _ = _detail(index_id, variant)
+    detail = audit(index_id, variant).detail
     return detail.scale_ok, detail.shift_ok
 
 
@@ -142,45 +151,22 @@ def check_optimality(index_id: str, variant: str = "short") -> tuple[bool, bool]
     worse in the index's direction. UNDEFINED on either side fails the
     affected check (an undefined score is not comparable).
     """
-    detail, _ = _detail(index_id, variant)
+    detail = audit(index_id, variant).detail
     return detail.is_best_at_y1, detail.y2_worse_than_y1
 
 
 def check_baseline(index_id: str, variant: str = "short") -> tuple[bool, bool]:
     """(at_x1, at_xmax): declared baseline attained at both extreme partitions."""
-    detail, _ = _detail(index_id, variant)
+    detail = audit(index_id, variant).detail
     return detail.baseline_at_x1, detail.baseline_at_xmax
 
 
 def audit(index_id: str, variant: str = "short") -> PropertyFlags:
-    """Evaluate the 10 probes once for one index and compose its flag row."""
-    detail, values = _detail(index_id, variant)
-    if detail.scale_ok and detail.shift_ok:
-        invariance = "S"
-    elif detail.scale_ok or detail.shift_ok:
-        invariance = "s"
-    else:
-        invariance = "none"
-    if detail.is_best_at_y1 and detail.y2_worse_than_y1:
-        optimality = "B"
-    elif detail.is_best_at_y1:
-        optimality = "b"
-    else:
-        optimality = "none"
-    baseline = "C" if detail.baseline_at_x1 and detail.baseline_at_xmax else "none"
-
-    return PropertyFlags(
-        index_id=index_id,
-        variant=variant,
-        invariance=invariance,
-        optimality=optimality,
-        baseline=baseline,
-        detail=detail,
-        undefined_probes=tuple(name for name, value in values.items() if not is_defined(value)),
-    )
+    """Score the variant's 11 probes for one index and compose its flag row."""
+    return _audit_table([index_id], variant)[0]
 
 
 def audit_all(index_ids: tuple[str, ...] | list[str] | None = None) -> list[PropertyFlags]:
-    """Flag rows for the given ids (default: every partition index)."""
-    ids = PARTITION_INDEX_IDS if index_ids is None else tuple(index_ids)
-    return [audit(index_id) for index_id in ids]
+    """Flag rows on the short variant for the given ids (default: every
+    partition index), with each of the 11 probes scored once for all of them."""
+    return _audit_table(PARTITION_INDEX_IDS if index_ids is None else tuple(index_ids), "short")

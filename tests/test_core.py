@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -259,6 +261,40 @@ class TestContainers:
             Partition(np.array([-1, 0]))
         with pytest.raises(ValueError):
             Partition(np.array([0.5, 1.0]))
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [0, Decimal("1.5")],
+            np.array([0, 1.5], dtype=object),
+            [0, None],
+            [0.0, np.nan],
+            [0.0, np.inf],
+            [0.0, 1e20],
+        ],
+        ids=["decimal", "object-float", "none", "nan", "inf", "past-int64"],
+    )
+    def test_partition_rejects_non_integer_labels(self, labels):
+        # a cast RuntimeWarning first would fail this test under the global error filter
+        with pytest.raises(ValueError, match="labels must be integers"):
+            Partition(labels)
+
+    def test_partition_accepts_integral_values(self):
+        for labels in ([0.0, 1.0], [0, Decimal("1")], np.array([0, 1], dtype=object), np.array([0, 1], dtype=np.uint8)):
+            assert Partition(labels).labels.tolist() == [0, 1]
+
+    def test_partition_gap_past_size(self):
+        # a label far past N is a gap, found without a count array sized by the label
+        with pytest.raises(ValueError, match="label 1 has no members"):
+            Partition(np.array([0, 10**12]))
+
+    def test_complex_values_rejected(self):
+        with pytest.raises(ValueError, match="must be real"):
+            Dataset(np.array([[1 + 1j, 2.0], [0, 0]]))
+        with pytest.raises(ValueError, match="must be real"):
+            Dataset(np.array([[1 + 1j, 2.0], [0, 0]], dtype=object))
+        with pytest.raises(ValueError, match="must be real"):
+            DistanceMatrix(np.array([[0, 1 + 1j], [1 + 1j, 0]]))
 
     def test_distance_matrix_validation(self):
         with pytest.raises(ValueError, match="symmetric"):

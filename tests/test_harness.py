@@ -10,8 +10,9 @@ from cluster_simplicity import (
     check_optimality,
     values_equal,
 )
+from cluster_simplicity.core import ClusterStats
 
-# expected flag rows on the short variant
+# expected flag rows, the same on both variants
 EXPECTED_FLAGS = {
     "si_centroid": ("S", "B", "C"),
     "si_distance": ("S", "B", "C"),
@@ -63,11 +64,18 @@ class TestChecks:
 
 
 class TestAudit:
-    @pytest.mark.parametrize("index_id", PARTITION_INDEX_IDS)
-    def test_flag_rows(self, index_id):
-        flags = audit(index_id)
+    @pytest.mark.parametrize(
+        "index_id, variant",
+        [
+            pytest.param(index_id, variant, id=index_id if variant == "short" else f"{index_id}-{variant}")
+            for variant in ("short", "long")
+            for index_id in PARTITION_INDEX_IDS
+        ],
+    )
+    def test_flag_rows(self, index_id, variant):
+        flags = audit(index_id, variant)
         assert (flags.invariance, flags.optimality, flags.baseline) == EXPECTED_FLAGS[index_id]
-        assert flags.variant == "short"
+        assert flags.variant == variant
 
     def test_flags_follow_detail(self):
         for flags in audit_all():
@@ -130,3 +138,15 @@ class TestAudit:
     def test_unknown_index(self):
         with pytest.raises(ValueError):
             audit("bogus")
+
+    def test_audit_all_scores_each_probe_once(self, monkeypatch):
+        built = []
+        init = ClusterStats.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ClusterStats, "__init__", counting_init)
+        assert len(audit_all()) == len(PARTITION_INDEX_IDS)
+        assert len(built) == 11  # one per probe, shared by all 8 ids
