@@ -100,10 +100,10 @@ def _dunn(stats: ClusterStats) -> IndexValue:
     """
     if stats.k == 1:
         return UNDEFINED
-    max_diameter = float(stats.blocks(np.maximum).diagonal().max())
+    max_diameter = float(stats.blocks("max").diagonal().max())
     if max_diameter == 0.0:
         return UNDEFINED
-    min_separation = float(stats.blocks(np.minimum)[np.triu_indices(stats.k, k=1)].min())
+    min_separation = float(stats.blocks("min")[np.triu_indices(stats.k, k=1)].min())
     return min_separation / max_diameter
 
 
@@ -130,28 +130,16 @@ def _cindex(stats: ClusterStats) -> IndexValue:
     With w within-cluster pairs: (S - S_min) / (S_max - S_min), where S sums
     the within-pair distances and S_min / S_max sum the w smallest / largest
     pairwise distances in the whole dataset. UNDEFINED when S_max = S_min
-    (covers k = 1, k = N, and all-equal pairwise distances).
+    (covers k = 1, k = N, and all-equal pairwise distances). S_min <= S <=
+    S_max, so the value lies in [0, 1]; rounding past either end is clamped.
     """
-    n_within = int((stats.sizes * (stats.sizes - 1)).sum()) // 2
-    n_pairs = stats.n * (stats.n - 1) // 2
-    if not 0 < n_within < n_pairs:  # k = N, k = 1 or N = 1: S_max = S_min
+    if not 0 < stats.n_within < stats.n * (stats.n - 1) // 2:  # k = N, k = 1 or N = 1: S_max = S_min
         return UNDEFINED
-    all_distances = stats.distances[np.triu(np.ones((stats.n, stats.n), dtype=bool), k=1)]
-    all_distances.partition((n_within - 1, n_pairs - n_within))  # the w smallest and w largest to the ends
-    within_sum = float(stats.blocks(np.add).trace()) / 2  # each pair twice
-    smallest_sum = float(all_distances[:n_within].sum())
-    largest_sum = float(all_distances[-n_within:].sum())
+    within_sum = float(stats.blocks("sum").trace()) / 2  # each pair twice
+    smallest_sum, largest_sum = stats.pair_tails
     if largest_sum == smallest_sum:
         return UNDEFINED
-    return (within_sum - smallest_sum) / (largest_sum - smallest_sum)
-
-
-calinski_harabasz = points_index("calinski_harabasz", _ch)
-silhouette = points_index("silhouette", _silhouette)
-score_function = points_index("score_function", _sf)
-dunn = points_index("dunn", _dunn)
-davies_bouldin = points_index("davies_bouldin", _db)
-c_index = points_index("c_index", _cindex)
+    return min(max((within_sum - smallest_sum) / (largest_sum - smallest_sum), 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -171,19 +159,20 @@ class IndexDescriptor:
     baseline: Callable[[int], float] | None = None
 
 
-# id -> (metadata, scorer); the scorer is None for the dendrogram scorer
-_INDICES: dict[str, tuple[IndexDescriptor, Callable[[ClusterStats], IndexValue] | None]] = {
-    meta.id: (meta, scorer)
-    for meta, scorer in (
-        (IndexDescriptor("si_centroid", "lower-better", best_value=1.0, baseline=float), _si_centroid),
-        (IndexDescriptor("si_distance", "lower-better", best_value=1.0, baseline=float), _si_distance),
-        (IndexDescriptor("ch", "higher-better"), _ch),
-        (IndexDescriptor("silhouette", "higher-better", best_value=1.0), _silhouette),
-        (IndexDescriptor("sf", "higher-better"), _sf),
-        (IndexDescriptor("dunn", "higher-better"), _dunn),
-        (IndexDescriptor("db", "lower-better"), _db),
-        (IndexDescriptor("cindex", "lower-better", best_value=0.0), _cindex),
-        (IndexDescriptor("si_hierarchical", "lower-better"), None),
+# id -> (metadata, scorer, the ClusterStats distance reductions the scorer reads);
+# the scorer is None for the dendrogram scorer
+_INDICES: dict[str, tuple[IndexDescriptor, Callable[[ClusterStats], IndexValue] | None, frozenset[str]]] = {
+    meta.id: (meta, scorer, frozenset(reductions))
+    for meta, scorer, reductions in (
+        (IndexDescriptor("si_centroid", "lower-better", best_value=1.0, baseline=float), _si_centroid, ()),
+        (IndexDescriptor("si_distance", "lower-better", best_value=1.0, baseline=float), _si_distance, ("sum",)),
+        (IndexDescriptor("ch", "higher-better"), _ch, ()),
+        (IndexDescriptor("silhouette", "higher-better", best_value=1.0), _silhouette, ("sum",)),
+        (IndexDescriptor("sf", "higher-better"), _sf, ()),
+        (IndexDescriptor("dunn", "higher-better"), _dunn, ("min", "max")),
+        (IndexDescriptor("db", "lower-better"), _db, ()),
+        (IndexDescriptor("cindex", "lower-better", best_value=0.0), _cindex, ("sum", "tails")),
+        (IndexDescriptor("si_hierarchical", "lower-better"), None, ()),
     )
 }
 
@@ -192,6 +181,19 @@ INDEX_IDS: tuple[str, ...] = tuple(_INDICES)
 
 #: Ids that score a (dataset, partition) pair; excludes the hierarchy scorer.
 PARTITION_INDEX_IDS: tuple[str, ...] = INDEX_IDS[:-1]
+
+
+def _public(name: str, index_id: str) -> Callable[[Dataset, Partition], IndexValue]:
+    _, scorer, reductions = _INDICES[index_id]
+    return points_index(name, scorer, reductions)
+
+
+calinski_harabasz = _public("calinski_harabasz", "ch")
+silhouette = _public("silhouette", "silhouette")
+score_function = _public("score_function", "sf")
+dunn = _public("dunn", "dunn")
+davies_bouldin = _public("davies_bouldin", "db")
+c_index = _public("c_index", "cindex")
 
 
 def descriptor(index_id: str) -> IndexDescriptor:
@@ -219,12 +221,14 @@ def evaluate_many(index_ids: Sequence[str], dataset: Dataset, partition: Partiti
 
     Every id is checked before any scoring (``si_hierarchical`` scores
     dendrograms: see :func:`cluster_simplicity.simplicity.si_hierarchical`).
-    The indices share one set of cluster statistics, so the points' distance
-    matrix is built at most once. A value that overflows to NaN or infinity
-    raises ValueError naming its index.
+    The indices share one set of cluster statistics, whose one streamed
+    distance pass makes only the reductions the requested ids read, so the
+    points' distance matrix is never built. A value that overflows to NaN or
+    infinity raises ValueError naming its index.
     """
     _check_partition_ids(index_ids)
-    stats = ClusterStats(partition, points=dataset.points)
+    reductions = frozenset().union(*(_INDICES[index_id][2] for index_id in index_ids))
+    stats = ClusterStats(partition, points=dataset.points, reductions=reductions)
     values = [_INDICES[index_id][1](stats) for index_id in index_ids]
     for index_id, value in zip(index_ids, values):
         if is_defined(value) and not math.isfinite(value):

@@ -180,7 +180,10 @@ def _cmd_hierarchical(args: argparse.Namespace, parser: _Parser) -> dict:
     if dataset.n_points < 2:
         raise InputError(f"{args.data}: hierarchy scoring needs at least 2 points")
     if args.linkage == "auto":
-        dendrogram = single_linkage(dataset)
+        try:
+            dendrogram = single_linkage(dataset)
+        except ValueError as exc:  # a point distance overflowed on these coordinates
+            raise InputError(f"{args.data}: {exc}") from exc
     else:
         merges = _read_linkage(args.linkage, dataset.n_points)
         try:

@@ -129,16 +129,16 @@ class Partition:
             raise ValueError("labels must be a non-empty 1-D sequence")
         if not np.issubdtype(labels.dtype, np.integer):
             labels = _integral_labels(labels)
-        labels = labels.astype(int)
         if labels.min() < 0:
             raise ValueError(f"cluster labels must be nonnegative, got {labels.min()}")
-        k = int(labels.max()) + 1
+        k = int(labels.max()) + 1  # read before the cast, which wraps an unsigned label past 2**63
+        as_int = labels.astype(int)
         # counted up to N only: a label past N leaves a gap below N, and a huge one would size the count
-        counts = np.bincount(np.minimum(labels, labels.size))
-        missing = np.flatnonzero(counts == 0)
+        as_int[labels >= labels.size] = labels.size
+        missing = np.flatnonzero(np.bincount(as_int) == 0)
         if missing.size:
             raise ValueError(f"cluster label {missing[0]} has no members (labels must cover 0..{k - 1})")
-        object.__setattr__(self, "labels", _readonly(labels))
+        object.__setattr__(self, "labels", _readonly(as_int))
 
     @property
     def n_items(self) -> int:
@@ -339,8 +339,7 @@ def mean_pairwise_distance(points: object) -> float:
     n = pts.shape[0]
     if n < 2:
         return 0.0
-    dm = pairwise_distances(pts)
-    return float(dm[np.triu_indices(n, k=1)].mean())
+    return _whole_set_block(pts, "sum") / (n * (n - 1))  # every pair counted twice
 
 
 def diameter(points: object) -> float:
@@ -348,20 +347,49 @@ def diameter(points: object) -> float:
     pts = _as_points(points)
     if pts.shape[0] < 2:
         return 0.0
-    return float(pairwise_distances(pts).max())
+    return _whole_set_block(pts, "max")
+
+
+def _whole_set_block(points: np.ndarray, reduction: str) -> float:
+    """The ``reduction`` block of the one-cluster partition of ``points``."""
+    stats = ClusterStats(Partition(np.zeros(points.shape[0], dtype=int)), points=points, reductions=[reduction])
+    return float(stats.blocks(reduction)[0, 0])
 
 
 def pairwise_distances(points: object) -> np.ndarray:
     """Full square matrix of Euclidean distances between rows of ``points``.
 
-    Built row by row in O(N d) extra memory. The squares of ``p_j - p_i`` are
-    exactly those of ``p_i - p_j``, so the matrix is exactly symmetric.
+    Filled a block of rows at a time, in O(block) extra memory. The squares of
+    ``p_j - p_i`` are exactly those of ``p_i - p_j``, so the matrix is exactly
+    symmetric.
     """
     pts = _as_points(points)
-    dm = np.empty((pts.shape[0], pts.shape[0]))
-    for i, point in enumerate(pts):
-        dm[i] = _distances_to(pts, point)
+    n = pts.shape[0]
+    dm = np.empty((n, n))
+    step = _block_rows(n, pts.shape[1])
+    for start in range(0, n, step):
+        dm[start : start + step] = _distance_rows(pts, pts[start : start + step])
     return dm
+
+
+# Elements in one block of the distance pass: the rows x N x d difference
+# tensor, or the rows x N gathered matrix rows. 2^16 float64 is 512 KB.
+_BLOCK = 2**16
+
+# the label-block reductions of ClusterStats' distance pass, by name
+_BLOCK_UFUNCS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
+
+
+def _block_rows(n: int, width: int) -> int:
+    """Rows per block, at most ``n``, when each row spans ``n * width`` elements."""
+    return min(n, max(1, _BLOCK // (n * width)))
+
+
+def _distance_rows(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Distances from each of ``rows`` to every point: ``_distances_to`` for a
+    block of rows at once, and equal to it row by row."""
+    diff = points[None, :, :] - rows[:, None, :]
+    return np.sqrt(np.einsum("bij,bij->bi", diff, diff))
 
 
 class ClusterStats:
@@ -370,12 +398,25 @@ class ClusterStats:
     Built from the ``points`` the partition labels or from their ``distances``
     matrix; ValueError if the partition labels another number of items. Each
     quantity is computed when first read and belongs to this object alone.
-    Distance quantities reduce the matrix over blocks of label-sorted rows and
-    columns, in which each cluster is one contiguous slice.
+
+    Distance quantities come from one streamed pass over the pair distances,
+    run when the first of them is read. It takes the rows a block at a time,
+    rows and columns in label order so that each cluster is one contiguous
+    slice, and makes only the ``reductions`` named at construction: ``"sum"``,
+    ``"min"`` and ``"max"`` for :meth:`blocks` (``"sum"`` also gives
+    :attr:`row_sums`) and ``"tails"`` for :attr:`pair_tails`. Reading another
+    one raises KeyError. No N x N matrix is formed: the pass holds
+    O(block + N k) floats, and the tails O(min(w, P - w)) more for w
+    within-cluster pairs out of P.
     """
 
     def __init__(
-        self, partition: Partition, *, points: np.ndarray | None = None, distances: np.ndarray | None = None
+        self,
+        partition: Partition,
+        *,
+        points: np.ndarray | None = None,
+        distances: np.ndarray | None = None,
+        reductions: Iterable[str] = (),
     ) -> None:
         self.n = (points if distances is None else distances).shape[0]
         if partition.n_items != self.n:
@@ -385,8 +426,10 @@ class ClusterStats:
         self.sizes = partition.cluster_sizes()
         self.k = len(self.sizes)
         self.sorted_labels = np.repeat(np.arange(self.k), self.sizes)
+        self.n_within = int((self.sizes * (self.sizes - 1)).sum()) // 2  # within-cluster pairs
         self._starts = np.cumsum(self.sizes) - self.sizes
         self._matrix = distances
+        self._reductions = frozenset(reductions)
 
     @cached_property
     def centroids(self) -> np.ndarray:
@@ -406,30 +449,110 @@ class ClusterStats:
         member_distances = np.linalg.norm(self.offsets, axis=1)
         return np.bincount(self.labels, weights=member_distances, minlength=self.k) / self.sizes
 
-    @cached_property
-    def distances(self) -> np.ndarray:
-        """N x N distance matrix with rows and columns in label order."""
-        order = np.argsort(self.labels, kind="stable")
-        if self._matrix is None:
-            return pairwise_distances(self.points[order])
-        return self._matrix[order[:, None], order]
-
-    @cached_property
+    @property
     def row_sums(self) -> np.ndarray:
         """N x k: summed distance from each point, in label order, to each cluster."""
-        return np.add.reduceat(self.distances, self._starts, axis=1)
+        return self._reduced["sum"]
 
-    def blocks(self, ufunc: np.ufunc) -> np.ndarray:
-        """k x k: ``ufunc`` (np.add, np.minimum or np.maximum) over the
-        distances between the members of each pair of clusters."""
-        rows = self.row_sums if ufunc is np.add else ufunc.reduceat(self.distances, self._starts, axis=1)
-        return ufunc.reduceat(rows, self._starts, axis=0)
+    def blocks(self, reduction: str) -> np.ndarray:
+        """k x k: the ``reduction`` ("sum", "min" or "max") of the distances
+        between the members of each pair of clusters."""
+        return _BLOCK_UFUNCS[reduction].reduceat(self._reduced[reduction], self._starts, axis=0)
+
+    @property
+    def pair_tails(self) -> tuple[float, float]:
+        """Sums of the w smallest and of the w largest of all P pair distances,
+        for w = ``n_within``; present only when 0 < w < P."""
+        return self._reduced["tails"]
+
+    @cached_property
+    def _reduced(self) -> dict[str, object]:
+        """The requested reductions, from one pass over blocks of label-ordered rows.
+
+        A row's reductions over the column slices of each cluster are its N x k
+        entries; the k x k blocks reduce those over the row slices. The tails
+        take each block's upper triangle, so every pair is seen once.
+        """
+        n, starts = self.n, self._starts
+        order = np.argsort(self.labels, kind="stable")
+        if self._matrix is None:
+            points = self.points[order]
+            step = _block_rows(n, points.shape[1])
+            blocks = (_distance_rows(points, points[i : i + step]) for i in range(0, n, step))
+        else:
+            step = _block_rows(n, 1)
+            blocks = (self._matrix[order[i : i + step]][:, order] for i in range(0, n, step))
+        reduced: dict[str, object] = {
+            name: np.empty((n, self.k)) for name in _BLOCK_UFUNCS if name in self._reductions
+        }
+        n_pairs, w = n * (n - 1) // 2, self.n_within
+        tails = "tails" in self._reductions and 0 < w < n_pairs
+        if tails:
+            m = min(w, n_pairs - w)
+            low, high = _Smallest(m, step * n), _Smallest(m, step * n)  # high takes negated distances
+        columns = np.arange(n)
+        for start, distances in zip(range(0, n, step), blocks):
+            stop = start + len(distances)
+            for name, out in reduced.items():
+                _BLOCK_UFUNCS[name].reduceat(distances, starts, axis=1, out=out[start:stop])
+            if tails:
+                upper = distances[columns > columns[start:stop, None]]
+                low.add(upper)
+                high.add(-upper)
+        if tails:
+            (low_m, low_rest), (high_m, high_rest) = low.sums(), high.sums()
+            # past P / 2, the w smallest are all but the m largest, and the w largest all but the m smallest
+            reduced["tails"] = (-high_rest, low_rest) if w > n_pairs - w else (low_m, -high_m)
+        return reduced
 
 
-def points_index(name: str, scorer: Callable[[ClusterStats], IndexValue]) -> Callable[[Dataset, Partition], IndexValue]:
-    """The public ``name(dataset, partition)`` form of a ClusterStats scorer."""
+class _Smallest:
+    """Exact sums of the ``m`` smallest values of a stream and of all the
+    others, in O(m + block) memory for blocks of at most ``block`` values.
+
+    Values below the cut go to a buffer; when it holds more than 2m, a
+    partition keeps the m smallest and the cut falls to the largest of them.
+    A value at or above the cut cannot lower the sum of the m smallest, so it
+    is summed with the others at once. Block sums are added by ``math.fsum``.
+    """
+
+    def __init__(self, m: int, block: int) -> None:
+        self.m = m
+        self.buffer = np.empty(2 * m + block)
+        self.count = 0
+        self.cut = math.inf
+        self.rest: list[float] = []
+
+    def add(self, values: np.ndarray) -> None:
+        below = values < self.cut
+        kept = values[below]
+        self.rest.append(float(values.sum(where=~below)))
+        self.buffer[self.count : self.count + kept.size] = kept
+        self.count += kept.size
+        if self.count > 2 * self.m:
+            self._prune()
+
+    def _prune(self) -> None:
+        held = self.buffer[: self.count]
+        held.partition(self.m - 1)
+        self.rest.append(float(held[self.m :].sum()))
+        self.count = self.m
+        self.cut = held[self.m - 1]
+
+    def sums(self) -> tuple[float, float]:
+        """The sum of the m smallest values seen, and the sum of the rest."""
+        if self.count > self.m:
+            self._prune()
+        return float(self.buffer[: self.m].sum()), math.fsum(self.rest)
+
+
+def points_index(
+    name: str, scorer: Callable[[ClusterStats], IndexValue], reductions: Iterable[str] = ()
+) -> Callable[[Dataset, Partition], IndexValue]:
+    """The public ``name(dataset, partition)`` form of a ClusterStats scorer
+    that reads the distance ``reductions``."""
     def index(dataset: Dataset, partition: Partition):
-        return scorer(ClusterStats(partition, points=dataset.points))
+        return scorer(ClusterStats(partition, points=dataset.points, reductions=reductions))
     index.__name__ = index.__qualname__ = name
     index.__module__, index.__doc__ = scorer.__module__, scorer.__doc__
     index.__annotations__["return"] = scorer.__annotations__["return"]
@@ -543,6 +666,8 @@ def _minimum_spanning_tree(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         best[closer] = row[closer]
         nearest[closer] = current
         current = int(np.argmin(best))
+        if best[current] == math.inf:  # every remaining edge overflowed; argmin found no outside point
+            raise ValueError("single linkage: a point distance overflowed to inf; the coordinates are too large")
         ends[step] = nearest[current], current
         lengths[step] = best[current]
     return ends, lengths

@@ -64,7 +64,7 @@ si_centroid = points_index("si_centroid", _si_centroid)
 
 def _si_distance(stats: ClusterStats) -> float:
     n, sizes = stats.n, stats.sizes
-    sums = stats.blocks(np.add)  # every pair counted twice, as are the pair counts below
+    sums = stats.blocks("sum")  # every pair counted twice, as are the pair counts below
     whole_mean = float(sums.sum()) / (n * (n - 1)) if n > 1 else 0.0
     cluster_means = sums.diagonal() / np.maximum(sizes * (sizes - 1), 1)  # 0 for a singleton
     exponents = cluster_means / whole_mean if whole_mean != 0.0 else np.zeros(stats.k)
@@ -78,7 +78,7 @@ def si_distance(distances: DistanceMatrix, partition: Partition) -> float:
     pairwise distance (0 for a singleton), and the reference radius is the
     mean over all pairs in the matrix.
     """
-    return _si_distance(ClusterStats(partition, distances=distances.entries))
+    return _si_distance(ClusterStats(partition, distances=distances.entries, reductions=["sum"]))
 
 
 @dataclass(frozen=True)

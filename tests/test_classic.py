@@ -4,8 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cluster_simplicity import (
     Dataset,
@@ -32,6 +33,7 @@ from cluster_simplicity import (
     values_equal,
     SYNTHETIC_DATASET_IDS,
 )
+from cluster_simplicity.core import _block_rows
 
 import oracles
 
@@ -138,6 +140,19 @@ class TestCIndex:
         value = c_index(Dataset(pts), part)
         assert value == pytest.approx(1.0, rel=1e-12)
 
+    def test_rounding_stays_in_range(self):
+        # two 8-d blobs of 1000 points: the rounded sums once gave -2.9e-17
+        assert 0.0 <= c_index(*_blobs(7, 2000, 2)) <= 1.0
+
+    def test_most_pairs_within_one_cluster(self):
+        # 297 of 300 points in one cluster: w > P / 2, so the tails keep the P - w extreme pairs
+        rng = np.random.default_rng(12)
+        pts = rng.normal(size=(300, 3))
+        labels = np.zeros(300, dtype=int)
+        labels[[5, 150, 299]] = [1, 2, 3]
+        expected = TestAgainstNaiveOracles._naive(pts.tolist(), labels.tolist())["cindex"]
+        assert c_index(Dataset(pts), Partition(labels)) == pytest.approx(expected, rel=1e-9)
+
 
 class TestScoreFunction:
     def test_x2s_matches_oracle(self):
@@ -231,6 +246,47 @@ def grid_partition(draw, max_points=10):
     extra = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
     labels = draw(st.permutations(list(range(k)) + extra))
     return Dataset(np.array(pts)), Partition(np.array(labels))
+
+
+def _multi_block_size(dim, blocks=3):
+    """The fewest points whose distance pass runs ``blocks`` blocks of rows in ``dim`` dimensions."""
+    n = 2
+    while -(-n // _block_rows(n, dim)) < blocks:
+        n += 1
+    return n
+
+
+@st.composite
+def multi_block_partition(draw):
+    # a few hundred half-grid points: duplicates and tied distances fall on both
+    # sides of every block boundary and in both C-index tails
+    dim = draw(st.integers(1, 3))
+    n = _multi_block_size(dim)
+    pts = draw(arrays(np.int64, (n, dim), elements=st.integers(-6, 6))) / 2.0
+    k = draw(st.integers(2, n // 2))
+    extra = draw(arrays(np.int64, n - k, elements=st.integers(0, k - 1)))
+    labels = draw(st.permutations(list(range(k)) + extra.tolist()))
+    return Dataset(pts), Partition(np.array(labels))
+
+
+def _blobs(seed, n, k, dim=8):
+    """Unit-variance Gaussian blobs around uniform centres, labelled by blob."""
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(-10.0, 10.0, (k, dim))
+    labels = rng.permutation(np.arange(n) % k)
+    return Dataset(centres[labels] + rng.standard_normal((n, dim))), Partition(labels)
+
+
+def _all_ids_peak(data, part):
+    """tracemalloc peak, in bytes, of evaluate_many over every partition id; each value must be defined."""
+    tracemalloc.start()
+    try:
+        values = evaluate_many(PARTITION_INDEX_IDS, data, part)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(is_defined(value) for value in values)
+    return peak
 
 
 # the public (dataset, partition) function behind each partition index id
@@ -366,6 +422,22 @@ class TestAgainstNaiveOracles:
         _assert_many_matches_public_functions(data, part)
 
 
+    @given(multi_block_partition())
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.data_too_large, HealthCheck.too_slow])
+    def test_grid_datasets_over_many_blocks(self, data_part):
+        data, part = data_part
+        points, labels = data.points.tolist(), part.labels.tolist()
+        expected = self._naive(points, labels)
+        expected["si_centroid"] = oracles.si_centroid_oracle(points, labels)
+        expected["si_distance"] = oracles.si_distance_oracle(points, labels)
+        for index_id, value in zip(PARTITION_INDEX_IDS, evaluate_many(PARTITION_INDEX_IDS, data, part)):
+            if expected[index_id] is None:
+                assert value is UNDEFINED, index_id
+            else:
+                assert value == pytest.approx(expected[index_id], rel=1e-9, abs=1e-12), index_id
+        _assert_many_matches_public_functions(data, part)
+
+
 class TestAgainstScikitLearn:
     """Cross-check the shared indices against an independent implementation."""
 
@@ -441,6 +513,14 @@ class TestEvaluateRegistry:
             tracemalloc.stop()
         assert all(is_defined(value) for value in values)
         assert peak < 2 * n * n * 8
+
+    def test_many_memory_is_linear_in_n(self):
+        # N = 4000, k = 64: one N x N matrix alone would take 128 MB
+        assert _all_ids_peak(*_blobs(64, 4000, 64)) < 10_000 * 4000
+
+    def test_many_cindex_tails_cost_less_than_the_matrix(self):
+        # k = 2, N = 2000: w is about P / 2, the largest the C-index tails get
+        assert _all_ids_peak(*_blobs(7, 2000, 2)) < 12 * 2000 * 2000
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("index_id", ["si_centroid", "ch", "silhouette", "sf", "db"])

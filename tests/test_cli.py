@@ -372,6 +372,14 @@ class TestHierarchical:
         assert code == 2
         assert "at least 2 points" in err
 
+    def test_overflowing_distances_are_input_error(self, tmp_path, capsys):
+        data = tmp_path / "huge.csv"
+        data.write_text("0,0\n0,1e160\n3e160,0\n3e160,1e160\n")
+        code, out, err = run_cli(capsys, "hierarchical", "--data", str(data))
+        assert code == 2
+        assert out == ""
+        assert f"error: {data}: single linkage: a point distance overflowed to inf" in err
+
     def test_single_point_explicit_linkage(self, tmp_path, capsys):
         data = tmp_path / "one.csv"
         data.write_text("1,2\n")

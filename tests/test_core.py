@@ -1,3 +1,4 @@
+import math
 from decimal import Decimal
 
 import numpy as np
@@ -18,6 +19,7 @@ from cluster_simplicity import (
     euclidean_distance,
     is_defined,
     mean_pairwise_distance,
+    pairwise_distances,
     radius_centroid,
     scale_dataset,
     shift_dataset,
@@ -25,6 +27,7 @@ from cluster_simplicity import (
     synthetic_dataset,
     SYNTHETIC_DATASET_IDS,
 )
+from cluster_simplicity.core import _Smallest, _block_rows, _distances_to
 
 import oracles
 
@@ -158,12 +161,41 @@ class TestRadii:
         assert (radius_centroid(pts) == 0.0) == coincident
         assert (mean_pairwise_distance(pts) == 0.0) == coincident
 
+    def test_many_blocks_match_the_full_matrix(self):
+        # 300 points in 3-D span five blocks of the distance pass
+        pts = np.random.default_rng(31).normal(size=(300, 3))
+        assert 300 // _block_rows(300, 3) >= 3
+        full = pairwise_distances(pts)
+        assert all(np.array_equal(full[i], _distances_to(pts, pts[i])) for i in range(300))
+        assert diameter(pts) == full.max()
+        assert mean_pairwise_distance(pts) == pytest.approx(full[np.triu_indices(300, k=1)].mean(), rel=1e-15)
+
     @given(point_sets(min_points=2))
     @settings(max_examples=60, deadline=None)
     def test_bounded_by_diameter(self, pts):
         d = diameter(pts)
         assert radius_centroid(pts) <= d + 1e-12
         assert mean_pairwise_distance(pts) <= d + 1e-12
+
+
+class TestSmallestOfAStream:
+    """The C-index tails' selection, against a sort of the whole stream."""
+
+    @given(
+        st.lists(st.one_of(grid_coord, st.floats(0, 1e6)), min_size=2, max_size=400),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_sort(self, values, data):
+        m = data.draw(st.integers(1, len(values) // 2))
+        block = data.draw(st.integers(1, 50))
+        smallest = _Smallest(m, block)
+        for start in range(0, len(values), block):
+            smallest.add(np.array(values[start : start + block]))
+        ordered = sorted(values)
+        kept, rest = smallest.sums()
+        assert kept == pytest.approx(math.fsum(ordered[:m]), rel=1e-12, abs=1e-12)
+        assert rest == pytest.approx(math.fsum(ordered[m:]), rel=1e-12, abs=1e-12)
 
 
 class TestSyntheticDatasets:
@@ -288,6 +320,13 @@ class TestContainers:
         with pytest.raises(ValueError, match="label 1 has no members"):
             Partition(np.array([0, 10**12]))
 
+    def test_partition_unsigned_label_past_size(self):
+        # an unsigned label is never negative: past N it is a gap, named by its true value
+        with pytest.raises(ValueError, match=r"label 1 has no members \(labels must cover 0\.\.9223372036854775808\)"):
+            Partition(np.array([0, 2**63], dtype=np.uint64))
+        with pytest.raises(ValueError, match=r"label 2 has no members \(labels must cover 0\.\.18446744073709551615\)"):
+            Partition(np.array([0, 1, 2**64 - 1], dtype=np.uint64))
+
     def test_complex_values_rejected(self):
         with pytest.raises(ValueError, match="must be real"):
             Dataset(np.array([[1 + 1j, 2.0], [0, 0]]))
@@ -362,6 +401,13 @@ class TestSingleLinkage:
     def test_rejects_single_point(self):
         with pytest.raises(ValueError, match="at least 2"):
             single_linkage(Dataset([[0.0]]))
+
+    @pytest.mark.parametrize("scale", [1e154, 1e160])
+    def test_overflowing_distances_raise(self, scale):
+        # the squared differences overflow, so some spanning-tree edge is infinite
+        points = np.array([[0.0, 0.0], [0.0, 1.0], [3.0, 0.0], [3.0, 1.0]]) * scale
+        with pytest.raises(ValueError, match="overflowed to inf"):
+            single_linkage(Dataset(points))
 
     @given(point_sets(min_points=2, max_points=12))
     @settings(max_examples=40, deadline=None)
