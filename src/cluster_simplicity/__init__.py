@@ -26,17 +26,12 @@ from .core import (
     UNDEFINED,
     Dataset,
     Dendrogram,
-    DendrogramLevel,
     DistanceMatrix,
     IndexValue,
     Partition,
     Undefined,
-    centroid,
     dendrogram_from_merges,
-    diameter,
-    euclidean_distance,
     is_defined,
-    mean_pairwise_distance,
     pairwise_distances,
     radius_centroid,
     scale_dataset,
@@ -49,9 +44,6 @@ from .harness import (
     PropertyFlags,
     audit,
     audit_all,
-    check_baseline,
-    check_invariance,
-    check_optimality,
     values_equal,
 )
 from .simplicity import SiCurve, si_centroid, si_curve, si_distance, si_hierarchical
@@ -62,7 +54,6 @@ __all__ = [
     "AuditDetail",
     "Dataset",
     "Dendrogram",
-    "DendrogramLevel",
     "DistanceMatrix",
     "INDEX_IDS",
     "IndexDescriptor",
@@ -79,20 +70,13 @@ __all__ = [
     "audit_all",
     "c_index",
     "calinski_harabasz",
-    "centroid",
-    "check_baseline",
-    "check_invariance",
-    "check_optimality",
     "davies_bouldin",
     "dendrogram_from_merges",
     "descriptor",
-    "diameter",
     "dunn",
-    "euclidean_distance",
     "evaluate",
     "evaluate_many",
     "is_defined",
-    "mean_pairwise_distance",
     "pairwise_distances",
     "radius_centroid",
     "scale_dataset",

@@ -27,7 +27,7 @@ from .core import (
     Dataset,
     IndexValue,
     Partition,
-    _distances_to,
+    _pairwise,
     is_defined,
     points_index,
 )
@@ -115,8 +115,8 @@ def _db(stats: ClusterStats) -> IndexValue:
     """
     if stats.k == 1:
         return UNDEFINED
-    # the pairwise_distances rows, unchecked: overflowed centroids give NaN for the finiteness guard
-    gaps = np.array([_distances_to(stats.centroids, c) for c in stats.centroids])
+    # unchecked: overflowed centroids give NaN for the finiteness guard
+    gaps = _pairwise(stats.centroids)
     np.fill_diagonal(gaps, np.inf)  # a cluster is not compared with itself
     if not gaps.all():
         return UNDEFINED

@@ -2,7 +2,7 @@
 
 Holds the immutable container types (:class:`Dataset`, :class:`Partition`,
 :class:`DistanceMatrix`, :class:`Dendrogram`), the distinguished
-:data:`UNDEFINED` result, plain Euclidean geometry helpers, the per-cluster
+:data:`UNDEFINED` result, the Euclidean distance kernel, the per-cluster
 statistics every partition index reads, the builtin synthetic benchmark
 datasets, affine transforms, and a deterministic single-linkage dendrogram
 builder.
@@ -14,7 +14,6 @@ import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -152,10 +151,6 @@ class Partition:
         """Member count of each cluster, indexed by label."""
         return np.bincount(self.labels, minlength=self.n_clusters)
 
-    def members(self, label: int) -> np.ndarray:
-        """Point indices belonging to cluster ``label``."""
-        return np.flatnonzero(self.labels == label)
-
 
 def _integral_labels(labels: np.ndarray) -> np.ndarray:
     """Bool, float or object labels as int64; ValueError unless each is an integer value."""
@@ -195,17 +190,6 @@ class DistanceMatrix:
     def n_items(self) -> int:
         return self.entries.shape[0]
 
-    @classmethod
-    def from_dataset(cls, dataset: Dataset) -> "DistanceMatrix":
-        return cls(pairwise_distances(dataset.points))
-
-
-class DendrogramLevel(NamedTuple):
-    """One level of a dendrogram, as read from :attr:`Dendrogram.levels`."""
-
-    distance: float
-    partition: Partition
-
 
 @dataclass(frozen=True, eq=False)
 class Dendrogram:
@@ -222,8 +206,7 @@ class Dendrogram:
     after the first ``i - 1`` merges, formed at the distance of the last of
     them: level 1 is all singletons at distance 0 and level N is the single
     all-inclusive cluster. Partitions are not stored: :meth:`partition_at`
-    derives one in O(N) and :attr:`levels` is a read-only sequence that
-    derives each level when it is read. The merge array is O(N) memory.
+    derives one in O(N). The merge array is O(N) memory.
     """
 
     n_points: int
@@ -287,42 +270,6 @@ class Dendrogram:
         label_of: dict[int, int] = {}
         return Partition(np.array([label_of.setdefault(r, len(label_of)) for r in root[:n]]))
 
-    @property
-    def levels(self) -> Sequence[DendrogramLevel]:
-        """The N levels in order, each derived when it is read."""
-        return _Levels(self)
-
-
-class _Levels(Sequence):
-    """Read-only sequence view of a dendrogram's levels."""
-
-    def __init__(self, dendrogram: Dendrogram) -> None:
-        self._dendrogram = dendrogram
-
-    def __len__(self) -> int:
-        return self._dendrogram.n_points
-
-    def __getitem__(self, index: int | slice) -> DendrogramLevel | tuple[DendrogramLevel, ...]:
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(len(self))))
-        level = range(1, len(self) + 1)[index]
-        distance = float(self._dendrogram.distances[level - 2]) if level > 1 else 0.0
-        return DendrogramLevel(distance, self._dendrogram.partition_at(level))
-
-
-def euclidean_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """L2 distance between two points of equal dimension."""
-    av = np.asarray(a, dtype=float)
-    bv = np.asarray(b, dtype=float)
-    if av.shape != bv.shape:
-        raise ValueError(f"dimension mismatch: {av.shape} vs {bv.shape}")
-    return float(np.linalg.norm(av - bv))
-
-
-def centroid(points: object) -> np.ndarray:
-    """Coordinate-wise arithmetic mean of a nonempty point set."""
-    return _as_points(points).mean(axis=0)
-
 
 def radius_centroid(points: object) -> float:
     """Mean distance from the centroid to each member.
@@ -333,29 +280,6 @@ def radius_centroid(points: object) -> float:
     return float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).mean())
 
 
-def mean_pairwise_distance(points: object) -> float:
-    """Mean distance over all unordered point pairs; 0 for a singleton."""
-    pts = _as_points(points)
-    n = pts.shape[0]
-    if n < 2:
-        return 0.0
-    return _whole_set_block(pts, "sum") / (n * (n - 1))  # every pair counted twice
-
-
-def diameter(points: object) -> float:
-    """Largest pairwise distance within a point set; 0 for a singleton."""
-    pts = _as_points(points)
-    if pts.shape[0] < 2:
-        return 0.0
-    return _whole_set_block(pts, "max")
-
-
-def _whole_set_block(points: np.ndarray, reduction: str) -> float:
-    """The ``reduction`` block of the one-cluster partition of ``points``."""
-    stats = ClusterStats(Partition(np.zeros(points.shape[0], dtype=int)), points=points, reductions=[reduction])
-    return float(stats.blocks(reduction)[0, 0])
-
-
 def pairwise_distances(points: object) -> np.ndarray:
     """Full square matrix of Euclidean distances between rows of ``points``.
 
@@ -363,12 +287,17 @@ def pairwise_distances(points: object) -> np.ndarray:
     ``p_j - p_i`` are exactly those of ``p_i - p_j``, so the matrix is exactly
     symmetric.
     """
-    pts = _as_points(points)
-    n = pts.shape[0]
+    return _pairwise(_as_points(points))
+
+
+def _pairwise(points: np.ndarray) -> np.ndarray:
+    """:func:`pairwise_distances` without the input checks: a non-finite
+    coordinate gives non-finite distances."""
+    n = points.shape[0]
     dm = np.empty((n, n))
-    step = _block_rows(n, pts.shape[1])
+    step = _block_rows(n, points.shape[1])
     for start in range(0, n, step):
-        dm[start : start + step] = _distance_rows(pts, pts[start : start + step])
+        dm[start : start + step] = _distance_rows(points, points[start : start + step])
     return dm
 
 
@@ -386,8 +315,11 @@ def _block_rows(n: int, width: int) -> int:
 
 
 def _distance_rows(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Distances from each of ``rows`` to every point: ``_distances_to`` for a
-    block of rows at once, and equal to it row by row."""
+    """Distances from each of ``rows`` to every point, one row per row.
+
+    The one distance kernel: a row comes out the same whatever block it is
+    computed in, so the spanning tree's one-row calls agree exactly with the
+    blocked distance pass and :func:`pairwise_distances`."""
     diff = points[None, :, :] - rows[:, None, :]
     return np.sqrt(np.einsum("bij,bij->bi", diff, diff))
 
@@ -640,12 +572,6 @@ def dendrogram_from_merges(
     return Dendrogram(n_points, ids, distances)
 
 
-def _distances_to(points: np.ndarray, point: np.ndarray) -> np.ndarray:
-    # the one distance kernel: pairwise_distances and the spanning tree both use it
-    diff = points - point
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-
 def _minimum_spanning_tree(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Prim's algorithm on the complete Euclidean graph: (n-1, 2) ends and lengths.
 
@@ -661,7 +587,7 @@ def _minimum_spanning_tree(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for step in range(n - 1):
         outside[current] = False
         best[current] = np.inf
-        row = _distances_to(points, points[current])
+        row = _distance_rows(points, points[current : current + 1])[0]
         closer = outside & (row < best)
         best[closer] = row[closer]
         nearest[closer] = current
@@ -724,7 +650,7 @@ class _TieGroup:
         for i in range(1, len(clusters)):
             before = ends[i - 1]
             for row in range(before, ends[i]):
-                near = _distances_to(members[:before], members[row]) <= distance
+                near = _distance_rows(members[:before], members[row : row + 1])[0] <= distance
                 self.tied[i, slot[:before][near]] = True
         self.tied |= self.tied.T
         self.degree = self.tied.sum(axis=1)

@@ -47,7 +47,11 @@ def values_equal(value: IndexValue, reference: IndexValue, rel_tol: float = RELA
 
 @dataclass(frozen=True)
 class AuditDetail:
-    """The six per-evaluation booleans behind a flag row."""
+    """The six per-evaluation booleans behind a flag row.
+
+    An UNDEFINED on ``Y1`` or ``Y2`` leaves ``y2_worse_than_y1`` False: an
+    undefined score is not comparable.
+    """
 
     scale_ok: bool
     shift_ok: bool
@@ -135,30 +139,6 @@ def _audit_table(index_ids: Sequence[str], variant: str) -> list[PropertyFlags]:
             undefined_probes=tuple(name for name, value in values.items() if not is_defined(value)),
         ))
     return rows
-
-
-def check_invariance(index_id: str, variant: str = "short") -> tuple[bool, bool]:
-    """(scale_ok, shift_ok) for the index on the variant's two-cluster dataset."""
-    detail = audit(index_id, variant).detail
-    return detail.scale_ok, detail.shift_ok
-
-
-def check_optimality(index_id: str, variant: str = "short") -> tuple[bool, bool]:
-    """(is_best, split_worse) on the variant's coincident-point datasets.
-
-    ``is_best`` requires a declared best value attained on the one-cluster
-    dataset; ``split_worse`` requires the split dataset to score strictly
-    worse in the index's direction. UNDEFINED on either side fails the
-    affected check (an undefined score is not comparable).
-    """
-    detail = audit(index_id, variant).detail
-    return detail.is_best_at_y1, detail.y2_worse_than_y1
-
-
-def check_baseline(index_id: str, variant: str = "short") -> tuple[bool, bool]:
-    """(at_x1, at_xmax): declared baseline attained at both extreme partitions."""
-    detail = audit(index_id, variant).detail
-    return detail.baseline_at_x1, detail.baseline_at_xmax
 
 
 def audit(index_id: str, variant: str = "short") -> PropertyFlags:

@@ -35,6 +35,15 @@ def mean_pairwise(points):
     return total / pairs
 
 
+def diameter(points):
+    """Largest pairwise distance; 0 for a singleton."""
+    largest = 0.0
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            largest = max(largest, dist(points[i], points[j]))
+    return largest
+
+
 def _grouped(points, labels):
     k = max(labels) + 1
     return [[p for p, l in zip(points, labels) if l == lab] for lab in range(k)]

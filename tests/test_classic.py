@@ -23,6 +23,7 @@ from cluster_simplicity import (
     evaluate,
     evaluate_many,
     is_defined,
+    pairwise_distances,
     scale_dataset,
     shift_dataset,
     score_function,
@@ -292,7 +293,7 @@ def _all_ids_peak(data, part):
 # the public (dataset, partition) function behind each partition index id
 PUBLIC_FUNCTIONS = {
     "si_centroid": si_centroid,
-    "si_distance": lambda data, part: si_distance(DistanceMatrix.from_dataset(data), part),
+    "si_distance": lambda data, part: si_distance(DistanceMatrix(pairwise_distances(data.points)), part),
     "ch": calinski_harabasz,
     "silhouette": silhouette,
     "sf": score_function,

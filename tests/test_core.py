@@ -13,12 +13,8 @@ from cluster_simplicity import (
     Partition,
     UNDEFINED,
     Undefined,
-    centroid,
     dendrogram_from_merges,
-    diameter,
-    euclidean_distance,
     is_defined,
-    mean_pairwise_distance,
     pairwise_distances,
     radius_centroid,
     scale_dataset,
@@ -27,7 +23,7 @@ from cluster_simplicity import (
     synthetic_dataset,
     SYNTHETIC_DATASET_IDS,
 )
-from cluster_simplicity.core import _Smallest, _block_rows, _distances_to
+from cluster_simplicity.core import ClusterStats, _Smallest, _block_rows, _distance_rows
 
 import oracles
 
@@ -48,6 +44,21 @@ def point_sets(min_points=1, max_points=10, dim=3):
         min_size=min_points,
         max_size=max_points,
     ).map(np.array)
+
+
+@st.composite
+def labelled_points(draw, max_points=12, dim=3):
+    """Points and their labels; coordinates in -1..1 make coincident points common."""
+    n = draw(st.integers(1, max_points))
+    coord = st.one_of(st.integers(-1, 1).map(float), grid_coord)
+    pts = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    k = draw(st.integers(1, n))
+    extra = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    return np.array(pts), np.array(draw(st.permutations(list(range(k)) + extra)))
+
+
+def _centroids(points, labels):
+    return ClusterStats(Partition(labels), points=np.array(points)).centroids
 
 
 def _grouping(labels):
@@ -85,30 +96,28 @@ class TestUndefined:
 
 class TestEuclideanDistance:
     def test_identical_points(self):
-        assert euclidean_distance(P1, P1) == 0.0
+        assert np.array_equal(pairwise_distances([P1, P1]), np.zeros((2, 2)))
 
     def test_unit_simplex_pairs(self):
-        assert euclidean_distance(P1, P2) == pytest.approx(SQRT2, rel=1e-12)
-        assert euclidean_distance(P1, P3) == pytest.approx(SQRT2, rel=1e-12)
+        dm = pairwise_distances([P1, P2, P3])
+        assert np.array_equal(dm, dm.T)
+        assert not dm.diagonal().any()
+        assert dm[np.triu_indices(3, k=1)] == pytest.approx([SQRT2] * 3, rel=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            euclidean_distance((0.0, 1.0), (0.0, 1.0, 2.0))
+        with pytest.raises(ValueError):
+            pairwise_distances([(0.0, 1.0), (0.0, 1.0, 2.0)])
 
 
 class TestCentroid:
     def test_singleton(self):
-        assert np.array_equal(centroid([P1]), np.array(P1))
+        assert np.array_equal(_centroids([P1], [0]), [P1])
 
     def test_two_points(self):
-        assert np.allclose(centroid([P2, P3]), [0.5, 0.5, 0.0])
+        assert np.allclose(_centroids([P2, P3], [0, 0]), [[0.5, 0.5, 0.0]])
 
     def test_three_points(self):
-        assert np.allclose(centroid([P1, P2, P3]), [1 / 3, 1 / 3, 1 / 3])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            centroid(np.empty((0, 3)))
+        assert np.allclose(_centroids([P1, P2, P3], [0, 0, 0]), [[1 / 3, 1 / 3, 1 / 3]])
 
 
 class TestRadii:
@@ -123,59 +132,70 @@ class TestRadii:
         # all three points are sqrt(6)/3 from (1/3, 1/3, 1/3)
         assert radius_centroid([P1, P2, P3]) == pytest.approx(0.816496580927726, rel=1e-12)
 
-    def test_mean_pairwise_singleton(self):
-        assert mean_pairwise_distance([P1]) == 0.0
-
-    def test_mean_pairwise_single_pair(self):
-        assert mean_pairwise_distance([P2, P3]) == pytest.approx(SQRT2, rel=1e-12)
-
-    def test_mean_pairwise_simplex(self):
-        assert mean_pairwise_distance([P1, P2, P3]) == pytest.approx(SQRT2, rel=1e-12)
-
     def test_empty_rejected(self):
-        for fn in (radius_centroid, mean_pairwise_distance, diameter):
-            with pytest.raises(ValueError):
-                fn(np.empty((0, 3)))
+        with pytest.raises(ValueError):
+            radius_centroid(np.empty((0, 3)))
 
     @given(point_sets())
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle(self, pts):
         assert radius_centroid(pts) == pytest.approx(oracles.centroid_radius(pts.tolist()), abs=1e-12)
-        assert mean_pairwise_distance(pts) == pytest.approx(oracles.mean_pairwise(pts.tolist()), abs=1e-12)
 
     @given(point_sets())
     @settings(max_examples=60, deadline=None)
     def test_affine_homogeneity(self, pts):
-        # f(a*X + b) == |a| * f(X) for both radius notions
-        for fn in (radius_centroid, mean_pairwise_distance):
-            reference = fn(pts)
-            for a in (-2.0, 0.5, 3.0):
-                for b in (-5.0, 7.0):
-                    transformed = fn(pts * a + b)
-                    assert transformed == pytest.approx(abs(a) * reference, rel=1e-9, abs=1e-12)
+        # f(a*X + b) == |a| * f(X)
+        reference = radius_centroid(pts)
+        for a in (-2.0, 0.5, 3.0):
+            for b in (-5.0, 7.0):
+                transformed = radius_centroid(pts * a + b)
+                assert transformed == pytest.approx(abs(a) * reference, rel=1e-9, abs=1e-12)
 
     @given(point_sets())
     @settings(max_examples=60, deadline=None)
     def test_zero_iff_coincident(self, pts):
         coincident = bool(np.all(pts == pts[0]))
         assert (radius_centroid(pts) == 0.0) == coincident
-        assert (mean_pairwise_distance(pts) == 0.0) == coincident
 
     def test_many_blocks_match_the_full_matrix(self):
         # 300 points in 3-D span five blocks of the distance pass
         pts = np.random.default_rng(31).normal(size=(300, 3))
         assert 300 // _block_rows(300, 3) >= 3
         full = pairwise_distances(pts)
-        assert all(np.array_equal(full[i], _distances_to(pts, pts[i])) for i in range(300))
-        assert diameter(pts) == full.max()
-        assert mean_pairwise_distance(pts) == pytest.approx(full[np.triu_indices(300, k=1)].mean(), rel=1e-15)
+        assert all(np.array_equal(full[i], _distance_rows(pts, pts[i : i + 1])[0]) for i in range(300))
+        stats = ClusterStats(Partition(np.zeros(300, dtype=int)), points=pts, reductions=["sum", "max"])
+        assert stats.blocks("max")[0, 0] == full.max()
+        mean = stats.blocks("sum")[0, 0] / (300 * 299)  # every pair counted twice
+        assert mean == pytest.approx(full[np.triu_indices(300, k=1)].mean(), rel=1e-15)
 
     @given(point_sets(min_points=2))
     @settings(max_examples=60, deadline=None)
     def test_bounded_by_diameter(self, pts):
-        d = diameter(pts)
-        assert radius_centroid(pts) <= d + 1e-12
-        assert mean_pairwise_distance(pts) <= d + 1e-12
+        assert radius_centroid(pts) <= oracles.diameter(pts.tolist()) + 1e-12
+
+
+class TestClusterBlocks:
+    """The within-cluster diagonals of ``ClusterStats.blocks`` against the loop oracles."""
+
+    @given(labelled_points())
+    @example((np.array([P1]), np.array([0])))
+    @example((np.array([P2, P3]), np.array([0, 0])))
+    @example((np.array([P1, P2, P3]), np.array([0, 0, 0])))
+    @example((np.array([P1, P1, P1, P2]), np.array([0, 0, 1, 0])))
+    @settings(max_examples=100, deadline=None)
+    def test_diagonals_match_oracles(self, data):
+        pts, labels = data
+        # f(a*X + b) == |a| * f(X): the oracles read the untransformed points
+        for a, b in ((1.0, 0.0), (-2.0, 7.0), (0.5, -5.0)):
+            stats = ClusterStats(Partition(labels), points=pts * a + b, reductions=["sum", "max"])
+            sums, largest = stats.blocks("sum").diagonal(), stats.blocks("max").diagonal()
+            for c, size in enumerate(stats.sizes):
+                members = pts[labels == c].tolist()
+                mean = sums[c] / max(size * (size - 1), 1)  # every pair counted twice; a singleton sums to 0
+                assert mean == pytest.approx(abs(a) * oracles.mean_pairwise(members), rel=1e-9, abs=1e-12)
+                assert largest[c] == pytest.approx(abs(a) * oracles.diameter(members), rel=1e-9, abs=1e-12)
+                assert mean <= largest[c] + 1e-12
+                assert (largest[c] == 0.0) == all(m == members[0] for m in members)
 
 
 class TestSmallestOfAStream:
@@ -282,7 +302,6 @@ class TestContainers:
         part = Partition(np.array([0, 1, 1, 2]))
         assert part.n_clusters == 3
         assert part.cluster_sizes().tolist() == [1, 2, 1]
-        assert part.members(1).tolist() == [1, 2]
 
     def test_partition_rejects_gap(self):
         with pytest.raises(ValueError, match="label 1 has no members"):
@@ -347,7 +366,7 @@ class TestContainers:
 
     def test_distance_matrix_from_dataset(self):
         data, _ = synthetic_dataset("X2S")
-        dm = DistanceMatrix.from_dataset(data)
+        dm = DistanceMatrix(pairwise_distances(data.points))  # accepted: exactly symmetric, zero diagonal
         assert dm.n_items == 3
         assert np.allclose(dm.entries[np.triu_indices(3, 1)], SQRT2)
 
@@ -355,23 +374,23 @@ class TestContainers:
 class TestSingleLinkage:
     def test_one_dimensional_line(self):
         dg = single_linkage(Dataset([[0.0], [1.0], [3.0]]))
-        assert [lvl.distance for lvl in dg.levels] == [0.0, 1.0, 2.0]
-        assert dg.levels[0].partition.labels.tolist() == [0, 1, 2]
-        assert dg.levels[1].partition.labels.tolist() == [0, 0, 1]
-        assert dg.levels[2].partition.labels.tolist() == [0, 0, 0]
+        assert dg.distances.tolist() == [1.0, 2.0]
+        assert dg.partition_at(1).labels.tolist() == [0, 1, 2]
+        assert dg.partition_at(2).labels.tolist() == [0, 0, 1]
+        assert dg.partition_at(3).labels.tolist() == [0, 0, 0]
 
     def test_two_points(self):
         dg = single_linkage(Dataset([P1, P2]))
-        assert dg.levels[0].distance == 0.0
-        assert dg.levels[1].distance == pytest.approx(SQRT2, rel=1e-12)
-        assert dg.levels[1].partition.n_clusters == 1
+        assert dg.distances.tolist() == pytest.approx([SQRT2], rel=1e-12)
+        assert dg.partition_at(1).n_clusters == 2
+        assert dg.partition_at(2).n_clusters == 1
 
     def test_three_identical_points(self):
         dg = single_linkage(Dataset([P1, P1, P1]))
-        assert [lvl.distance for lvl in dg.levels] == [0.0, 0.0, 0.0]
-        assert [lvl.partition.n_clusters for lvl in dg.levels] == [3, 2, 1]
+        assert dg.distances.tolist() == [0.0, 0.0]
+        assert [dg.partition_at(level).n_clusters for level in (1, 2, 3)] == [3, 2, 1]
         # lexicographic tie-break merges points 0 and 1 first
-        assert dg.levels[1].partition.labels.tolist() == [0, 0, 1]
+        assert dg.partition_at(2).labels.tolist() == [0, 0, 1]
 
     @given(
         st.integers(1, 3).flatmap(
@@ -414,11 +433,10 @@ class TestSingleLinkage:
     def test_dendrogram_invariants(self, pts):
         dg = single_linkage(Dataset(pts))
         n = len(pts)
-        assert len(dg.levels) == n
-        assert dg.levels[0].distance == 0.0
-        assert dg.levels[0].partition.n_clusters == n
-        assert dg.levels[-1].partition.n_clusters == 1
-        distances = [lvl.distance for lvl in dg.levels]
+        assert dg.n_points == n
+        assert len(dg.distances) == n - 1
+        assert [dg.partition_at(level).n_clusters for level in range(1, n + 1)] == list(range(n, 0, -1))
+        distances = dg.distances.tolist()
         assert all(b >= a for a, b in zip(distances, distances[1:]))
 
     def test_matches_scipy_reference(self):
@@ -429,14 +447,13 @@ class TestSingleLinkage:
             points = rng.normal(size=(n, 3))
             reference = hierarchy.linkage(points, method="single")
             dg = single_linkage(Dataset(points))
-            ours = [lvl.distance for lvl in dg.levels[1:]]
-            assert np.allclose(ours, reference[:, 2], rtol=1e-9, atol=1e-12)
+            assert np.allclose(dg.distances, reference[:, 2], rtol=1e-9, atol=1e-12)
             # same grouping at every level (unique distances make the tree unique);
             # cut_tree column j holds the n - j cluster labeling
             cuts = hierarchy.cut_tree(reference)
             for level in range(n):
                 expected = _grouping(cuts[:, level])
-                assert _grouping(dg.levels[level].partition.labels) == expected
+                assert _grouping(dg.partition_at(level + 1).labels) == expected
 
 
 class TestDendrogramFromMerges:
@@ -474,8 +491,9 @@ class TestDendrogramFromMerges:
 
     def test_matches_linkage_convention(self):
         dg = dendrogram_from_merges(3, [(0, 1, 1.0), (2, 3, 2.0)])
-        assert dg.levels[1].partition.labels.tolist() == [0, 0, 1]
-        assert dg.levels[2].partition.labels.tolist() == [0, 0, 0]
+        assert dg.distances.tolist() == [1.0, 2.0]
+        assert dg.partition_at(2).labels.tolist() == [0, 0, 1]
+        assert dg.partition_at(3).labels.tolist() == [0, 0, 0]
 
 
 class TestDendrogramValidation:
@@ -495,13 +513,16 @@ class TestDendrogramValidation:
 
     def test_levels_are_derived_read_only_views(self):
         dg = Dendrogram(4, np.array([[2, 3], [0, 4], [1, 5]]), np.array([0.5, 1.0, 1.0]))
-        assert len(dg.levels) == 4
-        assert [lvl.distance for lvl in dg.levels] == [0.0, 0.5, 1.0, 1.0]
-        assert dg.levels[-2].partition.labels.tolist() == [0, 1, 0, 0]
-        assert [lvl.partition.n_clusters for lvl in dg.levels[1:3]] == [3, 2]
+        assert [dg.partition_at(level).labels.tolist() for level in range(1, 5)] == [
+            [0, 1, 2, 3],
+            [0, 1, 2, 2],
+            [0, 1, 0, 0],
+            [0, 0, 0, 0],
+        ]
         with pytest.raises(ValueError):
             dg.merges[0, 0] = 1
-        with pytest.raises(TypeError):
-            dg.levels[0] = dg.levels[1]
-        with pytest.raises(ValueError, match="level must be in 1..4"):
-            dg.partition_at(5)
+        with pytest.raises(ValueError):
+            dg.distances[0] = 0.0
+        for level in (0, 5):
+            with pytest.raises(ValueError, match="level must be in 1..4"):
+                dg.partition_at(level)

@@ -5,9 +5,6 @@ from cluster_simplicity import (
     UNDEFINED,
     audit,
     audit_all,
-    check_baseline,
-    check_invariance,
-    check_optimality,
     values_equal,
 )
 from cluster_simplicity.core import ClusterStats
@@ -39,28 +36,33 @@ class TestValuesEqual:
 
 
 class TestChecks:
+    """The detail fields behind each flag, read from ``audit(index_id, variant).detail``."""
+
     def test_invariance_examples(self):
-        assert check_invariance("si_centroid", "short") == (True, True)
-        assert check_invariance("ch", "short") == (True, True)
-        scale_ok, shift_ok = check_invariance("sf", "short")
-        assert scale_ok != shift_ok  # exactly one transform survives
+        for index_id in ("si_centroid", "ch"):
+            d = audit(index_id).detail
+            assert (d.scale_ok, d.shift_ok) == (True, True)
+        d = audit("sf").detail
+        assert d.scale_ok != d.shift_ok  # exactly one transform survives
 
     def test_optimality_examples(self):
-        assert check_optimality("si_centroid", "short") == (True, True)
-        is_best, _ = check_optimality("dunn", "short")
-        assert not is_best  # no declared best value
+        d = audit("si_centroid").detail
+        assert (d.is_best_at_y1, d.y2_worse_than_y1) == (True, True)
+        assert not audit("dunn").detail.is_best_at_y1  # no declared best value
         # silhouette's outcome is reported, whatever it is
-        is_best, split_worse = check_optimality("silhouette", "short")
-        assert isinstance(is_best, bool) and isinstance(split_worse, bool)
+        d = audit("silhouette").detail
+        assert isinstance(d.is_best_at_y1, bool) and isinstance(d.y2_worse_than_y1, bool)
 
     def test_baseline_examples(self):
-        assert check_baseline("si_centroid", "short") == (True, True)
-        assert check_baseline("si_centroid", "long") == (True, True)
-        assert check_baseline("ch", "short") == (False, False)
+        for variant in ("short", "long"):
+            d = audit("si_centroid", variant).detail
+            assert (d.baseline_at_x1, d.baseline_at_xmax) == (True, True)
+        d = audit("ch").detail
+        assert (d.baseline_at_x1, d.baseline_at_xmax) == (False, False)
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="unknown variant"):
-            check_invariance("si_centroid", "medium")
+            audit("si_centroid", "medium")
 
 
 class TestAudit:
