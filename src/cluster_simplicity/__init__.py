@@ -19,6 +19,8 @@ from .classic import (
     evaluate,
     evaluate_many,
     score_function,
+    si_centroid,
+    si_distance,
     silhouette,
 )
 from .core import (
@@ -46,7 +48,7 @@ from .harness import (
     audit_all,
     values_equal,
 )
-from .simplicity import SiCurve, si_centroid, si_curve, si_distance, si_hierarchical
+from .simplicity import SiCurve, si_curve, si_hierarchical
 
 __version__ = "0.1.0"
 

@@ -9,7 +9,9 @@ All indices, including the simplicity forms, are reachable through the string
 registry used by the CLI and the property harness: :func:`evaluate_many`
 scores a partition by several index ids in one pass, :func:`evaluate` by one,
 and :func:`descriptor` reports an index's direction, formula-defined best
-value (when one exists) and reference baseline (when one exists).
+value (when one exists) and reference baseline (when one exists). The named
+functions, ``si_centroid`` and ``si_distance`` included, live here and score
+through the same guarded step.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from .core import (
     UNDEFINED,
     ClusterStats,
     Dataset,
+    DistanceMatrix,
     IndexValue,
     Partition,
     _pairwise,
     is_defined,
-    points_index,
 )
 from .simplicity import _si_centroid, _si_distance
 
@@ -82,7 +84,7 @@ def _sf(stats: ClusterStats) -> IndexValue:
 
     Combines size-weighted centroid-to-grand-centroid distances (between) with
     per-cluster mean member-to-centroid distances (within) through a double
-    exponential, yielding a value in (0, 1). No zero-denominator path.
+    exponential, yielding a value in (0, 1]. No zero-denominator path.
     """
     overall = stats.points.mean(axis=0)
     between = float(np.dot(stats.sizes, np.linalg.norm(stats.centroids - overall, axis=1))) / (stats.n * stats.k)
@@ -183,17 +185,31 @@ INDEX_IDS: tuple[str, ...] = tuple(_INDICES)
 PARTITION_INDEX_IDS: tuple[str, ...] = INDEX_IDS[:-1]
 
 
-def _public(name: str, index_id: str) -> Callable[[Dataset, Partition], IndexValue]:
-    _, scorer, reductions = _INDICES[index_id]
-    return points_index(name, scorer, reductions)
+def _named(name: str, index_id: str) -> Callable[[Dataset, Partition], IndexValue]:
+    """The public ``name(dataset, partition)`` function: :func:`evaluate` for ``index_id``."""
+    def index(dataset: Dataset, partition: Partition) -> IndexValue:
+        return evaluate_many([index_id], dataset, partition)[0]
+    scorer = _INDICES[index_id][1]
+    index.__name__ = index.__qualname__ = name
+    index.__doc__ = scorer.__doc__
+    index.__annotations__["return"] = scorer.__annotations__["return"]
+    return index
 
 
-calinski_harabasz = _public("calinski_harabasz", "ch")
-silhouette = _public("silhouette", "silhouette")
-score_function = _public("score_function", "sf")
-dunn = _public("dunn", "dunn")
-davies_bouldin = _public("davies_bouldin", "db")
-c_index = _public("c_index", "cindex")
+si_centroid = _named("si_centroid", "si_centroid")
+calinski_harabasz = _named("calinski_harabasz", "ch")
+silhouette = _named("silhouette", "silhouette")
+score_function = _named("score_function", "sf")
+dunn = _named("dunn", "dunn")
+davies_bouldin = _named("davies_bouldin", "db")
+c_index = _named("c_index", "cindex")
+
+
+def si_distance(distances: DistanceMatrix, partition: Partition) -> float:
+    """Simplicity index from a pairwise distance matrix: :func:`si_centroid`'s
+    form with a group's mean pairwise distance (0 for a singleton) as its
+    radius, and the mean over all pairs in the matrix as the reference radius."""
+    return _score(["si_distance"], partition, distances=distances.entries)[0]
 
 
 def descriptor(index_id: str) -> IndexDescriptor:
@@ -216,6 +232,19 @@ def _check_partition_ids(index_ids: Sequence[str]) -> None:
             raise UnknownIndexError(f"unknown index {index_id!r} (known: {', '.join(PARTITION_INDEX_IDS)})")
 
 
+def _score(index_ids: Sequence[str], partition: Partition, **source: np.ndarray) -> list[IndexValue]:
+    """The scoring step of every public scorer: checked ``index_ids`` on one
+    ClusterStats of ``source`` (``points=`` or ``distances=``) with only the
+    reductions they read. A NaN or infinite value raises ValueError naming it."""
+    reductions = frozenset().union(*(_INDICES[index_id][2] for index_id in index_ids))
+    stats = ClusterStats(partition, reductions=reductions, **source)
+    values = [_INDICES[index_id][1](stats) for index_id in index_ids]
+    for index_id, value in zip(index_ids, values):
+        if is_defined(value) and not math.isfinite(value):
+            raise ValueError(f"index {index_id!r}: the arithmetic overflowed to {value}; the inputs are too large")
+    return values
+
+
 def evaluate_many(index_ids: Sequence[str], dataset: Dataset, partition: Partition) -> list[IndexValue]:
     """Score a partition with each index in ``index_ids``, in request order.
 
@@ -227,13 +256,7 @@ def evaluate_many(index_ids: Sequence[str], dataset: Dataset, partition: Partiti
     infinity raises ValueError naming its index.
     """
     _check_partition_ids(index_ids)
-    reductions = frozenset().union(*(_INDICES[index_id][2] for index_id in index_ids))
-    stats = ClusterStats(partition, points=dataset.points, reductions=reductions)
-    values = [_INDICES[index_id][1](stats) for index_id in index_ids]
-    for index_id, value in zip(index_ids, values):
-        if is_defined(value) and not math.isfinite(value):
-            raise ValueError(f"index {index_id!r}: the arithmetic overflowed to {value}; the coordinates are too large")
-    return values
+    return _score(index_ids, partition, points=dataset.points)
 
 
 def evaluate(index_id: str, dataset: Dataset, partition: Partition) -> IndexValue:

@@ -322,9 +322,6 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except UnknownIndexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     try:
         _emit(report, args.format, getattr(args, "out", None))
     except OSError as exc:

@@ -11,7 +11,7 @@ builder.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,7 +64,10 @@ def is_defined(value: IndexValue) -> bool:
 
 
 def _real(values: object, what: str) -> np.ndarray:
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # numpy's "inhomogeneous shape" for ragged nesting
+        raise ValueError(f"{what} must have rows of equal length") from None
     if arr.dtype.kind != "c":  # a float cast would keep the real part with only a warning
         try:
             return np.asarray(arr, dtype=float)
@@ -79,6 +82,8 @@ def _as_points(points: object) -> np.ndarray:
         raise ValueError(f"points must be a 2-D array of shape (n, dim), got shape {pts.shape}")
     if pts.shape[0] == 0:
         raise ValueError("point set is empty")
+    if pts.shape[1] == 0:
+        raise ValueError("points need at least one coordinate")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points contain non-finite coordinates")
     return pts
@@ -123,7 +128,10 @@ class Partition:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        labels = np.asarray(self.labels)
+        try:
+            labels = np.asarray(self.labels)
+        except ValueError:  # numpy's "inhomogeneous shape" for ragged nesting
+            raise ValueError("labels must be a 1-D sequence, got nested rows of different lengths") from None
         if labels.ndim != 1 or labels.size == 0:
             raise ValueError("labels must be a non-empty 1-D sequence")
         if not np.issubdtype(labels.dtype, np.integer):
@@ -276,8 +284,12 @@ def radius_centroid(points: object) -> float:
 
     Zero for a singleton or a set of coincident points.
     """
-    pts = _as_points(points)
-    return float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).mean())
+    return _radius(_as_points(points))
+
+
+def _radius(points: np.ndarray) -> float:
+    """:func:`radius_centroid` without the input checks, for validated points."""
+    return float(np.linalg.norm(points - points.mean(axis=0), axis=1).mean())
 
 
 def pairwise_distances(points: object) -> np.ndarray:
@@ -476,19 +488,6 @@ class _Smallest:
         if self.count > self.m:
             self._prune()
         return float(self.buffer[: self.m].sum()), math.fsum(self.rest)
-
-
-def points_index(
-    name: str, scorer: Callable[[ClusterStats], IndexValue], reductions: Iterable[str] = ()
-) -> Callable[[Dataset, Partition], IndexValue]:
-    """The public ``name(dataset, partition)`` form of a ClusterStats scorer
-    that reads the distance ``reductions``."""
-    def index(dataset: Dataset, partition: Partition):
-        return scorer(ClusterStats(partition, points=dataset.points, reductions=reductions))
-    index.__name__ = index.__qualname__ = name
-    index.__module__, index.__doc__ = scorer.__module__, scorer.__doc__
-    index.__annotations__["return"] = scorer.__annotations__["return"]
-    return index
 
 
 def scale_dataset(dataset: Dataset, factor: float) -> Dataset:

@@ -13,8 +13,10 @@ reference for the most complex state. When the dataset radius is zero every
 exponent is taken as zero, which removes the only division hazard.
 
 Two radius notions are supported: the centroid form uses the mean distance of
-members to their cluster centroid (:func:`si_centroid`), the distance-matrix
-form uses the mean pairwise distance among members (:func:`si_distance`).
+members to their cluster centroid (``si_centroid``), the distance-matrix form
+uses the mean pairwise distance among members (``si_distance``). Their
+:class:`ClusterStats` scorers are here; the public functions live beside the
+index registry in :mod:`.classic` and score through it.
 :func:`si_curve` evaluates the index at every level of a dendrogram and
 :func:`si_hierarchical` condenses that curve into one score for the whole
 tree.
@@ -27,17 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    UNDEFINED,
-    ClusterStats,
-    Dataset,
-    Dendrogram,
-    DistanceMatrix,
-    IndexValue,
-    Partition,
-    points_index,
-    radius_centroid,
-)
+from .core import UNDEFINED, ClusterStats, Dataset, Dendrogram, IndexValue, _radius
 
 
 def _si_from_exponents(sizes: np.ndarray, exponents: np.ndarray) -> float:
@@ -54,12 +46,9 @@ def _si_centroid(stats: ClusterStats) -> float:
     dataset_radius``, where a radius is the mean member-to-centroid distance.
     Always returns a finite value >= 1.
     """
-    dataset_radius = radius_centroid(stats.points)
+    dataset_radius = _radius(stats.points)
     exponents = stats.radii / dataset_radius if dataset_radius != 0.0 else np.zeros(stats.k)
     return _si_from_exponents(stats.sizes, exponents)
-
-
-si_centroid = points_index("si_centroid", _si_centroid)
 
 
 def _si_distance(stats: ClusterStats) -> float:
@@ -69,16 +58,6 @@ def _si_distance(stats: ClusterStats) -> float:
     cluster_means = sums.diagonal() / np.maximum(sizes * (sizes - 1), 1)  # 0 for a singleton
     exponents = cluster_means / whole_mean if whole_mean != 0.0 else np.zeros(stats.k)
     return _si_from_exponents(sizes, exponents)
-
-
-def si_distance(distances: DistanceMatrix, partition: Partition) -> float:
-    """Simplicity index from a pairwise distance matrix.
-
-    Same form as :func:`si_centroid` but the radius of a group is its mean
-    pairwise distance (0 for a singleton), and the reference radius is the
-    mean over all pairs in the matrix.
-    """
-    return _si_distance(ClusterStats(partition, distances=distances.entries, reductions=["sum"]))
 
 
 @dataclass(frozen=True)
@@ -138,7 +117,7 @@ def si_curve(dataset: Dataset, dendrogram: Dendrogram) -> SiCurve:
         raise ValueError(f"dendrogram covers {n} points, dataset has {dataset.n_points}")
     order, start, size = _leaf_layout(dendrogram)
     points = dataset.points[order]
-    dataset_radius = radius_centroid(dataset.points)
+    dataset_radius = _radius(dataset.points)
     term = [0.0] * (2 * n - 1)  # exponent * ln(size) per cluster id
     total = compensation = 0.0
     samples = [(0.0, float(n))]
@@ -148,7 +127,7 @@ def si_curve(dataset: Dataset, dendrogram: Dendrogram) -> SiCurve:
         if dataset_radius != 0.0:
             left, right = merges[row]
             members = points[start[node] : start[node] + size[node]]
-            term[node] = radius_centroid(members) / dataset_radius * math.log(size[node])
+            term[node] = _radius(members) / dataset_radius * math.log(size[node])
             for x in (term[node], -term[left], -term[right]):
                 # Neumaier summation
                 t = total + x

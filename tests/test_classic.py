@@ -487,7 +487,7 @@ class TestEvaluateRegistry:
         _assert_many_matches_public_functions(data, part)
 
     def test_public_functions_keep_their_signature(self):
-        # built from ClusterStats scorers, they still take (dataset, partition)
+        # built from registry ids, they still take (dataset, partition)
         for function in (si_centroid, calinski_harabasz, silhouette, score_function, dunn, davies_bouldin, c_index):
             assert list(inspect.signature(function).parameters) == ["dataset", "partition"], function.__name__
             assert function.__doc__, function.__name__
@@ -524,13 +524,21 @@ class TestEvaluateRegistry:
         assert _all_ids_peak(*_blobs(7, 2000, 2)) < 12 * 2000 * 2000
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("index_id", ["si_centroid", "ch", "silhouette", "sf", "db"])
+    @pytest.mark.parametrize("index_id", ["si_centroid", "si_distance", "ch", "silhouette", "sf", "db"])
     def test_overflow_raises_naming_index(self, index_id):
-        # coordinates of +-1e308: centroid sums and squared offsets overflow to NaN
-        data = Dataset(np.array([[-1e308], [-1e308], [1e308], [1e308]]))
+        # every public route raises: the registry and the named function on coordinates
+        # of +-1e308, whose centroid sums and squared offsets overflow to NaN, and
+        # si_distance on a matrix of 1e308 distances, whose sums overflow to infinity
         part = Partition(np.array([0, 0, 1, 1]))
-        with pytest.raises(ValueError, match=f"index '{index_id}': the arithmetic overflowed"):
-            evaluate_many([index_id], data, part)
+        if index_id == "si_distance":
+            distances = DistanceMatrix(1e308 * (1 - np.eye(4)))
+            routes = [lambda: si_distance(distances, part)]
+        else:
+            data = Dataset(np.array([[-1e308], [-1e308], [1e308], [1e308]]))
+            routes = [lambda: evaluate_many([index_id], data, part), lambda: PUBLIC_FUNCTIONS[index_id](data, part)]
+        for route in routes:
+            with pytest.raises(ValueError, match=f"index '{index_id}': the arithmetic overflowed"):
+                route()
 
     def test_unknown_id(self):
         with pytest.raises(UnknownIndexError, match="unknown index"):

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cluster_simplicity
 from cluster_simplicity import evaluate, si_curve, si_hierarchical, single_linkage, synthetic_dataset
 from cluster_simplicity.cli import main
 
@@ -405,10 +408,14 @@ class TestUsage:
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the copy under test, also when pytest's own pythonpath found it
+    package_root = str(Path(cluster_simplicity.__file__).parents[1])
+    paths = [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]
     result = subprocess.run(
         [sys.executable, "-m", "cluster_simplicity", "synth", "Y2S", "--out", str(tmp_path)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
     )
     assert result.returncode == 0
     report = json.loads(result.stdout)

@@ -105,7 +105,7 @@ class TestEuclideanDistance:
         assert dm[np.triu_indices(3, k=1)] == pytest.approx([SQRT2] * 3, rel=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="points must have rows of equal length"):
             pairwise_distances([(0.0, 1.0), (0.0, 1.0, 2.0)])
 
 
@@ -297,6 +297,19 @@ class TestContainers:
             Dataset(np.empty((0, 2)))
         with pytest.raises(ValueError):
             Dataset([[np.nan, 0.0]])
+        # numpy's own message ("inhomogeneous shape") names neither points nor labels
+        with pytest.raises(ValueError, match="points must have rows of equal length"):
+            Dataset([[0, 1], [0, 1, 2]])
+
+    @pytest.mark.parametrize("build", [Dataset, pairwise_distances, radius_centroid])
+    def test_points_need_a_coordinate(self, build):
+        # zero-width points would size the distance pass's blocks by a division by zero
+        with pytest.raises(ValueError, match="points need at least one coordinate"):
+            build(np.empty((3, 0)))
+
+    def test_partition_rejects_ragged_labels(self):
+        with pytest.raises(ValueError, match="labels must be a 1-D sequence"):
+            Partition([[0], [1, 2]])
 
     def test_partition_counts(self):
         part = Partition(np.array([0, 1, 1, 2]))
