@@ -11,7 +11,7 @@ builder.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -288,8 +288,13 @@ def radius_centroid(points: object) -> float:
 
 
 def _radius(points: np.ndarray) -> float:
-    """:func:`radius_centroid` without the input checks, for validated points."""
-    return float(np.linalg.norm(points - points.mean(axis=0), axis=1).mean())
+    """:func:`radius_centroid` without the input checks, for validated points.
+
+    The arithmetic of ``norm(points - points.mean(axis=0), axis=1).mean()``,
+    without the Python wrappers of ``mean`` and ``norm``."""
+    n = points.shape[0]
+    offsets = points - points.sum(axis=0) / n
+    return float(np.sqrt(np.add.reduce(offsets * offsets, axis=1)).sum() / n)
 
 
 def pairwise_distances(points: object) -> np.ndarray:
@@ -304,36 +309,58 @@ def pairwise_distances(points: object) -> np.ndarray:
 
 def _pairwise(points: np.ndarray) -> np.ndarray:
     """:func:`pairwise_distances` without the input checks: a non-finite
-    coordinate gives non-finite distances."""
+    coordinate gives non-finite distances.
+
+    Each pair is computed once: the rows ``[start, stop)`` of a block of
+    :func:`_row_blocks` meet only the columns ``[start, N)``, and the part
+    right of the block's own square is mirrored below it."""
     n = points.shape[0]
     dm = np.empty((n, n))
-    step = _block_rows(n, points.shape[1])
-    for start in range(0, n, step):
-        dm[start : start + step] = _distance_rows(points, points[start : start + step])
+    for start, stop in _row_blocks(n, points.shape[1]):
+        dm[start:stop, start:] = _distance_rows(points[start:], points[start:stop])
+        dm[stop:, start:stop] = dm[start:stop, stop:].T
     return dm
 
 
-# Elements in one block of the distance pass: the rows x N x d difference
-# tensor, or the rows x N gathered matrix rows. 2^16 float64 is 512 KB.
+# Elements in one block of the distance pass: the rows x columns x d
+# difference tensor, or the rows x columns gathered matrix entries.
+# 2^16 float64 is 512 KB.
 _BLOCK = 2**16
 
-# the label-block reductions of ClusterStats' distance pass, by name
-_BLOCK_UFUNCS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
+# the k x k extremes of ClusterStats' distance pass: name -> (ufunc, identity)
+_EXTREMES = {"min": (np.minimum, np.inf), "max": (np.maximum, -np.inf)}
 
 
-def _block_rows(n: int, width: int) -> int:
-    """Rows per block, at most ``n``, when each row spans ``n * width`` elements."""
-    return min(n, max(1, _BLOCK // (n * width)))
+def _row_blocks(n: int, width: int) -> Iterator[tuple[int, int]]:
+    """Row spans ``[start, stop)`` of an upper-triangle pass over ``n`` rows.
+
+    A block's rows meet only the columns ``[start, n)``, each of ``width``
+    elements, so its height comes from its remaining width: at most
+    ``_BLOCK`` elements, and one row at least. Later blocks are taller."""
+    start = 0
+    while start < n:
+        stop = min(n, start + max(1, _BLOCK // ((n - start) * width)))
+        yield start, stop
+        start = stop
 
 
 def _distance_rows(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Distances from each of ``rows`` to every point, one row per row.
 
-    The one distance kernel: a row comes out the same whatever block it is
-    computed in, so the spanning tree's one-row calls agree exactly with the
-    blocked distance pass and :func:`pairwise_distances`."""
+    The one distance kernel: a distance comes out the same whatever block it
+    is computed in, so the spanning tree's one-row calls agree exactly with
+    the blocked distance pass and :func:`pairwise_distances`."""
     diff = points[None, :, :] - rows[:, None, :]
     return np.sqrt(np.einsum("bij,bij->bi", diff, diff))
+
+
+def _fold(ufunc: np.ufunc, values: np.ndarray, segments: np.ndarray, axis: int, out: np.ndarray, first: bool) -> None:
+    """Reduce ``values`` over the ``segments`` of ``axis`` into ``out``: written
+    by the first block, combined in place by ``ufunc`` after it."""
+    if first:
+        ufunc.reduceat(values, segments, axis=axis, out=out)
+    else:
+        ufunc(out, ufunc.reduceat(values, segments, axis=axis), out=out)
 
 
 class ClusterStats:
@@ -343,14 +370,15 @@ class ClusterStats:
     matrix; ValueError if the partition labels another number of items. Each
     quantity is computed when first read and belongs to this object alone.
 
-    Distance quantities come from one streamed pass over the pair distances,
-    run when the first of them is read. It takes the rows a block at a time,
-    rows and columns in label order so that each cluster is one contiguous
-    slice, and makes only the ``reductions`` named at construction: ``"sum"``,
-    ``"min"`` and ``"max"`` for :meth:`blocks` (``"sum"`` also gives
-    :attr:`row_sums`) and ``"tails"`` for :attr:`pair_tails`. Reading another
-    one raises KeyError. No N x N matrix is formed: the pass holds
-    O(block + N k) floats, and the tails O(min(w, P - w)) more for w
+    Distance quantities come from one streamed pass over the upper triangle of
+    the pair distances, run when the first of them is read: rows and columns
+    in label order, so that each cluster is one contiguous slice, and each
+    pair computed once. It makes only the ``reductions`` named at
+    construction: ``"sum"`` for :attr:`row_sums` and ``blocks("sum")``,
+    ``"min"`` and ``"max"`` for :meth:`blocks`, and ``"tails"`` for
+    :attr:`pair_tails`. Reading another one raises KeyError. No N x N matrix
+    is formed: the pass holds O(b N) floats for blocks of b rows, the
+    extremes O(k^2), the row sums N k, and the tails O(min(w, P - w)) for w
     within-cluster pairs out of P.
     """
 
@@ -400,8 +428,11 @@ class ClusterStats:
 
     def blocks(self, reduction: str) -> np.ndarray:
         """k x k: the ``reduction`` ("sum", "min" or "max") of the distances
-        between the members of each pair of clusters."""
-        return _BLOCK_UFUNCS[reduction].reduceat(self._reduced[reduction], self._starts, axis=0)
+        between the members of each pair of clusters (read-only for "min" and
+        "max")."""
+        if reduction == "sum":
+            return np.add.reduceat(self.row_sums, self._starts, axis=0)
+        return self._reduced[reduction]
 
     @property
     def pair_tails(self) -> tuple[float, float]:
@@ -411,38 +442,61 @@ class ClusterStats:
 
     @cached_property
     def _reduced(self) -> dict[str, object]:
-        """The requested reductions, from one pass over blocks of label-ordered rows.
+        """The requested reductions, from one pass over the blocks of
+        :func:`_row_blocks`: rows ``[start, stop)`` against columns ``[start, N)``.
 
-        A row's reductions over the column slices of each cluster are its N x k
-        entries; the k x k blocks reduce those over the row slices. The tails
-        take each block's upper triangle, so every pair is seen once.
+        A row's sums over the column slices of each cluster add into its row
+        sums; the columns past the block's own square meet no later block's
+        rows, so their sums over the block's row slices add, transposed, into
+        their own rows. Minima and maxima reduce each block over both slicings
+        into a k x k array, symmetrised at the end. The tails take each
+        block's strictly upper entries, so every pair is seen once.
         """
-        n, starts = self.n, self._starts
+        n, starts, labels = self.n, self._starts, self.sorted_labels
         order = np.argsort(self.labels, kind="stable")
         if self._matrix is None:
             points = self.points[order]
-            step = _block_rows(n, points.shape[1])
-            blocks = (_distance_rows(points, points[i : i + step]) for i in range(0, n, step))
+            spans = list(_row_blocks(n, points.shape[1]))
+            blocks = (_distance_rows(points[start:], points[start:stop]) for start, stop in spans)
         else:
-            step = _block_rows(n, 1)
-            blocks = (self._matrix[order[i : i + step]][:, order] for i in range(0, n, step))
-        reduced: dict[str, object] = {
-            name: np.empty((n, self.k)) for name in _BLOCK_UFUNCS if name in self._reductions
+            spans = list(_row_blocks(n, 1))
+            blocks = (self._matrix[order[start:stop]][:, order[start:]] for start, stop in spans)
+        k = self.k
+        sums = np.zeros((n, k)) if "sum" in self._reductions else None
+        extremes = {
+            name: (ufunc, np.full((k, k), identity))
+            for name, (ufunc, identity) in _EXTREMES.items()
+            if name in self._reductions
         }
         n_pairs, w = n * (n - 1) // 2, self.n_within
         tails = "tails" in self._reductions and 0 < w < n_pairs
         if tails:
-            m = min(w, n_pairs - w)
-            low, high = _Smallest(m, step * n), _Smallest(m, step * n)  # high takes negated distances
+            m, block = min(w, n_pairs - w), max((stop - start) * (n - start) for start, stop in spans)
+            low, high = _Smallest(m, block), _Smallest(m, block)  # high takes negated distances
         columns = np.arange(n)
-        for start, distances in zip(range(0, n, step), blocks):
-            stop = start + len(distances)
-            for name, out in reduced.items():
-                _BLOCK_UFUNCS[name].reduceat(distances, starts, axis=1, out=out[start:stop])
+        for (start, stop), distances in zip(spans, blocks):
+            c0, c1 = labels[start], labels[stop - 1] + 1  # the clusters of the block's rows
+            segments = starts  # each cluster's first column, relative to start
+            if start:
+                segments = starts[c0:] - start
+                segments[0] = 0  # the block may start inside cluster c0
+            if sums is not None:
+                _fold(np.add, distances, segments, 1, sums[start:stop, c0:], first=not start)
+                if stop < n:
+                    sums[stop:, c0:c1] += np.add.reduceat(distances[:, stop - start :], segments[: c1 - c0], axis=0).T
+            for ufunc, out in extremes.values():
+                by_column = ufunc.reduceat(distances, segments, axis=1)
+                _fold(ufunc, by_column, segments[: c1 - c0], 0, out[c0:c1, c0:], first=not start)
             if tails:
-                upper = distances[columns > columns[start:stop, None]]
+                upper = distances[columns[: n - start] > columns[: stop - start, None]]
                 low.add(upper)
                 high.add(-upper)
+        reduced: dict[str, object] = {} if sums is None else {"sum": sums}
+        for name, (ufunc, out) in extremes.items():
+            if len(spans) > 1:  # a pair across blocks reached only the upper cell of its clusters
+                ufunc(out, out.T, out=out)
+            out.setflags(write=False)
+            reduced[name] = out
         if tails:
             (low_m, low_rest), (high_m, high_rest) = low.sums(), high.sums()
             # past P / 2, the w smallest are all but the m largest, and the w largest all but the m smallest

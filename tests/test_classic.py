@@ -34,7 +34,7 @@ from cluster_simplicity import (
     values_equal,
     SYNTHETIC_DATASET_IDS,
 )
-from cluster_simplicity.core import _block_rows
+from cluster_simplicity.core import _BLOCK, _row_blocks
 
 import oracles
 
@@ -252,7 +252,7 @@ def grid_partition(draw, max_points=10):
 def _multi_block_size(dim, blocks=3):
     """The fewest points whose distance pass runs ``blocks`` blocks of rows in ``dim`` dimensions."""
     n = 2
-    while -(-n // _block_rows(n, dim)) < blocks:
+    while len(list(_row_blocks(n, dim))) < blocks:
         n += 1
     return n
 
@@ -278,11 +278,11 @@ def _blobs(seed, n, k, dim=8):
     return Dataset(centres[labels] + rng.standard_normal((n, dim))), Partition(labels)
 
 
-def _all_ids_peak(data, part):
-    """tracemalloc peak, in bytes, of evaluate_many over every partition id; each value must be defined."""
+def _peak(data, part, index_ids=PARTITION_INDEX_IDS):
+    """tracemalloc peak, in bytes, of evaluate_many over ``index_ids``; each value must be defined."""
     tracemalloc.start()
     try:
-        values = evaluate_many(PARTITION_INDEX_IDS, data, part)
+        values = evaluate_many(index_ids, data, part)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -517,11 +517,17 @@ class TestEvaluateRegistry:
 
     def test_many_memory_is_linear_in_n(self):
         # N = 4000, k = 64: one N x N matrix alone would take 128 MB
-        assert _all_ids_peak(*_blobs(64, 4000, 64)) < 10_000 * 4000
+        assert _peak(*_blobs(64, 4000, 64)) < 10_000 * 4000
 
     def test_many_cindex_tails_cost_less_than_the_matrix(self):
         # k = 2, N = 2000: w is about P / 2, the largest the C-index tails get
-        assert _all_ids_peak(*_blobs(7, 2000, 2)) < 12 * 2000 * 2000
+        assert _peak(*_blobs(7, 2000, 2)) < 12 * 2000 * 2000
+
+    def test_dunn_memory_is_quadratic_in_k(self):
+        # N = 2000, k = 1000: Dunn's minima and maxima fit in k x k arrays of 8 MB;
+        # N x k arrays of them would take the peak past the bound (a block is 0.5 MB)
+        k = 1000
+        assert _peak(*_blobs(9, 2 * k, k, dim=2), ["dunn"]) < 4 * k * k * 8 + 8 * _BLOCK * 8
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("index_id", ["si_centroid", "si_distance", "ch", "silhouette", "sf", "db"])

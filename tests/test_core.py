@@ -23,7 +23,7 @@ from cluster_simplicity import (
     synthetic_dataset,
     SYNTHETIC_DATASET_IDS,
 )
-from cluster_simplicity.core import ClusterStats, _Smallest, _block_rows, _distance_rows
+from cluster_simplicity.core import ClusterStats, _Smallest, _distance_rows, _row_blocks
 
 import oracles
 
@@ -158,9 +158,9 @@ class TestRadii:
         assert (radius_centroid(pts) == 0.0) == coincident
 
     def test_many_blocks_match_the_full_matrix(self):
-        # 300 points in 3-D span five blocks of the distance pass
+        # 300 points in 3-D span three blocks of the distance pass
         pts = np.random.default_rng(31).normal(size=(300, 3))
-        assert 300 // _block_rows(300, 3) >= 3
+        assert len(list(_row_blocks(300, 3))) >= 3
         full = pairwise_distances(pts)
         assert all(np.array_equal(full[i], _distance_rows(pts, pts[i : i + 1])[0]) for i in range(300))
         stats = ClusterStats(Partition(np.zeros(300, dtype=int)), points=pts, reductions=["sum", "max"])
@@ -196,6 +196,75 @@ class TestClusterBlocks:
                 assert largest[c] == pytest.approx(abs(a) * oracles.diameter(members), rel=1e-9, abs=1e-12)
                 assert mean <= largest[c] + 1e-12
                 assert (largest[c] == 0.0) == all(m == members[0] for m in members)
+
+
+@st.composite
+def multi_block_labelled_points(draw):
+    """420 to 480 half-grid points, so duplicates and tied distances, in 1-3
+    dimensions: three blocks or more of the distance pass in both forms. The
+    first clusters in label order are singletons. Drawn from a seed, so that
+    a failing case shrinks quickly."""
+    dim, n, k = draw(st.integers(1, 3)), draw(st.integers(420, 480)), draw(st.integers(2, 40))
+    singletons = draw(st.integers(0, k // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = np.concatenate([np.arange(k), rng.integers(singletons, k, n - k)])
+    return rng.integers(-3, 4, (n, dim)) / 2.0, rng.permutation(labels)
+
+
+def _brute_force_pass(points, labels):
+    """Row sums, sum / min / max blocks and sorted pair distances of the full
+    label-ordered matrix, a cluster pair at a time."""
+    order = np.argsort(labels, kind="stable")
+    full = pairwise_distances(points)[np.ix_(order, order)]
+    members = [np.flatnonzero(labels[order] == c) for c in range(labels.max() + 1)]
+    row_sums = np.stack([full[:, rows].sum(axis=1) for rows in members], axis=1)
+    blocks = {
+        name: np.array([[reduce(full[np.ix_(rows, columns)]) for columns in members] for rows in members])
+        for name, reduce in (("sum", np.sum), ("min", np.min), ("max", np.max))
+    }
+    return row_sums, blocks, np.sort(full[np.triu_indices(len(labels), k=1)])
+
+
+class TestDistancePass:
+    """Every entry of the upper-triangle pass, in both ClusterStats forms,
+    against the full matrix of :func:`pairwise_distances`."""
+
+    @staticmethod
+    def _assert_matches_brute_force(points, labels):
+        row_sums, blocks, pairs = _brute_force_pass(points, labels)
+        part = Partition(labels)
+        for source in ({"points": points}, {"distances": pairwise_distances(points)}):
+            stats = ClusterStats(part, reductions=["sum", "min", "max", "tails"], **source)
+            # sums run in another order than the oracle's; a zero sum has only zero terms
+            np.testing.assert_allclose(stats.row_sums, row_sums, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(stats.blocks("sum"), blocks["sum"], rtol=1e-12, atol=0)
+            assert np.array_equal(stats.blocks("min"), blocks["min"])
+            assert np.array_equal(stats.blocks("max"), blocks["max"])
+            w = stats.n_within
+            if 0 < w < len(pairs):
+                smallest, largest = stats.pair_tails
+                assert smallest == pytest.approx(math.fsum(pairs[:w]), rel=1e-12)
+                assert largest == pytest.approx(math.fsum(pairs[-w:]), rel=1e-12)
+
+    @given(multi_block_labelled_points())
+    @settings(max_examples=20, deadline=None)
+    def test_many_blocks_match_brute_force(self, data):
+        pts, labels = data
+        assert len(list(_row_blocks(len(pts), pts.shape[1]))) >= 3
+        assert len(list(_row_blocks(len(pts), 1))) >= 3
+        self._assert_matches_brute_force(pts, labels)
+
+    def test_a_later_block_larger_than_the_first(self):
+        # 600 points in 64-D: the first block is one row of 599 pairs, a later
+        # one two rows of 512 columns. Halving the coordinates every 50 rows
+        # makes each block's distances the smallest yet, so the tails' buffer
+        # takes a whole block at once, and one singleton makes m = 599 small.
+        rng = np.random.default_rng(17)
+        pts = rng.integers(-2, 3, (600, 64)) / 2.0 * 2.0 ** -(np.arange(600) // 50)[:, None]
+        spans = list(_row_blocks(600, 64))
+        upper = [(stop - start) * (600 - start) - (stop - start) * (stop - start + 1) // 2 for start, stop in spans]
+        assert max(upper) > upper[0] + 400
+        self._assert_matches_brute_force(pts, np.array([0] + [1] * 599))
 
 
 class TestSmallestOfAStream:
