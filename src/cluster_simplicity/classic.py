@@ -105,7 +105,7 @@ def _dunn(stats: ClusterStats) -> IndexValue:
     max_diameter = float(stats.blocks("max").diagonal().max())
     if max_diameter == 0.0:
         return UNDEFINED
-    min_separation = float(stats.blocks("min")[np.triu_indices(stats.k, k=1)].min())
+    min_separation = float(stats.blocks("min").min(initial=np.inf, where=~np.eye(stats.k, dtype=bool)))
     return min_separation / max_diameter
 
 
@@ -221,7 +221,9 @@ def descriptor(index_id: str) -> IndexDescriptor:
 
 
 def _check_partition_ids(index_ids: Sequence[str]) -> None:
-    """UnknownIndexError for the first id that does not score a partition."""
+    """UnknownIndexError for a bare string, or for the first id that does not score a partition."""
+    if isinstance(index_ids, str):  # iterating it would check one-letter ids
+        raise UnknownIndexError(f"index ids must be a list of ids, got the string {index_ids!r}; pass [{index_ids!r}]")
     for index_id in index_ids:
         if index_id == "si_hierarchical":
             raise UnknownIndexError(

@@ -61,18 +61,21 @@ def _render(value: IndexValue) -> float | str:
     return value if is_defined(value) else "undefined"
 
 
-def _read_points(path: str) -> Dataset:
-    rows: list[list[float]] = []
+def _data_lines(path: str, what: str) -> list[tuple[int, str]]:
+    """The non-blank lines of the ``what`` file at ``path``, with their 1-based
+    line numbers; InputError if the file cannot be read."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise InputError(f"cannot read points file {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = [f.strip() for f in line.split(",")]
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+    return [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1) if line.strip()]
+
+
+def _read_points(path: str) -> Dataset:
+    rows: list[list[float]] = []
+    for lineno, line in _data_lines(path, "points"):
         try:
-            row = [float(f) for f in fields]
+            row = [float(f) for f in line.split(",")]  # float() ignores surrounding whitespace
         except ValueError:
             raise InputError(f"{path}: row {lineno}: not a numeric CSV row: {line!r}") from None
         if rows and len(row) != len(rows[0]):
@@ -90,15 +93,9 @@ def _read_points(path: str) -> Dataset:
 
 def _read_labels(path: str, n_points: int) -> Partition:
     labels: list[int] = []
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read labels file {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in _data_lines(path, "labels"):
         try:
-            labels.append(int(line.strip()))
+            labels.append(int(line))
         except ValueError:
             raise InputError(f"{path}: row {lineno}: not an integer label: {line.strip()!r}") from None
     if len(labels) != n_points:
@@ -111,14 +108,8 @@ def _read_labels(path: str, n_points: int) -> Partition:
 
 def _read_linkage(path: str, n_points: int) -> list[tuple[float, float, float]]:
     # ids are read as floats: dendrogram_from_merges rejects a non-integral id by row
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read linkage file {path}: {exc}") from exc
     merges: list[tuple[float, float, float]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in _data_lines(path, "linkage"):
         fields = line.replace(",", " ").split()
         if len(fields) != 3:
             raise InputError(

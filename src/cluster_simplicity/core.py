@@ -267,8 +267,8 @@ class Dendrogram:
         Clusters are labelled in the order of their smallest point index.
         """
         n = self.n_points
-        if not 1 <= level <= n:
-            raise ValueError(f"level must be in 1..{n}, got {level}")
+        if not isinstance(level, (int, np.integer)) or not 1 <= level <= n:
+            raise ValueError(f"level must be an integer in 1..{n}, got {level}")
         # walk the applied merges from the last: each node's root is its parent's
         root = list(range(n + level - 1))
         merges = self.merges[: level - 1].tolist()
@@ -354,15 +354,6 @@ def _distance_rows(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("bij,bij->bi", diff, diff))
 
 
-def _fold(ufunc: np.ufunc, values: np.ndarray, segments: np.ndarray, axis: int, out: np.ndarray, first: bool) -> None:
-    """Reduce ``values`` over the ``segments`` of ``axis`` into ``out``: written
-    by the first block, combined in place by ``ufunc`` after it."""
-    if first:
-        ufunc.reduceat(values, segments, axis=axis, out=out)
-    else:
-        ufunc(out, ufunc.reduceat(values, segments, axis=axis), out=out)
-
-
 class ClusterStats:
     """Per-cluster statistics of one partition, shared by every partition index.
 
@@ -445,12 +436,15 @@ class ClusterStats:
         """The requested reductions, from one pass over the blocks of
         :func:`_row_blocks`: rows ``[start, stop)`` against columns ``[start, N)``.
 
-        A row's sums over the column slices of each cluster add into its row
-        sums; the columns past the block's own square meet no later block's
-        rows, so their sums over the block's row slices add, transposed, into
-        their own rows. Minima and maxima reduce each block over both slicings
-        into a k x k array, symmetrised at the end. The tails take each
-        block's strictly upper entries, so every pair is seen once.
+        Every block folds into accumulators that start at their ufunc's
+        identity (zero row sums, infinite extremes), so the first block and a
+        single-block input take the same path as the others. A row's sums over
+        the column slices of each cluster add into its row sums; the columns
+        past the block's own square meet no later block's rows, so their sums
+        over the block's row slices add, transposed, into their own rows (none
+        on the last block). Minima and maxima reduce each block over both
+        slicings into a k x k array, symmetrised at the end. The tails take
+        each block's strictly upper entries, so every pair is seen once.
         """
         n, starts, labels = self.n, self._starts, self.sorted_labels
         order = np.argsort(self.labels, kind="stable")
@@ -476,25 +470,22 @@ class ClusterStats:
         columns = np.arange(n)
         for (start, stop), distances in zip(spans, blocks):
             c0, c1 = labels[start], labels[stop - 1] + 1  # the clusters of the block's rows
-            segments = starts  # each cluster's first column, relative to start
-            if start:
-                segments = starts[c0:] - start
-                segments[0] = 0  # the block may start inside cluster c0
+            segments = starts[c0:] - start  # each cluster's first column, relative to start
+            segments[0] = 0  # the block may start inside cluster c0
             if sums is not None:
-                _fold(np.add, distances, segments, 1, sums[start:stop, c0:], first=not start)
-                if stop < n:
-                    sums[stop:, c0:c1] += np.add.reduceat(distances[:, stop - start :], segments[: c1 - c0], axis=0).T
+                sums[start:stop, c0:] += np.add.reduceat(distances, segments, axis=1)
+                sums[stop:, c0:c1] += np.add.reduceat(distances[:, stop - start :], segments[: c1 - c0], axis=0).T
             for ufunc, out in extremes.values():
+                part = out[c0:c1, c0:]
                 by_column = ufunc.reduceat(distances, segments, axis=1)
-                _fold(ufunc, by_column, segments[: c1 - c0], 0, out[c0:c1, c0:], first=not start)
+                ufunc(part, ufunc.reduceat(by_column, segments[: c1 - c0], axis=0), out=part)
             if tails:
                 upper = distances[columns[: n - start] > columns[: stop - start, None]]
                 low.add(upper)
                 high.add(-upper)
         reduced: dict[str, object] = {} if sums is None else {"sum": sums}
         for name, (ufunc, out) in extremes.items():
-            if len(spans) > 1:  # a pair across blocks reached only the upper cell of its clusters
-                ufunc(out, out.T, out=out)
+            ufunc(out, out.T, out=out)  # a pair across blocks reached only the upper cell of its clusters
             out.setflags(write=False)
             reduced[name] = out
         if tails:
@@ -652,9 +643,18 @@ def _minimum_spanning_tree(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ends, lengths
 
 
+def _root(parent: list[int] | dict[int, int], node: int) -> int:
+    """The root of ``node`` in the union-find forest ``parent`` (node -> parent),
+    halving the path on the way."""
+    while parent[node] != node:
+        parent[node] = node = parent[parent[node]]
+    return node
+
+
 class _Forest:
     """The clusters of a single-linkage hierarchy as it grows: union-find over
-    cluster ids, each merge recorded as a linkage row."""
+    cluster ids (:func:`_root` of a point is its cluster), each merge recorded
+    as a linkage row."""
 
     def __init__(self, n_points: int) -> None:
         self.n_points = n_points
@@ -662,14 +662,6 @@ class _Forest:
         self.members = {p: [p] for p in range(n_points)}  # active cluster id -> points
         self.merges: list[tuple[int, int]] = []
         self.distances: list[float] = []
-
-    def cluster_of(self, point: int) -> int:
-        root = point
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[point] != root:  # path compression
-            self.parent[point], point = root, self.parent[point]
-        return root
 
     def merge(self, a: int, b: int, distance: float) -> int:
         """Merge active clusters ``a`` and ``b`` and return the new cluster's id."""
@@ -747,20 +739,14 @@ def _merge_tied(points: np.ndarray, forest: _Forest, edges: list[list[int]], dis
     import heapq  # only tied runs need it; importing the package stays lean
 
     parent: dict[int, int] = {}  # touched cluster -> union-find parent
-
-    def find(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = c = parent[parent[c]]  # path halving
-        return c
-
     for u, v in edges:
-        a, b = forest.cluster_of(u), forest.cluster_of(v)
+        a, b = _root(forest.parent, u), _root(forest.parent, v)
         parent.setdefault(a, a)
         parent.setdefault(b, b)
-        parent[find(a)] = find(b)
+        parent[_root(parent, a)] = _root(parent, b)
     joined: dict[int, list[int]] = {}
     for c in parent:
-        joined.setdefault(find(c), []).append(c)
+        joined.setdefault(_root(parent, c), []).append(c)
     groups = [_TieGroup(points, forest, clusters, distance) for clusters in joined.values()]
 
     # one entry per group, its current smallest pair: (id, id, group, slot, slot)
@@ -807,7 +793,7 @@ def single_linkage(dataset: Dataset) -> Dendrogram:
             stop += 1
         if stop - start == 1:
             u, v = ends[start]
-            forest.merge(forest.cluster_of(u), forest.cluster_of(v), distance)
+            forest.merge(_root(forest.parent, u), _root(forest.parent, v), distance)
         else:
             _merge_tied(points, forest, ends[start:stop], distance)
         start = stop

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .classic import PARTITION_INDEX_IDS, descriptor, evaluate_many
+from .classic import PARTITION_INDEX_IDS, _check_partition_ids, descriptor, evaluate_many
 from .core import Dataset, IndexValue, Partition, is_defined, scale_dataset, shift_dataset, synthetic_dataset
 
 SCALE_FACTORS: tuple[float, ...] = (0.5, 2.0, 10.0)
@@ -149,4 +149,8 @@ def audit(index_id: str, variant: str = "short") -> PropertyFlags:
 def audit_all(index_ids: tuple[str, ...] | list[str] | None = None) -> list[PropertyFlags]:
     """Flag rows on the short variant for the given ids (default: every
     partition index), with each of the 11 probes scored once for all of them."""
-    return _audit_table(PARTITION_INDEX_IDS if index_ids is None else tuple(index_ids), "short")
+    if index_ids is None:
+        index_ids = PARTITION_INDEX_IDS
+    elif isinstance(index_ids, str):  # tuple() would split it into one-letter ids
+        _check_partition_ids(index_ids)
+    return _audit_table(tuple(index_ids), "short")

@@ -529,6 +529,12 @@ class TestEvaluateRegistry:
         k = 1000
         assert _peak(*_blobs(9, 2 * k, k, dim=2), ["dunn"]) < 4 * k * k * 8 + 8 * _BLOCK * 8
 
+    def test_dunn_reads_its_minima_without_index_arrays(self):
+        # the off-diagonal minimum is read in place: two k(k-1)/2 index arrays and their
+        # gathered copy (3.5 k^2 floats at the peak) would pass the bound of 3.25 k^2
+        k = 1000
+        assert _peak(*_blobs(9, 2 * k, k, dim=2), ["dunn"]) < 3.25 * k * k * 8
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("index_id", ["si_centroid", "si_distance", "ch", "silhouette", "sf", "db"])
     def test_overflow_raises_naming_index(self, index_id):
@@ -549,6 +555,10 @@ class TestEvaluateRegistry:
     def test_unknown_id(self):
         with pytest.raises(UnknownIndexError, match="unknown index"):
             evaluate("bogus", *X2S)
+
+    def test_a_string_of_ids_is_not_split_into_letters(self):
+        with pytest.raises(UnknownIndexError, match="must be a list of ids, got the string 'ch'"):
+            evaluate_many("ch", *X2S)
 
     def test_hierarchy_scorer_rejected(self):
         with pytest.raises(UnknownIndexError, match="dendrogram"):

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 import cluster_simplicity
-from cluster_simplicity import evaluate, si_curve, si_hierarchical, single_linkage, synthetic_dataset
+from cluster_simplicity import (
+    Dataset,
+    Partition,
+    evaluate,
+    si_curve,
+    si_hierarchical,
+    single_linkage,
+    synthetic_dataset,
+)
 from cluster_simplicity.cli import main
 
 
@@ -391,6 +399,116 @@ class TestHierarchical:
         code, _, err = run_cli(capsys, "hierarchical", "--data", str(data), "--linkage", str(linkage))
         assert code == 2
         assert "at least 2 points" in err
+
+
+class TestTableFormat:
+    # compute's table is covered in TestCompute
+    def test_properties(self, capsys):
+        code, out, _ = run_cli(capsys, "properties", "--index", "si_centroid", "--index", "ch", "--format", "table")
+        assert code == 0
+        assert out.splitlines() == [
+            "command: properties",
+            "index        variant  flags    detail",
+            "si_centroid  short    S B C    scale_ok=T shift_ok=T is_best_at_y1=T y2_worse_than_y1=T "
+            "baseline_at_x1=T baseline_at_xmax=T",
+            "ch           short    S        scale_ok=T shift_ok=T is_best_at_y1=F y2_worse_than_y1=F "
+            "baseline_at_x1=F baseline_at_xmax=F",
+            "             undefined probes: Y1, Y2, X1, Xmax",
+        ]
+
+    def test_hierarchical(self, line_csv, capsys):
+        report = run_json(capsys, "hierarchical", "--data", line_csv)
+        code, out, _ = run_cli(capsys, "hierarchical", "--data", line_csv, "--format", "table")
+        assert code == 0
+        si = [sample["si"] for sample in report["curve"]]
+        assert out.splitlines() == [
+            "command: hierarchical",
+            "input: N=3 dim=1",
+            "level  distance               si",
+            f"1      0.0                    {si[0]}",
+            f"2      1.0                    {si[1]}",
+            f"3      2.0                    {si[2]}",
+            f"si_h: {report['si_h']}",
+            f"curve minimum: level 2 (si={si[1]})",
+        ]
+
+    def test_synth(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, "synth", "X2S", "--out", str(tmp_path), "--format", "table")
+        assert code == 0
+        assert out.splitlines() == [
+            "command: synth",
+            "input: N=3 dim=3 k=2",
+            f"wrote {tmp_path / 'X2S_points.csv'} and {tmp_path / 'X2S_labels.csv'}",
+        ]
+
+
+class TestReaders:
+    # three points on a line, their labels and their single-linkage rows
+    FILES = {"points": "0,0\n1,0\n3,0\n", "labels": "0\n0\n1\n", "linkage": "0 1 1.0\n2 3 2.0\n"}
+
+    @pytest.mark.parametrize("blank", ["points", "labels", "linkage"])
+    def test_blank_lines_are_skipped(self, blank, tmp_path, capsys):
+        paths = {}
+        for name, text in self.FILES.items():
+            if name == blank:
+                text = "\n" + text.replace("\n", "\n  \n", 1) + "\n"
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(text)
+        compute = run_json(
+            capsys, "compute", "--data", str(paths["points"]), "--labels", str(paths["labels"]), "--index", "ch"
+        )
+        assert compute["n_points"] == 3
+        line = Dataset([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+        assert compute["results"][0]["value"] == evaluate("ch", line, Partition([0, 0, 1]))
+        hierarchy = run_json(capsys, "hierarchical", "--data", str(paths["points"]), "--linkage", str(paths["linkage"]))
+        assert [sample["distance"] for sample in hierarchy["curve"]] == [0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("points", "0,0\n\nx,1\n", "row 3: not a numeric CSV row: 'x,1'"),
+            ("labels", "0\n\n\nzero\n", "row 4: not an integer label: 'zero'"),
+            ("linkage", "\n0 1 1.0\n2 3 x\n", "row 3: malformed linkage row '2 3 x'"),
+        ],
+    )
+    def test_row_numbers_count_blank_lines(self, name, text, message, tmp_path, capsys):
+        files = {**self.FILES, name: text}
+        for file, content in files.items():
+            (tmp_path / file).write_text(content)
+        data, labels, linkage = (str(tmp_path / file) for file in files)
+        argv = (
+            ["hierarchical", "--data", data, "--linkage", linkage]
+            if name == "linkage"
+            else ["compute", "--data", data, "--labels", labels, "--index", "ch"]
+        )
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {tmp_path / name}: {message}\n"
+
+    def test_no_data_rows(self, tmp_path, capsys):
+        data = tmp_path / "blank.csv"
+        data.write_text("\n  \n")
+        code, _, err = run_cli(capsys, "hierarchical", "--data", str(data))
+        assert code == 2
+        assert err == f"error: {data}: no data rows\n"
+
+    def test_non_finite_coordinate(self, tmp_path, capsys):
+        data = tmp_path / "nan.csv"
+        data.write_text("0,1\nnan,2\n")
+        code, _, err = run_cli(capsys, "hierarchical", "--data", str(data))
+        assert code == 2
+        assert err == f"error: {data}: points contain non-finite coordinates\n"
+
+    @pytest.mark.parametrize("what", ["labels", "linkage"])
+    def test_unreadable_file(self, what, line_csv, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        if what == "labels":
+            argv = ["compute", "--data", line_csv, "--labels", str(missing), "--index", "ch"]
+        else:
+            argv = ["hierarchical", "--data", line_csv, "--linkage", str(missing)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"error: cannot read {what} file {missing}: ")
 
 
 class TestUsage:

@@ -361,6 +361,23 @@ class TestContainers:
         with pytest.raises(ValueError):
             data.points[0, 0] = 5.0
 
+    def test_dataset_rejects_one_dimensional_points(self):
+        with pytest.raises(ValueError, match=r"points must be a 2-D array of shape \(n, dim\), got shape \(3,\)"):
+            Dataset(np.array([0.0, 1.0, 2.0]))
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([], "labels must be a non-empty 1-D sequence"),
+            ([[0, 1], [1, 0]], "labels must be a non-empty 1-D sequence"),
+            (["0", "1"], "labels must be integers"),
+        ],
+        ids=["empty", "2-D", "strings"],
+    )
+    def test_partition_rejects_empty_2d_and_string_labels(self, labels, message):
+        with pytest.raises(ValueError, match=message):
+            Partition(labels)
+
     def test_dataset_rejects_ragged_and_empty(self):
         with pytest.raises(ValueError):
             Dataset(np.empty((0, 2)))
@@ -445,6 +462,8 @@ class TestContainers:
             DistanceMatrix([[0.0, -1.0], [-1.0, 0.0]])
         with pytest.raises(ValueError, match="square"):
             DistanceMatrix([[0.0, 1.0]])
+        with pytest.raises(ValueError, match="distance matrix contains non-finite entries"):
+            DistanceMatrix([[0.0, np.inf], [np.inf, 0.0]])
 
     def test_distance_matrix_from_dataset(self):
         data, _ = synthetic_dataset("X2S")
@@ -593,6 +612,23 @@ class TestDendrogramValidation:
         with pytest.raises(ValueError, match="merge row 2: distance 0.5 decreases"):
             Dendrogram(3, np.array([[0, 1], [2, 3]]), np.array([1.0, 0.5]))
 
+    @pytest.mark.parametrize(
+        "n_points, merges, distances, message",
+        [
+            (0, np.empty((0, 2)), np.empty(0), r"n_points must be an integer >= 1, got 0"),
+            (3, np.array([0, 1, 2, 3]), np.array([1.0, 2.0]), r"merges must be an array of shape \(n_points - 1, 2\), got shape \(4,\)"),
+            (3, np.array([[0, 1, 2], [2, 3, 4]]), np.array([1.0, 2.0]), r"got shape \(2, 3\)"),
+            (3, np.array([[0, 1], [2, 3]]), np.array([1.0]), r"expected one distance per merge, got shape \(1,\) for 2 merges"),
+            (3, np.array([[0, 1], [2, 3]]), np.array([[1.0, 2.0]]), r"got shape \(1, 2\) for 2 merges"),
+            (3, np.array([[0, 1], [2, 3]]), np.array([-1.0, 2.0]), r"merge row 1: distance must be finite and nonnegative, got -1.0"),
+            (3, np.array([[0, 1], [2, 3]]), np.array([1.0, np.nan]), r"merge row 2: distance must be finite and nonnegative, got nan"),
+        ],
+        ids=["no-points", "flat-merges", "three-column-merges", "short-distances", "2-D-distances", "negative", "nan"],
+    )
+    def test_rejects_malformed_fields(self, n_points, merges, distances, message):
+        with pytest.raises(ValueError, match=message):
+            Dendrogram(n_points, merges, distances)
+
     def test_levels_are_derived_read_only_views(self):
         dg = Dendrogram(4, np.array([[2, 3], [0, 4], [1, 5]]), np.array([0.5, 1.0, 1.0]))
         assert [dg.partition_at(level).labels.tolist() for level in range(1, 5)] == [
@@ -605,6 +641,6 @@ class TestDendrogramValidation:
             dg.merges[0, 0] = 1
         with pytest.raises(ValueError):
             dg.distances[0] = 0.0
-        for level in (0, 5):
-            with pytest.raises(ValueError, match="level must be in 1..4"):
+        for level in (0, 5, 2.0, 2.5):
+            with pytest.raises(ValueError, match=r"level must be an integer in 1\.\.4, got " + str(level)):
                 dg.partition_at(level)

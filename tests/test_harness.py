@@ -3,6 +3,7 @@ import pytest
 from cluster_simplicity import (
     PARTITION_INDEX_IDS,
     UNDEFINED,
+    UnknownIndexError,
     audit,
     audit_all,
     values_equal,
@@ -140,6 +141,10 @@ class TestAudit:
     def test_unknown_index(self):
         with pytest.raises(ValueError):
             audit("bogus")
+
+    def test_audit_all_rejects_a_string_of_ids(self):
+        with pytest.raises(UnknownIndexError, match="must be a list of ids, got the string 'ch'"):
+            audit_all("ch")
 
     def test_audit_all_scores_each_probe_once(self, monkeypatch):
         built = []

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -231,6 +232,19 @@ class TestSiCurve:
     def test_rejects_decreasing_distances(self):
         with pytest.raises(ValueError, match="nondecreasing"):
             SiCurve(((1.0, 3.0), (0.5, 2.0)))
+
+    @pytest.mark.parametrize(
+        "samples, message",
+        [
+            ((), "curve has no samples"),
+            (((0.0, 3.0), (1.0, math.inf)), r"sample 2 must be finite with nonnegative distance, got \(1.0, inf\)"),
+            (((math.nan, 3.0),), r"sample 1 must be finite with nonnegative distance, got \(nan, 3.0\)"),
+        ],
+        ids=["empty", "infinite-value", "nan-distance"],
+    )
+    def test_rejects_empty_and_non_finite_samples(self, samples, message):
+        with pytest.raises(ValueError, match=message):
+            SiCurve(samples)
 
     def test_rejects_mismatched_dataset(self):
         data = Dataset([[0.0], [1.0], [3.0]])
