@@ -14,7 +14,8 @@ results are rendered as the token ``"undefined"`` and still exit 0. Exit code
 1 flags a usage error, 2 a file parse or validation error.
 
 File formats: points are headerless CSV, one point per row; labels are
-headerless, one nonnegative integer per row; linkage files have N-1 rows
+headerless, one nonnegative integer per row, which may be written as an
+integral float; linkage files have N-1 rows
 ``left right distance`` (whitespace or comma separated) where ids 0..N-1 are
 the points and row r creates cluster id N+r; ids may be written as integral
 floats, as ``np.savetxt`` writes them.
@@ -92,12 +93,16 @@ def _read_points(path: str) -> Dataset:
 
 
 def _read_labels(path: str, n_points: int) -> Partition:
+    # read as floats, so that the integral floats np.savetxt writes are accepted
     labels: list[int] = []
     for lineno, line in _data_lines(path, "labels"):
         try:
-            labels.append(int(line))
+            label = float(line)
         except ValueError:
-            raise InputError(f"{path}: row {lineno}: not an integer label: {line.strip()!r}") from None
+            label = float("nan")
+        if not label.is_integer():  # 1.5, nan, inf and text
+            raise InputError(f"{path}: row {lineno}: not an integer label: {line.strip()!r}")
+        labels.append(int(label))
     if len(labels) != n_points:
         raise InputError(f"{path}: {len(labels)} labels for {n_points} points")
     try:

@@ -315,15 +315,20 @@ def _pairwise(points: np.ndarray) -> np.ndarray:
     :func:`_row_blocks` meet only the columns ``[start, N)``, and the part
     right of the block's own square is mirrored below it."""
     n = points.shape[0]
+    columns = np.ascontiguousarray(points.T)
     dm = np.empty((n, n))
-    for start, stop in _row_blocks(n, points.shape[1]):
-        dm[start:stop, start:] = _distance_rows(points[start:], points[start:stop])
-        dm[stop:, start:stop] = dm[start:stop, stop:].T
+    with np.errstate(over="ignore"):  # an overflowed square is an infinite distance
+        for start, stop in _row_blocks(n):
+            dm[start:stop, start:] = _distance_rows(columns[:, start:], points[start:stop])
+            dm[stop:, start:stop] = dm[start:stop, stop:].T
     return dm
 
 
-# Elements in one block of the distance pass: the rows x columns x d
-# difference tensor, or the rows x columns gathered matrix entries.
+# Distances in one block of the distance pass: rows x columns, computed or
+# gathered from a matrix. 2^13 float64 is 64 KB.
+_DISTANCES = 2**13
+
+# Elements of the kernel's rows x d x columns difference tensor.
 # 2^16 float64 is 512 KB.
 _BLOCK = 2**16
 
@@ -331,27 +336,45 @@ _BLOCK = 2**16
 _EXTREMES = {"min": (np.minimum, np.inf), "max": (np.maximum, -np.inf)}
 
 
-def _row_blocks(n: int, width: int) -> Iterator[tuple[int, int]]:
+def _row_blocks(n: int) -> Iterator[tuple[int, int]]:
     """Row spans ``[start, stop)`` of an upper-triangle pass over ``n`` rows.
 
-    A block's rows meet only the columns ``[start, n)``, each of ``width``
-    elements, so its height comes from its remaining width: at most
-    ``_BLOCK`` elements, and one row at least. Later blocks are taller."""
+    A block's rows meet only the columns ``[start, n)``, so its height comes
+    from its remaining width: at most ``_DISTANCES`` distances, and one row
+    at least. Later blocks are taller."""
     start = 0
     while start < n:
-        stop = min(n, start + max(1, _BLOCK // ((n - start) * width)))
+        stop = min(n, start + max(1, _DISTANCES // (n - start)))
         yield start, stop
         start = stop
 
 
-def _distance_rows(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Distances from each of ``rows`` to every point, one row per row.
+def _distance_rows(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Distances from each of the b x d ``rows`` to each of the w points
+    held coordinate-major in the d x w ``columns``: a b x w array.
 
-    The one distance kernel: a distance comes out the same whatever block it
-    is computed in, so the spanning tree's one-row calls agree exactly with
-    the blocked distance pass and :func:`pairwise_distances`."""
-    diff = points[None, :, :] - rows[:, None, :]
-    return np.sqrt(np.einsum("bij,bij->bi", diff, diff))
+    The one distance kernel. Rows are taken a few at a time, so that their
+    b x d x w differences hold at most ``_BLOCK`` elements (one row at
+    least). The differences are squared in place and summed over the
+    coordinate axis, which lies outside the rows of w: numpy's inner loop
+    adds a row of w at a time, so each distance is summed in coordinate order
+    whatever block it is computed in. The square of ``p_j - p_i`` is that of
+    ``p_i - p_j``. So the spanning tree's one-row calls and the tie groups'
+    calls agree exactly with the blocked distance pass and
+    :func:`pairwise_distances`, which is exactly symmetric. Callers enter
+    ``np.errstate(over="ignore")`` once, outside their loop: an overflowed
+    square sums to an infinite distance.
+    """
+    d, w = columns.shape
+    if w == 1:  # numpy would drop the unit axis, make the coordinates its inner loop and sum them pairwise
+        return _distance_rows(np.repeat(columns, 2, axis=1), rows)[:, :1]
+    out = np.empty((rows.shape[0], w))
+    step = max(1, _BLOCK // (d * w))
+    for start in range(0, rows.shape[0], step):
+        diff = columns - rows[start : start + step, :, None]
+        diff *= diff
+        np.add.reduce(diff, axis=1, out=out[start : start + step])
+    return np.sqrt(out, out=out)
 
 
 class ClusterStats:
@@ -448,12 +471,12 @@ class ClusterStats:
         """
         n, starts, labels = self.n, self._starts, self.sorted_labels
         order = np.argsort(self.labels, kind="stable")
+        spans = list(_row_blocks(n))
         if self._matrix is None:
             points = self.points[order]
-            spans = list(_row_blocks(n, points.shape[1]))
-            blocks = (_distance_rows(points[start:], points[start:stop]) for start, stop in spans)
+            columns = np.ascontiguousarray(points.T)
+            blocks = (_distance_rows(columns[:, start:], points[start:stop]) for start, stop in spans)
         else:
-            spans = list(_row_blocks(n, 1))
             blocks = (self._matrix[order[start:stop]][:, order[start:]] for start, stop in spans)
         k = self.k
         sums = np.zeros((n, k)) if "sum" in self._reductions else None
@@ -467,22 +490,23 @@ class ClusterStats:
         if tails:
             m, block = min(w, n_pairs - w), max((stop - start) * (n - start) for start, stop in spans)
             low, high = _Smallest(m, block), _Smallest(m, block)  # high takes negated distances
-        columns = np.arange(n)
-        for (start, stop), distances in zip(spans, blocks):
-            c0, c1 = labels[start], labels[stop - 1] + 1  # the clusters of the block's rows
-            segments = starts[c0:] - start  # each cluster's first column, relative to start
-            segments[0] = 0  # the block may start inside cluster c0
-            if sums is not None:
-                sums[start:stop, c0:] += np.add.reduceat(distances, segments, axis=1)
-                sums[stop:, c0:c1] += np.add.reduceat(distances[:, stop - start :], segments[: c1 - c0], axis=0).T
-            for ufunc, out in extremes.values():
-                part = out[c0:c1, c0:]
-                by_column = ufunc.reduceat(distances, segments, axis=1)
-                ufunc(part, ufunc.reduceat(by_column, segments[: c1 - c0], axis=0), out=part)
-            if tails:
-                upper = distances[columns[: n - start] > columns[: stop - start, None]]
-                low.add(upper)
-                high.add(-upper)
+        index = np.arange(n)
+        with np.errstate(over="ignore"):  # an overflowed distance or sum is infinite, for the scorers' guard
+            for (start, stop), distances in zip(spans, blocks):
+                c0, c1 = labels[start], labels[stop - 1] + 1  # the clusters of the block's rows
+                segments = starts[c0:] - start  # each cluster's first column, relative to start
+                segments[0] = 0  # the block may start inside cluster c0
+                if sums is not None:
+                    sums[start:stop, c0:] += np.add.reduceat(distances, segments, axis=1)
+                    sums[stop:, c0:c1] += np.add.reduceat(distances[:, stop - start :], segments[: c1 - c0], axis=0).T
+                for ufunc, out in extremes.values():
+                    part = out[c0:c1, c0:]
+                    by_column = ufunc.reduceat(distances, segments, axis=1)
+                    ufunc(part, ufunc.reduceat(by_column, segments[: c1 - c0], axis=0), out=part)
+                if tails:
+                    upper = distances[index[: n - start] > index[: stop - start, None]]
+                    low.add(upper)
+                    high.add(-upper)
         reduced: dict[str, object] = {} if sums is None else {"sum": sums}
         for name, (ufunc, out) in extremes.items():
             ufunc(out, out.T, out=out)  # a pair across blocks reached only the upper cell of its clusters
@@ -627,19 +651,21 @@ def _minimum_spanning_tree(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     nearest = np.zeros(n, dtype=np.intp)  # the tree point at that distance
     ends = np.empty((n - 1, 2), dtype=np.intp)
     lengths = np.empty(n - 1)
+    columns = np.ascontiguousarray(points.T)
     current = 0
-    for step in range(n - 1):
-        outside[current] = False
-        best[current] = np.inf
-        row = _distance_rows(points, points[current : current + 1])[0]
-        closer = outside & (row < best)
-        best[closer] = row[closer]
-        nearest[closer] = current
-        current = int(np.argmin(best))
-        if best[current] == math.inf:  # every remaining edge overflowed; argmin found no outside point
-            raise ValueError("single linkage: a point distance overflowed to inf; the coordinates are too large")
-        ends[step] = nearest[current], current
-        lengths[step] = best[current]
+    with np.errstate(over="ignore"):  # an overflowed edge is infinite, and raises below
+        for step in range(n - 1):
+            outside[current] = False
+            best[current] = np.inf
+            row = _distance_rows(columns, points[current : current + 1])[0]
+            closer = outside & (row < best)
+            best[closer] = row[closer]
+            nearest[closer] = current
+            current = int(np.argmin(best))
+            if best[current] == math.inf:  # every remaining edge overflowed; argmin found no outside point
+                raise ValueError("single linkage: a point distance overflowed to inf; the coordinates are too large")
+            ends[step] = nearest[current], current
+            lengths[step] = best[current]
     return ends, lengths
 
 
@@ -689,14 +715,16 @@ class _TieGroup:
         clusters = sorted(clusters, key=lambda c: (-len(forest.members[c]), c))
         sizes = [len(forest.members[c]) for c in clusters]
         members = points[[p for c in clusters for p in forest.members[c]]]
+        columns = np.ascontiguousarray(members.T)
         slot = np.repeat(np.arange(len(clusters)), sizes)
         ends = np.cumsum(sizes)
         self.tied = np.zeros((len(clusters), len(clusters)), dtype=bool)
-        for i in range(1, len(clusters)):
-            before = ends[i - 1]
-            for row in range(before, ends[i]):
-                near = _distance_rows(members[:before], members[row : row + 1])[0] <= distance
-                self.tied[i, slot[:before][near]] = True
+        with np.errstate(over="ignore"):  # an overflowed distance is infinite, so never tied
+            for i in range(1, len(clusters)):
+                before = ends[i - 1]
+                for row in range(before, ends[i]):
+                    near = _distance_rows(columns[:, :before], members[row : row + 1])[0] <= distance
+                    self.tied[i, slot[:before][near]] = True
         self.tied |= self.tied.T
         self.degree = self.tied.sum(axis=1)
         self.ids = np.array(clusters)

@@ -249,20 +249,20 @@ def grid_partition(draw, max_points=10):
     return Dataset(np.array(pts)), Partition(np.array(labels))
 
 
-def _multi_block_size(dim, blocks=3):
-    """The fewest points whose distance pass runs ``blocks`` blocks of rows in ``dim`` dimensions."""
+def _multi_block_size(blocks=3):
+    """The fewest points whose distance pass runs ``blocks`` blocks of rows."""
     n = 2
-    while len(list(_row_blocks(n, dim))) < blocks:
+    while len(list(_row_blocks(n))) < blocks:
         n += 1
     return n
 
 
 @st.composite
 def multi_block_partition(draw):
-    # a few hundred half-grid points: duplicates and tied distances fall on both
+    # about 150 half-grid points: duplicates and tied distances fall on both
     # sides of every block boundary and in both C-index tails
     dim = draw(st.integers(1, 3))
-    n = _multi_block_size(dim)
+    n = _multi_block_size()
     pts = draw(arrays(np.int64, (n, dim), elements=st.integers(-6, 6))) / 2.0
     k = draw(st.integers(2, n // 2))
     extra = draw(arrays(np.int64, n - k, elements=st.integers(0, k - 1)))
@@ -437,6 +437,18 @@ class TestAgainstNaiveOracles:
             else:
                 assert value == pytest.approx(expected[index_id], rel=1e-9, abs=1e-12), index_id
         _assert_many_matches_public_functions(data, part)
+
+    def test_both_distance_forms_sum_in_one_order(self):
+        # 293 2-D half-grid points in 4 clusters: when the points and the matrix
+        # forms of the pass cut their blocks apart, si_distance's sums grouped
+        # differently and the two routes differed in the last bit
+        rng = np.random.default_rng(9)
+        dim = int(rng.integers(1, 4))
+        pts = rng.integers(-6, 7, (293, dim)) / 2
+        k = int(rng.integers(2, 146))
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, 293 - k)])
+        rng.shuffle(labels)
+        _assert_many_matches_public_functions(Dataset(pts), Partition(labels))
 
 
 class TestAgainstScikitLearn:

@@ -468,6 +468,7 @@ class TestReaders:
         [
             ("points", "0,0\n\nx,1\n", "row 3: not a numeric CSV row: 'x,1'"),
             ("labels", "0\n\n\nzero\n", "row 4: not an integer label: 'zero'"),
+            ("labels", "0\n0\n1.5\n", "row 3: not an integer label: '1.5'"),
             ("linkage", "\n0 1 1.0\n2 3 x\n", "row 3: malformed linkage row '2 3 x'"),
         ],
     )
@@ -484,6 +485,17 @@ class TestReaders:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"error: {tmp_path / name}: {message}\n"
+
+    def test_savetxt_labels_are_read(self, tmp_path, capsys):
+        # np.savetxt writes integer labels as integral floats: 0.000000000000000000e+00
+        (tmp_path / "points.csv").write_text(self.FILES["points"])
+        np.savetxt(tmp_path / "labels.txt", np.array([0, 0, 1]))
+        compute = run_json(
+            capsys, "compute", "--data", str(tmp_path / "points.csv"), "--labels", str(tmp_path / "labels.txt"),
+            "--index", "ch",
+        )
+        line = Dataset([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+        assert compute["results"][0]["value"] == evaluate("ch", line, Partition([0, 0, 1]))
 
     def test_no_data_rows(self, tmp_path, capsys):
         data = tmp_path / "blank.csv"

@@ -158,15 +158,24 @@ class TestRadii:
         assert (radius_centroid(pts) == 0.0) == coincident
 
     def test_many_blocks_match_the_full_matrix(self):
-        # 300 points in 3-D span three blocks of the distance pass
-        pts = np.random.default_rng(31).normal(size=(300, 3))
-        assert len(list(_row_blocks(300, 3))) >= 3
-        full = pairwise_distances(pts)
-        assert all(np.array_equal(full[i], _distance_rows(pts, pts[i : i + 1])[0]) for i in range(300))
-        stats = ClusterStats(Partition(np.zeros(300, dtype=int)), points=pts, reductions=["sum", "max"])
-        assert stats.blocks("max")[0, 0] == full.max()
-        mean = stats.blocks("sum")[0, 0] / (300 * 299)  # every pair counted twice
-        assert mean == pytest.approx(full[np.triu_indices(300, k=1)].mean(), rel=1e-15)
+        # 300 points span three blocks of the distance pass. Whatever the block,
+        # a distance comes out the same, at every d: from the matrix, from a
+        # one-row call, from a one-column call and from the pass, so that
+        # single linkage's one-row and tie distances agree exactly.
+        assert len(list(_row_blocks(300))) >= 3
+        part = Partition(np.zeros(300, dtype=int))
+        for d in (1, 2, 3, 8, 33, 64):
+            pts = np.random.default_rng(31).normal(size=(300, d))
+            columns = np.ascontiguousarray(pts.T)
+            full = pairwise_distances(pts)
+            assert np.array_equal(full, full.T), d
+            assert all(np.array_equal(full[i], _distance_rows(columns, pts[i : i + 1])[0]) for i in range(300)), d
+            assert np.array_equal(full[:, -1:], _distance_rows(columns[:, -1:], pts)), d
+            stats = ClusterStats(part, points=pts, reductions=["sum", "max"])
+            assert stats.blocks("max")[0, 0] == full.max(), d
+            assert np.array_equal(stats.row_sums, ClusterStats(part, distances=full, reductions=["sum"]).row_sums), d
+            mean = stats.blocks("sum")[0, 0] / (300 * 299)  # every pair counted twice
+            assert mean == pytest.approx(full[np.triu_indices(300, k=1)].mean(), rel=1e-15), d
 
     @given(point_sets(min_points=2))
     @settings(max_examples=60, deadline=None)
@@ -201,7 +210,7 @@ class TestClusterBlocks:
 @st.composite
 def multi_block_labelled_points(draw):
     """420 to 480 half-grid points, so duplicates and tied distances, in 1-3
-    dimensions: three blocks or more of the distance pass in both forms. The
+    dimensions: three blocks or more of the distance pass. The
     first clusters in label order are singletons. Drawn from a seed, so that
     a failing case shrinks quickly."""
     dim, n, k = draw(st.integers(1, 3)), draw(st.integers(420, 480)), draw(st.integers(2, 40))
@@ -250,21 +259,22 @@ class TestDistancePass:
     @settings(max_examples=20, deadline=None)
     def test_many_blocks_match_brute_force(self, data):
         pts, labels = data
-        assert len(list(_row_blocks(len(pts), pts.shape[1]))) >= 3
-        assert len(list(_row_blocks(len(pts), 1))) >= 3
+        assert len(list(_row_blocks(len(pts)))) >= 3
         self._assert_matches_brute_force(pts, labels)
 
     def test_a_later_block_larger_than_the_first(self):
-        # 600 points in 64-D: the first block is one row of 599 pairs, a later
-        # one two rows of 512 columns. Halving the coordinates every 50 rows
-        # makes each block's distances the smallest yet, so the tails' buffer
-        # takes a whole block at once, and one singleton makes m = 599 small.
+        # 586 points: the first block is 13 rows of 7527 pairs, the fourth 15
+        # rows of 545 columns and 8055 pairs. Halving the coordinates at each
+        # block makes its distances the smallest yet, so the tails' buffer takes
+        # a whole block at once, and one singleton makes m = 585 small. In 64-D
+        # the kernel takes a block's rows 1 to 12 at a time.
         rng = np.random.default_rng(17)
-        pts = rng.integers(-2, 3, (600, 64)) / 2.0 * 2.0 ** -(np.arange(600) // 50)[:, None]
-        spans = list(_row_blocks(600, 64))
-        upper = [(stop - start) * (600 - start) - (stop - start) * (stop - start + 1) // 2 for start, stop in spans]
+        spans = list(_row_blocks(586))
+        block_of_row = np.repeat(np.arange(len(spans)), [stop - start for start, stop in spans])
+        pts = rng.integers(-2, 3, (586, 64)) / 2.0 * 2.0 ** -block_of_row[:, None]
+        upper = [(stop - start) * (586 - start) - (stop - start) * (stop - start + 1) // 2 for start, stop in spans]
         assert max(upper) > upper[0] + 400
-        self._assert_matches_brute_force(pts, np.array([0] + [1] * 599))
+        self._assert_matches_brute_force(pts, np.array([0] + [1] * 585))
 
 
 class TestSmallestOfAStream:
