@@ -69,8 +69,9 @@ def _silhouette(stats: ClusterStats) -> IndexValue:
         return UNDEFINED
     rows, own = np.arange(stats.n), stats.sorted_labels
     own_size = stats.sizes[own]
-    a = stats.row_sums[rows, own] / np.maximum(own_size - 1, 1)
-    mean_to = stats.row_sums / stats.sizes
+    row_sums = stats.reduced("rows")
+    a = row_sums[rows, own] / np.maximum(own_size - 1, 1)
+    mean_to = row_sums / stats.sizes
     mean_to[rows, own] = np.inf
     b = mean_to.min(axis=1)
     scale = np.maximum(a, b)
@@ -102,10 +103,9 @@ def _dunn(stats: ClusterStats) -> IndexValue:
     """
     if stats.k == 1:
         return UNDEFINED
-    max_diameter = float(stats.blocks("max").diagonal().max())
+    max_diameter, min_separation = stats.reduced("extremes")
     if max_diameter == 0.0:
         return UNDEFINED
-    min_separation = float(stats.blocks("min").min(initial=np.inf, where=~np.eye(stats.k, dtype=bool)))
     return min_separation / max_diameter
 
 
@@ -134,13 +134,18 @@ def _cindex(stats: ClusterStats) -> IndexValue:
     pairwise distances in the whole dataset. UNDEFINED when S_max = S_min
     (covers k = 1, k = N, and all-equal pairwise distances). S_min <= S <=
     S_max, so the value lies in [0, 1]; rounding past either end is clamped.
+    Exactly 0 when no within distance exceeds a between distance: the w
+    smallest pairs are then the within pairs, so S = S_min however both round.
     """
     if not 0 < stats.n_within < stats.n * (stats.n - 1) // 2:  # k = N, k = 1 or N = 1: S_max = S_min
         return UNDEFINED
-    within_sum = float(stats.blocks("sum").trace()) / 2  # each pair twice
-    smallest_sum, largest_sum = stats.pair_tails
+    smallest_sum, largest_sum = stats.reduced("tails")
     if largest_sum == smallest_sum:
         return UNDEFINED
+    max_within, min_between = stats.reduced("extremes")
+    if max_within <= min_between:
+        return 0.0
+    within_sum = float(stats.reduced("within")[0].sum())
     return min(max((within_sum - smallest_sum) / (largest_sum - smallest_sum), 0.0), 1.0)
 
 
@@ -167,13 +172,13 @@ _INDICES: dict[str, tuple[IndexDescriptor, Callable[[ClusterStats], IndexValue] 
     meta.id: (meta, scorer, frozenset(reductions))
     for meta, scorer, reductions in (
         (IndexDescriptor("si_centroid", "lower-better", best_value=1.0, baseline=float), _si_centroid, ()),
-        (IndexDescriptor("si_distance", "lower-better", best_value=1.0, baseline=float), _si_distance, ("sum",)),
+        (IndexDescriptor("si_distance", "lower-better", best_value=1.0, baseline=float), _si_distance, ("within",)),
         (IndexDescriptor("ch", "higher-better"), _ch, ()),
-        (IndexDescriptor("silhouette", "higher-better", best_value=1.0), _silhouette, ("sum",)),
+        (IndexDescriptor("silhouette", "higher-better", best_value=1.0), _silhouette, ("rows",)),
         (IndexDescriptor("sf", "higher-better"), _sf, ()),
-        (IndexDescriptor("dunn", "higher-better"), _dunn, ("min", "max")),
+        (IndexDescriptor("dunn", "higher-better"), _dunn, ("extremes",)),
         (IndexDescriptor("db", "lower-better"), _db, ()),
-        (IndexDescriptor("cindex", "lower-better", best_value=0.0), _cindex, ("sum", "tails")),
+        (IndexDescriptor("cindex", "lower-better", best_value=0.0), _cindex, ("within", "extremes", "tails")),
         (IndexDescriptor("si_hierarchical", "lower-better"), None, ()),
     )
 }

@@ -14,6 +14,7 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Any
 
 import numpy as np
 
@@ -332,9 +333,6 @@ _DISTANCES = 2**13
 # 2^16 float64 is 512 KB.
 _BLOCK = 2**16
 
-# the k x k extremes of ClusterStats' distance pass: name -> (ufunc, identity)
-_EXTREMES = {"min": (np.minimum, np.inf), "max": (np.maximum, -np.inf)}
-
 
 def _row_blocks(n: int) -> Iterator[tuple[int, int]]:
     """Row spans ``[start, stop)`` of an upper-triangle pass over ``n`` rows.
@@ -388,12 +386,10 @@ class ClusterStats:
     the pair distances, run when the first of them is read: rows and columns
     in label order, so that each cluster is one contiguous slice, and each
     pair computed once. It makes only the ``reductions`` named at
-    construction: ``"sum"`` for :attr:`row_sums` and ``blocks("sum")``,
-    ``"min"`` and ``"max"`` for :meth:`blocks`, and ``"tails"`` for
-    :attr:`pair_tails`. Reading another one raises KeyError. No N x N matrix
-    is formed: the pass holds O(b N) floats for blocks of b rows, the
-    extremes O(k^2), the row sums N k, and the tails O(min(w, P - w)) for w
-    within-cluster pairs out of P.
+    construction, read by :meth:`reduced`; reading another one raises
+    KeyError. No N x N matrix is formed: the pass holds O(b N) floats for
+    blocks of b rows, the row sums N k, the within sums N, the extremes two
+    floats, and the tails O(min(w, P - w)) for w within-cluster pairs of P.
     """
 
     def __init__(
@@ -435,41 +431,29 @@ class ClusterStats:
         member_distances = np.linalg.norm(self.offsets, axis=1)
         return np.bincount(self.labels, weights=member_distances, minlength=self.k) / self.sizes
 
-    @property
-    def row_sums(self) -> np.ndarray:
-        """N x k: summed distance from each point, in label order, to each cluster."""
-        return self._reduced["sum"]
-
-    def blocks(self, reduction: str) -> np.ndarray:
-        """k x k: the ``reduction`` ("sum", "min" or "max") of the distances
-        between the members of each pair of clusters (read-only for "min" and
-        "max")."""
-        if reduction == "sum":
-            return np.add.reduceat(self.row_sums, self._starts, axis=0)
-        return self._reduced[reduction]
-
-    @property
-    def pair_tails(self) -> tuple[float, float]:
-        """Sums of the w smallest and of the w largest of all P pair distances,
-        for w = ``n_within``; present only when 0 < w < P."""
-        return self._reduced["tails"]
+    def reduced(self, name: str) -> Any:
+        """The distance reduction ``name`` named at construction. ``"rows"``:
+        N x k sums of the distances from each point, in label order, to each
+        cluster. ``"within"``: the distance sums of each cluster's pairs and
+        of all pairs, the same bits with or without ``"rows"``. ``"extremes"``:
+        the largest within-cluster distance (0 if none) and the smallest
+        between-cluster one (infinite if none). ``"tails"``: the sums of the w
+        = ``n_within`` smallest and largest pair distances, if 0 < w < P."""
+        return self._reduced[name]
 
     @cached_property
-    def _reduced(self) -> dict[str, object]:
+    def _reduced(self) -> dict[str, Any]:
         """The requested reductions, from one pass over the blocks of
         :func:`_row_blocks`: rows ``[start, stop)`` against columns ``[start, N)``.
 
-        Every block folds into accumulators that start at their ufunc's
-        identity (zero row sums, infinite extremes), so the first block and a
-        single-block input take the same path as the others. A row's sums over
-        the column slices of each cluster add into its row sums; the columns
-        past the block's own square meet no later block's rows, so their sums
-        over the block's row slices add, transposed, into their own rows (none
-        on the last block). Minima and maxima reduce each block over both
-        slicings into a k x k array, symmetrised at the end. The tails take
-        each block's strictly upper entries, so every pair is seen once.
+        A block's square holds its own pairs twice; the columns past it meet
+        no later block's rows, so their sums over each cluster's rows add into
+        those rows' sums. Without row sums, the within sums take the same
+        segment sums for the rows' own clusters alone: the same bits either
+        way. The tails take the entries right of the square's diagonal.
         """
-        n, starts, labels = self.n, self._starts, self.sorted_labels
+        n, k, starts, labels = self.n, self.k, self._starts, self.sorted_labels
+        ends = starts + self.sizes
         order = np.argsort(self.labels, kind="stable")
         spans = list(_row_blocks(n))
         if self._matrix is None:
@@ -477,86 +461,97 @@ class ClusterStats:
             columns = np.ascontiguousarray(points.T)
             blocks = (_distance_rows(columns[:, start:], points[start:stop]) for start, stop in spans)
         else:
-            blocks = (self._matrix[order[start:stop]][:, order[start:]] for start, stop in spans)
-        k = self.k
-        sums = np.zeros((n, k)) if "sum" in self._reductions else None
-        extremes = {
-            name: (ufunc, np.full((k, k), identity))
-            for name, (ufunc, identity) in _EXTREMES.items()
-            if name in self._reductions
-        }
+            blocks = (self._matrix[order[start:stop]].take(order[start:], axis=1) for start, stop in spans)
+        wanted = self._reductions
+        within, extremes = "within" in wanted, "extremes" in wanted
+        rows = np.zeros((n, k)) if "rows" in wanted else None
+        own = np.zeros(n) if within and rows is None else None  # each point's summed distance to its own cluster
+        pair_sums: list[float] = []
+        largest, smallest = -math.inf, math.inf
         n_pairs, w = n * (n - 1) // 2, self.n_within
-        tails = "tails" in self._reductions and 0 < w < n_pairs
-        if tails:
-            m, block = min(w, n_pairs - w), max((stop - start) * (n - start) for start, stop in spans)
-            low, high = _Smallest(m, block), _Smallest(m, block)  # high takes negated distances
-        index = np.arange(n)
+        m, index, side = min(w, n_pairs - w), np.arange(n), max(stop - start for start, stop in spans)
+        block = max((stop - start) * (n - start) for start, stop in spans)
+        tails = _Tails(m, min(3 * m + block, n_pairs)) if "tails" in wanted and m else None
+        upper = index[:side] > index[:side, None]  # the pairs of a block's square
+        totals = within or tails is not None  # whether to sum all pairs
         with np.errstate(over="ignore"):  # an overflowed distance or sum is infinite, for the scorers' guard
             for (start, stop), distances in zip(spans, blocks):
+                square = stop - start
                 c0, c1 = labels[start], labels[stop - 1] + 1  # the clusters of the block's rows
                 segments = starts[c0:] - start  # each cluster's first column, relative to start
                 segments[0] = 0  # the block may start inside cluster c0
-                if sums is not None:
-                    sums[start:stop, c0:] += np.add.reduceat(distances, segments, axis=1)
-                    sums[stop:, c0:c1] += np.add.reduceat(distances[:, stop - start :], segments[: c1 - c0], axis=0).T
-                for ufunc, out in extremes.values():
-                    part = out[c0:c1, c0:]
-                    by_column = ufunc.reduceat(distances, segments, axis=1)
-                    ufunc(part, ufunc.reduceat(by_column, segments[: c1 - c0], axis=0), out=part)
-                if tails:
-                    upper = distances[index[: n - start] > index[: stop - start, None]]
-                    low.add(upper)
-                    high.add(-upper)
-        reduced: dict[str, object] = {} if sums is None else {"sum": sums}
-        for name, (ufunc, out) in extremes.items():
-            ufunc(out, out.T, out=out)  # a pair across blocks reached only the upper cell of its clusters
-            out.setflags(write=False)
-            reduced[name] = out
-        if tails:
-            (low_m, low_rest), (high_m, high_rest) = low.sums(), high.sums()
+                near, end = segments[: c1 - c0], ends[c1 - 1] - start  # where the rows' clusters start and end
+                mine = index[:square], labels[start:stop] - c0  # each row's own cluster among them
+                far = distances[:, square:]
+                if rows is not None:
+                    rows[start:stop, c0:] += np.add.reduceat(distances, segments, axis=1)
+                elif within:
+                    own[start:stop] += np.add.reduceat(distances[:, :end], near, axis=1)[mine]
+                if rows is not None or totals:
+                    bounds = [*near.tolist(), square] if far.size else []  # the last block has no far columns
+                    for c, first, last in zip(range(c0, c1), bounds, bounds[1:]):
+                        sums = np.add.reduce(far[first:last], axis=0)  # over the rows of cluster c
+                        if rows is not None:
+                            rows[stop:, c] += sums
+                        elif within and c == c1 - 1:  # the last cluster may go on past the square
+                            own[stop : start + end] += sums[: max(end - square, 0)]
+                        if totals:
+                            pair_sums.append(float(sums.sum()))
+                    if totals:
+                        pair_sums.append(float(distances[:, :square].sum()) / 2)
+                if extremes:
+                    highs = np.maximum.reduceat(distances[:, :end], near, axis=1)
+                    lows = np.minimum.reduceat(distances, segments[: c1 - c0 + 1], axis=1)  # and all later columns
+                    lows[mine] = math.inf
+                    largest, smallest = max(largest, highs[mine].max()), min(smallest, lows.min())
+                if tails is not None:
+                    tails.add(distances, upper[:square, :square])
+        reduced: dict[str, Any] = {"rows": rows, "extremes": (float(largest), float(smallest))}
+        total = math.fsum(pair_sums)
+        if within:
+            own = rows[index, labels] if own is None else own
+            reduced["within"] = (np.add.reduceat(own, starts) / 2, total)
+        if tails is not None:
+            low, high = tails.sums()
             # past P / 2, the w smallest are all but the m largest, and the w largest all but the m smallest
-            reduced["tails"] = (-high_rest, low_rest) if w > n_pairs - w else (low_m, -high_m)
-        return reduced
+            reduced["tails"] = (total - high, total - low) if w > n_pairs - w else (low, high)
+        return {name: value for name, value in reduced.items() if name in wanted}
 
 
-class _Smallest:
-    """Exact sums of the ``m`` smallest values of a stream and of all the
-    others, in O(m + block) memory for blocks of at most ``block`` values.
+class _Tails:
+    """Exact sums of the ``m`` smallest and the ``m`` largest of a stream of at
+    least 2m values, in a buffer of ``capacity``: 3m plus the largest block,
+    or the whole stream. Values past the low or the high cut are buffered;
+    past 3m of them, partitions keep each end's m and move the cuts to the
+    innermost of those, so a value between the cuts is dropped at once."""
 
-    Values below the cut go to a buffer; when it holds more than 2m, a
-    partition keeps the m smallest and the cut falls to the largest of them.
-    A value at or above the cut cannot lower the sum of the m smallest, so it
-    is summed with the others at once. Block sums are added by ``math.fsum``.
-    """
+    def __init__(self, m: int, capacity: int) -> None:
+        self.m, self.count, self.buffer = m, 0, np.empty(capacity)
+        self.low, self.high = math.inf, -math.inf
 
-    def __init__(self, m: int, block: int) -> None:
-        self.m = m
-        self.buffer = np.empty(2 * m + block)
-        self.count = 0
-        self.cut = math.inf
-        self.rest: list[float] = []
-
-    def add(self, values: np.ndarray) -> None:
-        below = values < self.cut
-        kept = values[below]
-        self.rest.append(float(values.sum(where=~below)))
+    def add(self, block: np.ndarray, upper: np.ndarray) -> None:
+        """Take a 2-D block of values, but of its first columns, as many as
+        ``upper`` has, only those where ``upper`` is true."""
+        keep = (block < self.low) | (block > self.high)
+        keep[:, : upper.shape[1]] &= upper
+        kept = block[keep]
         self.buffer[self.count : self.count + kept.size] = kept
         self.count += kept.size
-        if self.count > 2 * self.m:
+        if self.count > 3 * self.m:
             self._prune()
 
     def _prune(self) -> None:
-        held = self.buffer[: self.count]
-        held.partition(self.m - 1)
-        self.rest.append(float(held[self.m :].sum()))
-        self.count = self.m
-        self.cut = held[self.m - 1]
+        m, count, held = self.m, self.count, self.buffer[: self.count]
+        held.partition(m - 1)
+        held[m:].partition(count - 2 * m)  # one kth at a time: numpy selects a tuple of them far slower
+        self.low, self.high = held[m - 1], held[count - m]
+        held[m : 2 * m] = held[count - m :]
+        self.count = 2 * m
 
     def sums(self) -> tuple[float, float]:
-        """The sum of the m smallest values seen, and the sum of the rest."""
-        if self.count > self.m:
-            self._prune()
-        return float(self.buffer[: self.m].sum()), math.fsum(self.rest)
+        """The sums of the m smallest values and of the m largest."""
+        self._prune()
+        return float(self.buffer[: self.m].sum()), float(self.buffer[self.m : 2 * self.m].sum())
 
 
 def scale_dataset(dataset: Dataset, factor: float) -> Dataset:

@@ -53,9 +53,9 @@ def _si_centroid(stats: ClusterStats) -> float:
 
 def _si_distance(stats: ClusterStats) -> float:
     n, sizes = stats.n, stats.sizes
-    sums = stats.blocks("sum")  # every pair counted twice, as are the pair counts below
-    whole_mean = float(sums.sum()) / (n * (n - 1)) if n > 1 else 0.0
-    cluster_means = sums.diagonal() / np.maximum(sizes * (sizes - 1), 1)  # 0 for a singleton
+    sums, total = stats.reduced("within")
+    whole_mean = total / (n * (n - 1) // 2) if n > 1 else 0.0
+    cluster_means = sums / np.maximum(sizes * (sizes - 1) // 2, 1)  # 0 for a singleton
     exponents = cluster_means / whole_mean if whole_mean != 0.0 else np.zeros(stats.k)
     return _si_from_exponents(sizes, exponents)
 

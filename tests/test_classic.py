@@ -141,6 +141,13 @@ class TestCIndex:
         value = c_index(Dataset(pts), part)
         assert value == pytest.approx(1.0, rel=1e-12)
 
+    def test_perfectly_separated_blobs_are_zero(self):
+        # 8 blobs of 200 points with Dunn 1.30: the within pairs are exactly the w
+        # smallest, so S = S_min however the two sums round (they once gave 2.9e-17)
+        data, part = _blobs(0, 200, 8)
+        assert dunn(data, part) == pytest.approx(1.30, abs=0.005)
+        assert c_index(data, part) == 0.0
+
     def test_rounding_stays_in_range(self):
         # two 8-d blobs of 1000 points: the rounded sums once gave -2.9e-17
         assert 0.0 <= c_index(*_blobs(7, 2000, 2)) <= 1.0
@@ -546,6 +553,12 @@ class TestEvaluateRegistry:
         # gathered copy (3.5 k^2 floats at the peak) would pass the bound of 3.25 k^2
         k = 1000
         assert _peak(*_blobs(9, 2 * k, k, dim=2), ["dunn"]) < 3.25 * k * k * 8
+
+    @pytest.mark.parametrize("index_id", ["dunn", "si_distance", "cindex"])
+    def test_distance_scorers_hold_no_cluster_arrays(self, index_id):
+        # N = 3000, k = 1500 pairs: N x k row sums alone would take 36 MB, and k x k
+        # extremes 18 MB each; the pass holds a few blocks and O(N) sums
+        assert _peak(*_blobs(5, 3000, 1500), [index_id]) < 5e6
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("index_id", ["si_centroid", "si_distance", "ch", "silhouette", "sf", "db"])

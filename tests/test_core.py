@@ -23,7 +23,7 @@ from cluster_simplicity import (
     synthetic_dataset,
     SYNTHETIC_DATASET_IDS,
 )
-from cluster_simplicity.core import ClusterStats, _Smallest, _distance_rows, _row_blocks
+from cluster_simplicity.core import ClusterStats, _Tails, _distance_rows, _row_blocks
 
 import oracles
 
@@ -171,11 +171,13 @@ class TestRadii:
             assert np.array_equal(full, full.T), d
             assert all(np.array_equal(full[i], _distance_rows(columns, pts[i : i + 1])[0]) for i in range(300)), d
             assert np.array_equal(full[:, -1:], _distance_rows(columns[:, -1:], pts)), d
-            stats = ClusterStats(part, points=pts, reductions=["sum", "max"])
-            assert stats.blocks("max")[0, 0] == full.max(), d
-            assert np.array_equal(stats.row_sums, ClusterStats(part, distances=full, reductions=["sum"]).row_sums), d
-            mean = stats.blocks("sum")[0, 0] / (300 * 299)  # every pair counted twice
-            assert mean == pytest.approx(full[np.triu_indices(300, k=1)].mean(), rel=1e-15), d
+            stats = ClusterStats(part, points=pts, reductions=["rows", "within", "extremes"])
+            assert stats.reduced("extremes")[0] == full.max(), d
+            from_matrix = ClusterStats(part, distances=full, reductions=["rows"])
+            assert np.array_equal(stats.reduced("rows"), from_matrix.reduced("rows")), d
+            pair_sum = full[np.triu_indices(300, k=1)].sum()
+            (within,), total = stats.reduced("within")
+            assert within == pytest.approx(pair_sum, rel=1e-15) and total == pytest.approx(pair_sum, rel=1e-15), d
 
     @given(point_sets(min_points=2))
     @settings(max_examples=60, deadline=None)
@@ -183,8 +185,8 @@ class TestRadii:
         assert radius_centroid(pts) <= oracles.diameter(pts.tolist()) + 1e-12
 
 
-class TestClusterBlocks:
-    """The within-cluster diagonals of ``ClusterStats.blocks`` against the loop oracles."""
+class TestWithinClusterSums:
+    """The within-cluster sums and the extremes of ``ClusterStats`` against the loop oracles."""
 
     @given(labelled_points())
     @example((np.array([P1]), np.array([0])))
@@ -192,19 +194,25 @@ class TestClusterBlocks:
     @example((np.array([P1, P2, P3]), np.array([0, 0, 0])))
     @example((np.array([P1, P1, P1, P2]), np.array([0, 0, 1, 0])))
     @settings(max_examples=100, deadline=None)
-    def test_diagonals_match_oracles(self, data):
+    def test_match_oracles(self, data):
         pts, labels = data
+        members = [pts[labels == c].tolist() for c in range(labels.max() + 1)]
+        between = [oracles.dist(p, q) for i, p in enumerate(pts) for j, q in enumerate(pts) if labels[i] != labels[j]]
         # f(a*X + b) == |a| * f(X): the oracles read the untransformed points
         for a, b in ((1.0, 0.0), (-2.0, 7.0), (0.5, -5.0)):
-            stats = ClusterStats(Partition(labels), points=pts * a + b, reductions=["sum", "max"])
-            sums, largest = stats.blocks("sum").diagonal(), stats.blocks("max").diagonal()
+            stats = ClusterStats(Partition(labels), points=pts * a + b, reductions=["within", "extremes"])
+            (sums, total), (largest, smallest) = stats.reduced("within"), stats.reduced("extremes")
             for c, size in enumerate(stats.sizes):
-                members = pts[labels == c].tolist()
-                mean = sums[c] / max(size * (size - 1), 1)  # every pair counted twice; a singleton sums to 0
-                assert mean == pytest.approx(abs(a) * oracles.mean_pairwise(members), rel=1e-9, abs=1e-12)
-                assert largest[c] == pytest.approx(abs(a) * oracles.diameter(members), rel=1e-9, abs=1e-12)
-                assert mean <= largest[c] + 1e-12
-                assert (largest[c] == 0.0) == all(m == members[0] for m in members)
+                mean = sums[c] / max(size * (size - 1) // 2, 1)  # a singleton sums to 0
+                assert mean == pytest.approx(abs(a) * oracles.mean_pairwise(members[c]), rel=1e-9, abs=1e-12)
+            n = len(pts)
+            assert total / max(n * (n - 1) // 2, 1) == pytest.approx(
+                abs(a) * oracles.mean_pairwise(pts.tolist()), rel=1e-9, abs=1e-12
+            )
+            diameter = max(oracles.diameter(group) for group in members)
+            assert largest == pytest.approx(abs(a) * diameter, rel=1e-9, abs=1e-12)
+            assert (largest == 0.0) == all(m == group[0] for group in members for m in group)
+            assert smallest == pytest.approx(abs(a) * min(between, default=math.inf), rel=1e-9, abs=1e-12)
 
 
 @st.composite
@@ -221,37 +229,47 @@ def multi_block_labelled_points(draw):
 
 
 def _brute_force_pass(points, labels):
-    """Row sums, sum / min / max blocks and sorted pair distances of the full
-    label-ordered matrix, a cluster pair at a time."""
+    """Row sums, within-cluster sums with the all-pairs total, the largest
+    within-cluster and smallest between-cluster distances, and the sorted pair
+    distances, from the full label-ordered matrix a cluster pair at a time."""
     order = np.argsort(labels, kind="stable")
     full = pairwise_distances(points)[np.ix_(order, order)]
     members = [np.flatnonzero(labels[order] == c) for c in range(labels.max() + 1)]
     row_sums = np.stack([full[:, rows].sum(axis=1) for rows in members], axis=1)
-    blocks = {
-        name: np.array([[reduce(full[np.ix_(rows, columns)]) for columns in members] for rows in members])
-        for name, reduce in (("sum", np.sum), ("min", np.min), ("max", np.max))
-    }
-    return row_sums, blocks, np.sort(full[np.triu_indices(len(labels), k=1)])
+    within = np.array([full[np.ix_(rows, rows)].sum() / 2 for rows in members])  # each pair twice
+    largest = max(full[np.ix_(rows, rows)].max() for rows in members)
+    smallest = min(
+        (full[np.ix_(rows, columns)].min() for rows in members for columns in members if rows is not columns),
+        default=np.inf,
+    )
+    pairs = np.sort(full[np.triu_indices(len(labels), k=1)])
+    return row_sums, (within, math.fsum(pairs)), (largest, smallest), pairs
 
 
 class TestDistancePass:
-    """Every entry of the upper-triangle pass, in both ClusterStats forms,
+    """Every reduction of the upper-triangle pass, in both ClusterStats forms,
     against the full matrix of :func:`pairwise_distances`."""
 
     @staticmethod
     def _assert_matches_brute_force(points, labels):
-        row_sums, blocks, pairs = _brute_force_pass(points, labels)
+        row_sums, (within, total), extremes, pairs = _brute_force_pass(points, labels)
         part = Partition(labels)
         for source in ({"points": points}, {"distances": pairwise_distances(points)}):
-            stats = ClusterStats(part, reductions=["sum", "min", "max", "tails"], **source)
+            stats = ClusterStats(part, reductions=["rows", "within", "extremes", "tails"], **source)
             # sums run in another order than the oracle's; a zero sum has only zero terms
-            np.testing.assert_allclose(stats.row_sums, row_sums, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(stats.blocks("sum"), blocks["sum"], rtol=1e-12, atol=0)
-            assert np.array_equal(stats.blocks("min"), blocks["min"])
-            assert np.array_equal(stats.blocks("max"), blocks["max"])
+            np.testing.assert_allclose(stats.reduced("rows"), row_sums, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(stats.reduced("within")[0], within, rtol=1e-12, atol=0)
+            assert stats.reduced("within")[1] == pytest.approx(total, rel=1e-12)
+            assert stats.reduced("extremes") == extremes
             w = stats.n_within
-            if 0 < w < len(pairs):
-                smallest, largest = stats.pair_tails
+            tails = ["tails"] if 0 < w < len(pairs) else []
+            # made alone, each reduction has the same bits: the within sums read off
+            # the row sums equal those made without them
+            for name in ["within", "extremes", *tails]:
+                alone = ClusterStats(part, reductions=[name], **source)
+                np.testing.assert_equal(alone.reduced(name), stats.reduced(name))
+            if tails:
+                smallest, largest = stats.reduced("tails")
                 assert smallest == pytest.approx(math.fsum(pairs[:w]), rel=1e-12)
                 assert largest == pytest.approx(math.fsum(pairs[-w:]), rel=1e-12)
 
@@ -277,8 +295,8 @@ class TestDistancePass:
         self._assert_matches_brute_force(pts, np.array([0] + [1] * 585))
 
 
-class TestSmallestOfAStream:
-    """The C-index tails' selection, against a sort of the whole stream."""
+class TestTailsOfAStream:
+    """The C-index tails' two-ended selection, against a sort of the whole stream."""
 
     @given(
         st.lists(st.one_of(grid_coord, st.floats(0, 1e6)), min_size=2, max_size=400),
@@ -288,13 +306,13 @@ class TestSmallestOfAStream:
     def test_matches_a_sort(self, values, data):
         m = data.draw(st.integers(1, len(values) // 2))
         block = data.draw(st.integers(1, 50))
-        smallest = _Smallest(m, block)
+        tails = _Tails(m, min(3 * m + block, len(values)))
         for start in range(0, len(values), block):
-            smallest.add(np.array(values[start : start + block]))
+            tails.add(np.array([values[start : start + block]]), np.ones((1, 0), dtype=bool))
         ordered = sorted(values)
-        kept, rest = smallest.sums()
-        assert kept == pytest.approx(math.fsum(ordered[:m]), rel=1e-12, abs=1e-12)
-        assert rest == pytest.approx(math.fsum(ordered[m:]), rel=1e-12, abs=1e-12)
+        low, high = tails.sums()
+        assert low == pytest.approx(math.fsum(ordered[:m]), rel=1e-12, abs=1e-12)
+        assert high == pytest.approx(math.fsum(ordered[-m:]), rel=1e-12, abs=1e-12)
 
 
 class TestSyntheticDatasets:
