@@ -17,7 +17,7 @@ through the same guarded step.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import Literal
 
@@ -67,13 +67,9 @@ def _silhouette(stats: ClusterStats) -> IndexValue:
     """
     if stats.k == 1:
         return UNDEFINED
-    rows, own = np.arange(stats.n), stats.sorted_labels
-    own_size = stats.sizes[own]
-    row_sums = stats.reduced("rows")
-    a = row_sums[rows, own] / np.maximum(own_size - 1, 1)
-    mean_to = row_sums / stats.sizes
-    mean_to[rows, own] = np.inf
-    b = mean_to.min(axis=1)
+    own_size = stats.sizes[stats.sorted_labels]
+    a = stats.reduced("within")[0] / np.maximum(own_size - 1, 1)
+    b = stats.reduced("rows").min(axis=1)
     scale = np.maximum(a, b)
     # singletons and a = b = 0 keep width 0
     width = np.divide(b - a, scale, out=np.zeros(stats.n), where=(own_size > 1) & (scale > 0))
@@ -145,7 +141,7 @@ def _cindex(stats: ClusterStats) -> IndexValue:
     max_within, min_between = stats.reduced("extremes")
     if max_within <= min_between:
         return 0.0
-    within_sum = float(stats.reduced("within")[0].sum())
+    within_sum = float(stats.reduced("within")[1].sum())
     return min(max((within_sum - smallest_sum) / (largest_sum - smallest_sum), 0.0), 1.0)
 
 
@@ -174,7 +170,7 @@ _INDICES: dict[str, tuple[IndexDescriptor, Callable[[ClusterStats], IndexValue] 
         (IndexDescriptor("si_centroid", "lower-better", best_value=1.0, baseline=float), _si_centroid, ()),
         (IndexDescriptor("si_distance", "lower-better", best_value=1.0, baseline=float), _si_distance, ("within",)),
         (IndexDescriptor("ch", "higher-better"), _ch, ()),
-        (IndexDescriptor("silhouette", "higher-better", best_value=1.0), _silhouette, ("rows",)),
+        (IndexDescriptor("silhouette", "higher-better", best_value=1.0), _silhouette, ("rows", "within")),
         (IndexDescriptor("sf", "higher-better"), _sf, ()),
         (IndexDescriptor("dunn", "higher-better"), _dunn, ("extremes",)),
         (IndexDescriptor("db", "lower-better"), _db, ()),
@@ -225,10 +221,12 @@ def descriptor(index_id: str) -> IndexDescriptor:
         raise UnknownIndexError(f"unknown index {index_id!r} (known: {', '.join(INDEX_IDS)})") from None
 
 
-def _check_partition_ids(index_ids: Sequence[str]) -> None:
-    """UnknownIndexError for a bare string, or for the first id that does not score a partition."""
+def _check_partition_ids(index_ids: Iterable[str]) -> tuple[str, ...]:
+    """The ids as a tuple, taken once, so that a one-shot iterator is scored too.
+    UnknownIndexError for a bare string, or for the first id that does not score a partition."""
     if isinstance(index_ids, str):  # iterating it would check one-letter ids
         raise UnknownIndexError(f"index ids must be a list of ids, got the string {index_ids!r}; pass [{index_ids!r}]")
+    index_ids = tuple(index_ids)
     for index_id in index_ids:
         if index_id == "si_hierarchical":
             raise UnknownIndexError(
@@ -237,6 +235,7 @@ def _check_partition_ids(index_ids: Sequence[str]) -> None:
             )
         if index_id not in PARTITION_INDEX_IDS:
             raise UnknownIndexError(f"unknown index {index_id!r} (known: {', '.join(PARTITION_INDEX_IDS)})")
+    return index_ids
 
 
 def _score(index_ids: Sequence[str], partition: Partition, **source: np.ndarray) -> list[IndexValue]:
@@ -252,7 +251,7 @@ def _score(index_ids: Sequence[str], partition: Partition, **source: np.ndarray)
     return values
 
 
-def evaluate_many(index_ids: Sequence[str], dataset: Dataset, partition: Partition) -> list[IndexValue]:
+def evaluate_many(index_ids: Iterable[str], dataset: Dataset, partition: Partition) -> list[IndexValue]:
     """Score a partition with each index in ``index_ids``, in request order.
 
     Every id is checked before any scoring (``si_hierarchical`` scores
@@ -262,8 +261,7 @@ def evaluate_many(index_ids: Sequence[str], dataset: Dataset, partition: Partiti
     points' distance matrix is never built. A value that overflows to NaN or
     infinity raises ValueError naming its index.
     """
-    _check_partition_ids(index_ids)
-    return _score(index_ids, partition, points=dataset.points)
+    return _score(_check_partition_ids(index_ids), partition, points=dataset.points)
 
 
 def evaluate(index_id: str, dataset: Dataset, partition: Partition) -> IndexValue:

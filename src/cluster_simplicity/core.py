@@ -69,10 +69,10 @@ def _real(values: object, what: str) -> np.ndarray:
         arr = np.asarray(values)
     except ValueError:  # numpy's "inhomogeneous shape" for ragged nesting
         raise ValueError(f"{what} must have rows of equal length") from None
-    if arr.dtype.kind != "c":  # a float cast would keep the real part with only a warning
+    if arr.dtype.kind in "biufO":  # a float cast would keep a complex number's real part, and parse strings
         try:
             return np.asarray(arr, dtype=float)
-        except TypeError:  # a complex number or another non-real object in an object array
+        except (TypeError, ValueError):  # a complex number or another non-real object in an object array
             pass
     raise ValueError(f"{what} must be real numbers")
 
@@ -227,10 +227,10 @@ class Dendrogram:
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(f"n_points must be an integer >= 1, got {n!r}")
         n = int(n)
-        merges = np.asarray(self.merges)
+        merges = _real(self.merges, "merges")
         if merges.size == 0:
             merges = merges.reshape(0, 2)
-        distances = np.asarray(self.distances, dtype=float)
+        distances = _real(self.distances, "merge distances")
         if merges.ndim != 2 or merges.shape[1] != 2:
             raise ValueError(f"merges must be an array of shape (n_points - 1, 2), got shape {merges.shape}")
         if distances.shape != (len(merges),):
@@ -243,7 +243,7 @@ class Dendrogram:
         for row, (pair, distance) in enumerate(zip(merges.tolist(), distances.tolist()), start=1):
             limit = n + row - 1
             for cid in pair:
-                if not float(cid).is_integer():
+                if not cid.is_integer():
                     raise ValueError(f"merge row {row}: cluster id {cid!r} is not an integer")
                 if not 0 <= cid < limit:
                     raise ValueError(f"merge row {row}: cluster id {int(cid)} out of range 0..{limit - 1}")
@@ -388,7 +388,7 @@ class ClusterStats:
     pair computed once. It makes only the ``reductions`` named at
     construction, read by :meth:`reduced`; reading another one raises
     KeyError. No N x N matrix is formed: the pass holds O(b N) floats for
-    blocks of b rows, the row sums N k, the within sums N, the extremes two
+    blocks of b rows, the row means N k, the within sums N, the extremes two
     floats, and the tails O(min(w, P - w)) for w within-cluster pairs of P.
     """
 
@@ -432,13 +432,14 @@ class ClusterStats:
         return np.bincount(self.labels, weights=member_distances, minlength=self.k) / self.sizes
 
     def reduced(self, name: str) -> Any:
-        """The distance reduction ``name`` named at construction. ``"rows"``:
-        N x k sums of the distances from each point, in label order, to each
-        cluster. ``"within"``: the distance sums of each cluster's pairs and
-        of all pairs, the same bits with or without ``"rows"``. ``"extremes"``:
-        the largest within-cluster distance (0 if none) and the smallest
-        between-cluster one (infinite if none). ``"tails"``: the sums of the w
-        = ``n_within`` smallest and largest pair distances, if 0 < w < P."""
+        """The distance reduction ``name`` named at construction, in label
+        order. ``"rows"``: N x k mean distances from each point to each other
+        cluster, infinite at its own. ``"within"``: each point's summed
+        distance to its own cluster, each cluster's sum over its pairs, and
+        the sum over all pairs. ``"extremes"``: the largest within-cluster
+        distance (0 if none) and the smallest between-cluster one (infinite
+        if none). ``"tails"``: the sums of the w = ``n_within`` smallest and
+        largest pair distances, if 0 < w < P. Each is made one way only."""
         return self._reduced[name]
 
     @cached_property
@@ -448,9 +449,9 @@ class ClusterStats:
 
         A block's square holds its own pairs twice; the columns past it meet
         no later block's rows, so their sums over each cluster's rows add into
-        those rows' sums. Without row sums, the within sums take the same
-        segment sums for the rows' own clusters alone: the same bits either
-        way. The tails take the entries right of the square's diagonal.
+        those rows' sums, and the last cluster's into their own-cluster sums.
+        The within sums add up the own-cluster sums, and the row sums become
+        means at the end. The tails take the entries right of the square's diagonal.
         """
         n, k, starts, labels = self.n, self.k, self._starts, self.sorted_labels
         ends = starts + self.sizes
@@ -463,9 +464,9 @@ class ClusterStats:
         else:
             blocks = (self._matrix[order[start:stop]].take(order[start:], axis=1) for start, stop in spans)
         wanted = self._reductions
-        within, extremes = "within" in wanted, "extremes" in wanted
+        summed, extremes = not wanted.isdisjoint(("rows", "within", "tails")), "extremes" in wanted
         rows = np.zeros((n, k)) if "rows" in wanted else None
-        own = np.zeros(n) if within and rows is None else None  # each point's summed distance to its own cluster
+        own = np.zeros(n)  # each point's summed distance to its own cluster
         pair_sums: list[float] = []
         largest, smallest = -math.inf, math.inf
         n_pairs, w = n * (n - 1) // 2, self.n_within
@@ -473,7 +474,6 @@ class ClusterStats:
         block = max((stop - start) * (n - start) for start, stop in spans)
         tails = _Tails(m, min(3 * m + block, n_pairs)) if "tails" in wanted and m else None
         upper = index[:side] > index[:side, None]  # the pairs of a block's square
-        totals = within or tails is not None  # whether to sum all pairs
         with np.errstate(over="ignore"):  # an overflowed distance or sum is infinite, for the scorers' guard
             for (start, stop), distances in zip(spans, blocks):
                 square = stop - start
@@ -483,22 +483,19 @@ class ClusterStats:
                 near, end = segments[: c1 - c0], ends[c1 - 1] - start  # where the rows' clusters start and end
                 mine = index[:square], labels[start:stop] - c0  # each row's own cluster among them
                 far = distances[:, square:]
-                if rows is not None:
-                    rows[start:stop, c0:] += np.add.reduceat(distances, segments, axis=1)
-                elif within:
+                if summed:
                     own[start:stop] += np.add.reduceat(distances[:, :end], near, axis=1)[mine]
-                if rows is not None or totals:
-                    bounds = [*near.tolist(), square] if far.size else []  # the last block has no far columns
-                    for c, first, last in zip(range(c0, c1), bounds, bounds[1:]):
-                        sums = np.add.reduce(far[first:last], axis=0)  # over the rows of cluster c
-                        if rows is not None:
-                            rows[stop:, c] += sums
-                        elif within and c == c1 - 1:  # the last cluster may go on past the square
-                            own[stop : start + end] += sums[: max(end - square, 0)]
-                        if totals:
+                    if rows is not None:
+                        rows[start:stop, c0:] += np.add.reduceat(distances, segments, axis=1)
+                    if far.size:  # the last block has no far columns
+                        bounds = [*near.tolist(), square]
+                        for c, first, last in zip(range(c0, c1), bounds, bounds[1:]):
+                            sums = np.add.reduce(far[first:last], axis=0)  # over the rows of cluster c
+                            if rows is not None:
+                                rows[stop:, c] += sums
                             pair_sums.append(float(sums.sum()))
-                    if totals:
-                        pair_sums.append(float(distances[:, :square].sum()) / 2)
+                        own[stop : start + end] += sums[: end - square]  # the last cluster may go on past the square
+                    pair_sums.append(float(distances[:, :square].sum()) / 2)
                 if extremes:
                     highs = np.maximum.reduceat(distances[:, :end], near, axis=1)
                     lows = np.minimum.reduceat(distances, segments[: c1 - c0 + 1], axis=1)  # and all later columns
@@ -506,11 +503,12 @@ class ClusterStats:
                     largest, smallest = max(largest, highs[mine].max()), min(smallest, lows.min())
                 if tails is not None:
                     tails.add(distances, upper[:square, :square])
-        reduced: dict[str, Any] = {"rows": rows, "extremes": (float(largest), float(smallest))}
+        if rows is not None:  # sums to means, with no other cluster at a point's own
+            rows /= self.sizes
+            rows[index, labels] = math.inf
         total = math.fsum(pair_sums)
-        if within:
-            own = rows[index, labels] if own is None else own
-            reduced["within"] = (np.add.reduceat(own, starts) / 2, total)
+        within = (own, np.add.reduceat(own, starts) / 2, total)
+        reduced: dict[str, Any] = {"rows": rows, "within": within, "extremes": (float(largest), float(smallest))}
         if tails is not None:
             low, high = tails.sums()
             # past P / 2, the w smallest are all but the m largest, and the w largest all but the m smallest
@@ -555,15 +553,21 @@ class _Tails:
 
 
 def scale_dataset(dataset: Dataset, factor: float) -> Dataset:
-    """Multiply every coordinate by ``factor`` (nonzero; 0 would collapse the data)."""
-    if factor == 0:
-        raise ValueError("scale factor must be nonzero")
-    return Dataset(dataset.points * float(factor))
+    """Multiply every coordinate by ``factor`` (finite and nonzero; 0 would collapse the data)."""
+    factor = float(factor)
+    if factor == 0 or not math.isfinite(factor):
+        raise ValueError(f"scale factor must be finite and nonzero, got {factor}")
+    with np.errstate(over="ignore"):  # an overflowed coordinate is infinite, which Dataset rejects
+        return Dataset(dataset.points * factor)
 
 
 def shift_dataset(dataset: Dataset, offset: float) -> Dataset:
-    """Add ``offset`` to every coordinate of every point."""
-    return Dataset(dataset.points + float(offset))
+    """Add the finite ``offset`` to every coordinate of every point."""
+    offset = float(offset)
+    if not math.isfinite(offset):
+        raise ValueError(f"shift offset must be finite, got {offset}")
+    with np.errstate(over="ignore"):  # an overflowed coordinate is infinite, which Dataset rejects
+        return Dataset(dataset.points + offset)
 
 
 # Benchmark coordinates: three unit-basis points plus scaled copies, and a
@@ -628,11 +632,14 @@ def dendrogram_from_merges(
     """
     rows = list(merges)
     for row, values in enumerate(rows, start=1):
-        if len(values) != 3:
-            raise ValueError(f"merge row {row}: expected 3 values (left, right, distance), got {len(values)}")
-    ids = np.array([values[:2] for values in rows], dtype=float)
-    distances = np.array([values[2] for values in rows], dtype=float)
-    return Dendrogram(n_points, ids, distances)
+        try:
+            count = len(values)
+        except TypeError:  # a bare number
+            count = None
+        if count != 3:
+            raise ValueError(f"merge row {row}: expected 3 values (left, right, distance), got {values!r}")
+    table = _real(rows, "merges").reshape(len(rows), 3)
+    return Dendrogram(n_points, table[:, :2], table[:, 2])
 
 
 def _minimum_spanning_tree(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

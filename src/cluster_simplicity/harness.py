@@ -149,8 +149,4 @@ def audit(index_id: str, variant: str = "short") -> PropertyFlags:
 def audit_all(index_ids: tuple[str, ...] | list[str] | None = None) -> list[PropertyFlags]:
     """Flag rows on the short variant for the given ids (default: every
     partition index), with each of the 11 probes scored once for all of them."""
-    if index_ids is None:
-        index_ids = PARTITION_INDEX_IDS
-    elif isinstance(index_ids, str):  # tuple() would split it into one-letter ids
-        _check_partition_ids(index_ids)
-    return _audit_table(tuple(index_ids), "short")
+    return _audit_table(PARTITION_INDEX_IDS if index_ids is None else _check_partition_ids(index_ids), "short")

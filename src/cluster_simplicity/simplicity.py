@@ -53,7 +53,7 @@ def _si_centroid(stats: ClusterStats) -> float:
 
 def _si_distance(stats: ClusterStats) -> float:
     n, sizes = stats.n, stats.sizes
-    sums, total = stats.reduced("within")
+    _, sums, total = stats.reduced("within")
     whole_mean = total / (n * (n - 1) // 2) if n > 1 else 0.0
     cluster_means = sums / np.maximum(sizes * (sizes - 1) // 2, 1)  # 0 for a singleton
     exponents = cluster_means / whole_mean if whole_mean != 0.0 else np.zeros(stats.k)

@@ -560,6 +560,12 @@ class TestEvaluateRegistry:
         # extremes 18 MB each; the pass holds a few blocks and O(N) sums
         assert _peak(*_blobs(5, 3000, 1500), [index_id]) < 5e6
 
+    def test_silhouette_holds_one_cluster_array(self):
+        # N = 3000, k = 1500: the row means are one N x k array of 36 MB; a second
+        # N x k array beside it, such as a copy with the own cluster masked, takes
+        # the peak past 72 MB
+        assert _peak(*_blobs(5, 3000, 1500), ["silhouette"]) < 40e6
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("index_id", ["si_centroid", "si_distance", "ch", "silhouette", "sf", "db"])
     def test_overflow_raises_naming_index(self, index_id):
@@ -584,6 +590,12 @@ class TestEvaluateRegistry:
     def test_a_string_of_ids_is_not_split_into_letters(self):
         with pytest.raises(UnknownIndexError, match="must be a list of ids, got the string 'ch'"):
             evaluate_many("ch", *X2S)
+
+    def test_one_shot_iterable_of_ids_is_scored(self):
+        # the ids are taken once: checking them must not use up an iterator
+        expected = evaluate_many(["ch", "dunn"], *X2S)
+        assert evaluate_many(iter(["ch", "dunn"]), *X2S) == expected
+        assert evaluate_many((index_id for index_id in ["ch", "dunn"]), *X2S) == expected
 
     def test_hierarchy_scorer_rejected(self):
         with pytest.raises(UnknownIndexError, match="dendrogram"):

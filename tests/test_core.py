@@ -171,12 +171,12 @@ class TestRadii:
             assert np.array_equal(full, full.T), d
             assert all(np.array_equal(full[i], _distance_rows(columns, pts[i : i + 1])[0]) for i in range(300)), d
             assert np.array_equal(full[:, -1:], _distance_rows(columns[:, -1:], pts)), d
-            stats = ClusterStats(part, points=pts, reductions=["rows", "within", "extremes"])
+            stats = ClusterStats(part, points=pts, reductions=["within", "extremes"])
             assert stats.reduced("extremes")[0] == full.max(), d
-            from_matrix = ClusterStats(part, distances=full, reductions=["rows"])
-            assert np.array_equal(stats.reduced("rows"), from_matrix.reduced("rows")), d
+            from_matrix = ClusterStats(part, distances=full, reductions=["within"])
+            own, (within,), total = stats.reduced("within")
+            assert np.array_equal(own, from_matrix.reduced("within")[0]), d
             pair_sum = full[np.triu_indices(300, k=1)].sum()
-            (within,), total = stats.reduced("within")
             assert within == pytest.approx(pair_sum, rel=1e-15) and total == pytest.approx(pair_sum, rel=1e-15), d
 
     @given(point_sets(min_points=2))
@@ -201,7 +201,11 @@ class TestWithinClusterSums:
         # f(a*X + b) == |a| * f(X): the oracles read the untransformed points
         for a, b in ((1.0, 0.0), (-2.0, 7.0), (0.5, -5.0)):
             stats = ClusterStats(Partition(labels), points=pts * a + b, reductions=["within", "extremes"])
-            (sums, total), (largest, smallest) = stats.reduced("within"), stats.reduced("extremes")
+            (own, sums, total), (largest, smallest) = stats.reduced("within"), stats.reduced("extremes")
+            for point, p in enumerate(pts[np.argsort(labels, kind="stable")]):  # own is in label order
+                mine = members[stats.sorted_labels[point]]
+                expected = sum(oracles.dist(p.tolist(), q) for q in mine)
+                assert own[point] == pytest.approx(abs(a) * expected, rel=1e-9, abs=1e-12)
             for c, size in enumerate(stats.sizes):
                 mean = sums[c] / max(size * (size - 1) // 2, 1)  # a singleton sums to 0
                 assert mean == pytest.approx(abs(a) * oracles.mean_pairwise(members[c]), rel=1e-9, abs=1e-12)
@@ -229,13 +233,18 @@ def multi_block_labelled_points(draw):
 
 
 def _brute_force_pass(points, labels):
-    """Row sums, within-cluster sums with the all-pairs total, the largest
-    within-cluster and smallest between-cluster distances, and the sorted pair
-    distances, from the full label-ordered matrix a cluster pair at a time."""
+    """Row means to the other clusters (infinite at a point's own), each
+    point's own-cluster sum with the within-cluster sums and the all-pairs
+    total, the largest within-cluster and smallest between-cluster distances,
+    and the sorted pair distances, from the full label-ordered matrix a
+    cluster pair at a time."""
     order = np.argsort(labels, kind="stable")
     full = pairwise_distances(points)[np.ix_(order, order)]
-    members = [np.flatnonzero(labels[order] == c) for c in range(labels.max() + 1)]
-    row_sums = np.stack([full[:, rows].sum(axis=1) for rows in members], axis=1)
+    sorted_labels = labels[order]
+    members = [np.flatnonzero(sorted_labels == c) for c in range(labels.max() + 1)]
+    row_means = np.stack([full[:, rows].mean(axis=1) for rows in members], axis=1)
+    row_means[np.arange(len(labels)), sorted_labels] = np.inf
+    own = np.array([full[point, members[c]].sum() for point, c in enumerate(sorted_labels)])
     within = np.array([full[np.ix_(rows, rows)].sum() / 2 for rows in members])  # each pair twice
     largest = max(full[np.ix_(rows, rows)].max() for rows in members)
     smallest = min(
@@ -243,7 +252,7 @@ def _brute_force_pass(points, labels):
         default=np.inf,
     )
     pairs = np.sort(full[np.triu_indices(len(labels), k=1)])
-    return row_sums, (within, math.fsum(pairs)), (largest, smallest), pairs
+    return row_means, (own, within, math.fsum(pairs)), (largest, smallest), pairs
 
 
 class TestDistancePass:
@@ -252,20 +261,20 @@ class TestDistancePass:
 
     @staticmethod
     def _assert_matches_brute_force(points, labels):
-        row_sums, (within, total), extremes, pairs = _brute_force_pass(points, labels)
+        row_means, (own, within, total), extremes, pairs = _brute_force_pass(points, labels)
         part = Partition(labels)
         for source in ({"points": points}, {"distances": pairwise_distances(points)}):
             stats = ClusterStats(part, reductions=["rows", "within", "extremes", "tails"], **source)
             # sums run in another order than the oracle's; a zero sum has only zero terms
-            np.testing.assert_allclose(stats.reduced("rows"), row_sums, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(stats.reduced("within")[0], within, rtol=1e-12, atol=0)
-            assert stats.reduced("within")[1] == pytest.approx(total, rel=1e-12)
+            np.testing.assert_allclose(stats.reduced("rows"), row_means, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(stats.reduced("within")[0], own, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(stats.reduced("within")[1], within, rtol=1e-12, atol=0)
+            assert stats.reduced("within")[2] == pytest.approx(total, rel=1e-12)
             assert stats.reduced("extremes") == extremes
             w = stats.n_within
             tails = ["tails"] if 0 < w < len(pairs) else []
-            # made alone, each reduction has the same bits: the within sums read off
-            # the row sums equal those made without them
-            for name in ["within", "extremes", *tails]:
+            # made alone, each reduction has the same bits as made with all the others
+            for name in ["rows", "within", "extremes", *tails]:
                 alone = ClusterStats(part, reductions=[name], **source)
                 np.testing.assert_equal(alone.reduced(name), stats.reduced(name))
             if tails:
@@ -381,6 +390,27 @@ class TestTransforms:
     def test_shift_negative(self):
         data, _ = synthetic_dataset("Y1S")
         assert np.all(shift_dataset(data, -1.0).points == np.array([-1.0, -1.0, 0.0]))
+
+    @pytest.mark.parametrize("factor", [math.inf, -math.inf, math.nan])
+    def test_scale_non_finite_rejected(self, factor):
+        # an infinite factor times a zero coordinate is NaN: rejected before any
+        # arithmetic, so no RuntimeWarning comes first
+        data, _ = synthetic_dataset("X1S")
+        with pytest.raises(ValueError, match=f"scale factor must be finite and nonzero, got {factor}"):
+            scale_dataset(data, factor)
+
+    @pytest.mark.parametrize("offset", [math.inf, -math.inf, math.nan])
+    def test_shift_non_finite_rejected(self, offset):
+        data, _ = synthetic_dataset("X1S")
+        with pytest.raises(ValueError, match=f"shift offset must be finite, got {offset}"):
+            shift_dataset(data, offset)
+
+    def test_overflowing_transform_rejected_without_warning(self):
+        # a finite factor or offset whose result overflows gives infinite coordinates
+        data, _ = synthetic_dataset("X9L")
+        for transform in (lambda: scale_dataset(data, 1e308), lambda: shift_dataset(shift_dataset(data, 1e308), 1e308)):
+            with pytest.raises(ValueError, match="points contain non-finite coordinates"):
+                transform()
 
 
 class TestContainers:
@@ -618,6 +648,15 @@ class TestDendrogramFromMerges:
         # its first three columns are accepted: the ids are integral floats
         assert dendrogram_from_merges(3, z[:, :3]).merges.tolist() == [[0, 1], [2, 3]]
 
+    def test_bare_number_row_names_row(self):
+        with pytest.raises(ValueError, match="merge row 1: expected 3 values .*, got 5"):
+            dendrogram_from_merges(2, [5])
+
+    def test_non_real_values_name_the_merges(self):
+        for rows in ([(0, 1, 1j)], [("0", "1", "1")]):
+            with pytest.raises(ValueError, match="merges must be real numbers"):
+                dendrogram_from_merges(2, rows)
+
     def test_matches_linkage_convention(self):
         dg = dendrogram_from_merges(3, [(0, 1, 1.0), (2, 3, 2.0)])
         assert dg.distances.tolist() == [1.0, 2.0]
@@ -656,6 +695,21 @@ class TestDendrogramValidation:
     def test_rejects_malformed_fields(self, n_points, merges, distances, message):
         with pytest.raises(ValueError, match=message):
             Dendrogram(n_points, merges, distances)
+
+    @pytest.mark.parametrize(
+        "merges, distances, message",
+        [
+            ([["0", "1"], ["2", "3"]], [1.0, 2.0], "merges must be real numbers"),
+            ([[0, 1], [2, 3 + 0j]], [1.0, 2.0], "merges must be real numbers"),
+            ([[0, 1], [2, 3]], [1.0, 2 + 1j], "merge distances must be real numbers"),
+            ([[0, 1], [2, 3]], ["1", "2"], "merge distances must be real numbers"),
+            ([[0, 1], [2]], [1.0, 2.0], "merges must have rows of equal length"),
+        ],
+        ids=["string-ids", "complex-ids", "complex-distances", "string-distances", "ragged-merges"],
+    )
+    def test_rejects_non_real_fields_by_name(self, merges, distances, message):
+        with pytest.raises(ValueError, match=message):
+            Dendrogram(3, merges, distances)
 
     def test_levels_are_derived_read_only_views(self):
         dg = Dendrogram(4, np.array([[2, 3], [0, 4], [1, 5]]), np.array([0.5, 1.0, 1.0]))
