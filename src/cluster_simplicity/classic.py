@@ -30,7 +30,8 @@ from .core import (
     DistanceMatrix,
     IndexValue,
     Partition,
-    _pairwise,
+    _DISTANCES,
+    _distance_rows,
     is_defined,
 )
 from .simplicity import _si_centroid, _si_distance
@@ -111,15 +112,22 @@ def _db(stats: ClusterStats) -> IndexValue:
     Dispersion of a cluster is the mean member-to-centroid distance.
     UNDEFINED for k = 1 and whenever two cluster centroids coincide.
     """
-    if stats.k == 1:
+    k, radii = stats.k, stats.radii
+    if k == 1:
         return UNDEFINED
+    columns = np.ascontiguousarray(stats.centroids.T)
+    worst = np.empty(k)  # each cluster's largest ratio
+    step = max(1, _DISTANCES // k)
     # unchecked: overflowed centroids give NaN for the finiteness guard
-    gaps = _pairwise(stats.centroids)
-    np.fill_diagonal(gaps, np.inf)  # a cluster is not compared with itself
-    if not gaps.all():
-        return UNDEFINED
-    worst = ((stats.radii[:, None] + stats.radii[None, :]) / gaps).max(axis=1)
-    return float(worst.sum()) / stats.k
+    with np.errstate(over="ignore"):  # an overflowed square is an infinite gap
+        for start in range(0, k, step):
+            gaps = _distance_rows(columns, stats.centroids[start : start + step])
+            rows = np.arange(len(gaps))
+            gaps[rows, start + rows] = np.inf  # a cluster is not compared with itself
+            if not gaps.all():
+                return UNDEFINED
+            worst[start : start + step] = ((radii[start : start + step, None] + radii) / gaps).max(axis=1)
+    return float(worst.sum()) / k
 
 
 def _cindex(stats: ClusterStats) -> IndexValue:

@@ -186,7 +186,10 @@ def _cmd_hierarchical(args: argparse.Namespace, parser: _Parser) -> dict:
             dendrogram = dendrogram_from_merges(dataset.n_points, merges)
         except ValueError as exc:
             raise InputError(f"{args.linkage}: {exc}") from exc
-    curve = si_curve(dataset, dendrogram)
+    try:
+        curve = si_curve(dataset, dendrogram)
+    except ValueError as exc:  # a radius overflowed on these coordinates
+        raise InputError(f"{args.data}: {exc}") from exc
     min_level, min_value = curve.minimum()
     return {
         "command": "hierarchical",

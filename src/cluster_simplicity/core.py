@@ -70,6 +70,8 @@ def _real(values: object, what: str) -> np.ndarray:
     except ValueError:  # numpy's "inhomogeneous shape" for ragged nesting
         raise ValueError(f"{what} must have rows of equal length") from None
     if arr.dtype.kind in "biufO":  # a float cast would keep a complex number's real part, and parse strings
+        if arr.dtype.kind == "O" and any(v is None or isinstance(v, (str, bytes)) for v in arr.flat):
+            raise ValueError(f"{what} must be real numbers")  # the cast would parse text and make None NaN
         try:
             return np.asarray(arr, dtype=float)
         except (TypeError, ValueError):  # a complex number or another non-real object in an object array

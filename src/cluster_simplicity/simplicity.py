@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UNDEFINED, ClusterStats, Dataset, Dendrogram, IndexValue, _radius
+from .core import UNDEFINED, ClusterStats, Dataset, Dendrogram, IndexValue, _BLOCK, _radius
 
 
 def _si_from_exponents(sizes: np.ndarray, exponents: np.ndarray) -> float:
@@ -106,39 +106,78 @@ class SiCurve:
 def si_curve(dataset: Dataset, dendrogram: Dendrogram) -> SiCurve:
     """Centroid-form simplicity index at every level of a dendrogram.
 
-    Walks the merges once with the points in the dendrogram's leaf order,
-    where every cluster is one contiguous slice. A merge changes only two
-    clusters, so each step computes the merged cluster's radius alone and
-    updates the running sum of exponent * ln(size); the sum is compensated,
-    so it carries no more rounding than a fresh one. No Partition is built.
+    A merge changes only two clusters, so each level's sum of exponent *
+    ln(size) is the last level's plus the merged cluster's term less its two
+    parts'. The merged clusters' terms come from :func:`_merged_terms` and
+    the running sum from :func:`_running_sums`, which is compensated, so it
+    carries no more rounding than a fresh sum. No Partition is built.
+    ValueError when the arithmetic overflows on these points.
     """
     n = dendrogram.n_points
     if n != dataset.n_points:
         raise ValueError(f"dendrogram covers {n} points, dataset has {dataset.n_points}")
-    order, start, size = _leaf_layout(dendrogram)
-    points = dataset.points[order]
-    dataset_radius = _radius(dataset.points)
-    term = [0.0] * (2 * n - 1)  # exponent * ln(size) per cluster id
-    total = compensation = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is non-finite, and raises below
+        dataset_radius = _radius(dataset.points)
+        # with a zero dataset radius every exponent is zero
+        merged = _merged_terms(dataset.points, dendrogram, dataset_radius) if dataset_radius != 0.0 else np.zeros(n - 1)
+    overflowed = [dataset_radius] if not math.isfinite(dataset_radius) else merged[~np.isfinite(merged)].tolist()
+    if overflowed:
+        raise ValueError(f"si_curve: the arithmetic overflowed to {overflowed[0]}; the inputs are too large")
+    # each level adds its merged cluster's term and takes away its parts'; a point's term is 0
+    term = np.concatenate((np.zeros(n), merged))
+    sums = _running_sums(np.column_stack((merged, -term[dendrogram.merges])).ravel())[2::3]
     samples = [(0.0, float(n))]
-    merges = dendrogram.merges.tolist()
-    for row, distance in enumerate(dendrogram.distances.tolist()):
-        node = n + row
-        if dataset_radius != 0.0:
-            left, right = merges[row]
-            members = points[start[node] : start[node] + size[node]]
-            term[node] = _radius(members) / dataset_radius * math.log(size[node])
-            for x in (term[node], -term[left], -term[right]):
-                # Neumaier summation
-                t = total + x
-                if abs(total) >= abs(x):
-                    compensation += (total - t) + x
-                else:
-                    compensation += (x - t) + total
-                total = t
-        k = n - row - 1
-        samples.append((distance, k * math.exp((total + compensation) / k)))
+    for k, distance, total in zip(range(n - 1, 0, -1), dendrogram.distances.tolist(), sums.tolist()):
+        samples.append((distance, k * math.exp(total / k)))
     return SiCurve(tuple(samples))
+
+
+def _running_sums(steps: np.ndarray) -> np.ndarray:
+    """Neumaier-compensated running sums of ``steps``, in array passes.
+
+    ``accumulate`` adds in sequence, so the running totals, each addition's
+    rounding error and the errors' running sum are those of the loop that
+    adds one step at a time, bit for bit.
+    """
+    totals = np.cumsum(steps)
+    before = np.concatenate(([0.0], totals))[:-1]
+    errors = np.where(np.abs(before) >= np.abs(steps), (before - totals) + steps, (steps - totals) + before)
+    return totals + np.cumsum(errors)
+
+
+def _merged_terms(points: np.ndarray, dendrogram: Dendrogram, dataset_radius: float) -> np.ndarray:
+    """``radius / dataset_radius * ln(size)`` of the cluster each merge makes, in merge order.
+
+    In the dendrogram's leaf order every cluster is one contiguous slice of
+    the points. Consecutive merges are taken in chunks whose gathered members
+    hold at most ``_BLOCK`` coordinates, one merge at least, and each chunk
+    is scored in a few array passes: centroids by segment sums, offsets
+    squared in place, member distances, radii by segment sums. Memory is
+    O(chunk), and the work O(sum of the merged sizes).
+    """
+    n, d = points.shape
+    order, start, size = _leaf_layout(dendrogram)
+    points = points[order]
+    starts = np.array(start[n:])
+    sizes = np.array(size[n:])
+    ends = np.cumsum(sizes)  # each merge's end in the merges' gathered members
+    terms = np.empty(n - 1)
+    budget = max(1, _BLOCK // d)  # gathered rows in one chunk
+    first = 0
+    while first < n - 1:
+        base = ends[first] - sizes[first]
+        last = max(first + 1, int(np.searchsorted(ends, base + budget, side="right")))
+        chunk_sizes = sizes[first:last]
+        offsets = ends[first:last] - chunk_sizes - base  # each segment's start in the chunk
+        members = points[np.arange(ends[last - 1] - base) + np.repeat(starts[first:last] - offsets, chunk_sizes)]
+        centroids = np.add.reduceat(members, offsets, axis=0) / chunk_sizes[:, None]
+        members -= np.repeat(centroids, chunk_sizes, axis=0)
+        members *= members
+        distances = np.sqrt(np.add.reduce(members, axis=1))
+        radii = np.add.reduceat(distances, offsets) / chunk_sizes
+        terms[first:last] = radii / dataset_radius * np.log(chunk_sizes)
+        first = last
+    return terms
 
 
 def _leaf_layout(dendrogram: Dendrogram) -> tuple[np.ndarray, list[int], list[int]]:

@@ -34,7 +34,7 @@ from cluster_simplicity import (
     values_equal,
     SYNTHETIC_DATASET_IDS,
 )
-from cluster_simplicity.core import _BLOCK, _row_blocks
+from cluster_simplicity.core import _BLOCK, ClusterStats, _row_blocks
 
 import oracles
 
@@ -115,6 +115,26 @@ class TestDaviesBouldin:
 
     def test_all_singletons_is_zero(self):
         assert davies_bouldin(*X3S) == 0.0
+
+    @pytest.mark.parametrize("k, dim", [(2, 1), (150, 3), (400, 8)])
+    def test_blocks_of_rows_match_the_full_gap_matrix(self, k, dim):
+        # k = 400 takes 20 blocks of rows; each worst ratio is the full matrix's, bit for bit
+        data, part = _blobs(k, 3 * k, k, dim)
+        stats = ClusterStats(part, points=data.points)
+        gaps = pairwise_distances(stats.centroids)
+        np.fill_diagonal(gaps, np.inf)
+        worst = ((stats.radii[:, None] + stats.radii[None, :]) / gaps).max(axis=1)
+        assert davies_bouldin(data, part) == float(worst.sum()) / k
+
+    def test_coincident_centroids_in_a_later_block_undefined(self):
+        data, part = _blobs(3, 600, 300, 2)
+        points = data.points.copy()
+        points[part.labels == 299] = points[part.labels == 298]
+        assert davies_bouldin(Dataset(points), part) is UNDEFINED
+
+    def test_memory_is_linear_in_k(self):
+        # N = 3000, k = 1500: a k x k array of centroid gaps alone would take 18 MB
+        assert _peak(*_blobs(5, 3000, 1500), ["db"]) < 4 * 2**20
 
 
 class TestCIndex:

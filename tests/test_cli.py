@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -390,6 +391,20 @@ class TestHierarchical:
         assert code == 2
         assert out == ""
         assert f"error: {data}: single linkage: a point distance overflowed to inf" in err
+
+    def test_overflowing_radii_are_input_error(self, tmp_path, capsys):
+        # the distances fit, but the squared centroid offsets of si_curve overflow
+        data = tmp_path / "huge.csv"
+        data.write_text("0,0\n0,1e200\n3e200,0\n3e200,1e200\n")
+        linkage = tmp_path / "merges.txt"
+        linkage.write_text("0 1 1e200\n2 3 1e200\n4 5 3e200\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "hierarchical", "--data", str(data), "--linkage", str(linkage))
+        assert caught == []
+        assert code == 2
+        assert out == ""
+        assert f"error: {data}: si_curve: the arithmetic overflowed to inf; the inputs are too large" in err
 
     def test_single_point_explicit_linkage(self, tmp_path, capsys):
         data = tmp_path / "one.csv"

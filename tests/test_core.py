@@ -1,5 +1,6 @@
 import math
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -510,6 +511,21 @@ class TestContainers:
             Dataset(np.array([[1 + 1j, 2.0], [0, 0]], dtype=object))
         with pytest.raises(ValueError, match="must be real"):
             DistanceMatrix(np.array([[0, 1 + 1j], [1 + 1j, 0]]))
+
+    def test_text_and_none_in_object_arrays_rejected(self):
+        # a float cast would parse the text and turn None into NaN
+        for points in ([["1", "2"]], [[b"1", 2.0]], [[None, 2.0]]):
+            with pytest.raises(ValueError, match="points must be real numbers"):
+                Dataset(np.array(points, dtype=object))
+        with pytest.raises(ValueError, match="merges must be real numbers"):
+            Dendrogram(2, [[0, None]], [1.0])
+        with pytest.raises(ValueError, match="merge distances must be real numbers"):
+            Dendrogram(2, [[0, 1]], np.array(["1.0"], dtype=object))
+
+    def test_numbers_in_object_arrays_accepted(self):
+        points = np.array([[1, 2.5], [np.float32(0.5), np.int64(3)], [Fraction(1, 4), True]], dtype=object)
+        assert Dataset(points).points.tolist() == [[1.0, 2.5], [0.5, 3.0], [0.25, 1.0]]
+        assert Dendrogram(2, np.array([[0, 1]], dtype=object), [1]).merges.tolist() == [[0, 1]]
 
     def test_distance_matrix_validation(self):
         with pytest.raises(ValueError, match="symmetric"):

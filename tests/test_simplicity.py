@@ -24,6 +24,7 @@ from cluster_simplicity import (
     single_linkage,
     synthetic_dataset,
 )
+from cluster_simplicity import simplicity
 
 import oracles
 
@@ -174,6 +175,23 @@ class TestSiProperties:
             assert si(dataset, whole) == pytest.approx(float(n), rel=1e-12)
 
 
+def _single_linkage_tree():
+    # a chaining tree over three blobs
+    rng = np.random.default_rng(31)
+    points = np.vstack([rng.normal(loc=c, size=(12, 3)) for c in (-4.0, 0.0, 5.0)])
+    points[5] = points[4]  # a duplicate point merges at distance 0
+    data = Dataset(points)
+    return data, single_linkage(data)
+
+
+def _average_linkage_tree():
+    hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+    rng = np.random.default_rng(32)
+    points = np.vstack([rng.normal(loc=c, size=(12, 2)) for c in (-3.0, 0.0, 3.0)])
+    linkage = hierarchy.linkage(points, method="average")
+    return Dataset(points), dendrogram_from_merges(len(points), linkage[:, :3])
+
+
 class TestSiCurve:
     def test_line_dataset(self):
         data = Dataset([[0.0], [1.0], [3.0]])
@@ -197,19 +215,10 @@ class TestSiCurve:
         assert curve.values[1] == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_oracle_at_every_single_linkage_level(self):
-        rng = np.random.default_rng(31)
-        points = np.vstack([rng.normal(loc=c, size=(12, 3)) for c in (-4.0, 0.0, 5.0)])
-        points[5] = points[4]  # a duplicate point merges at distance 0
-        data = Dataset(points)
-        _assert_curve_matches_oracle(data, single_linkage(data))
+        _assert_curve_matches_oracle(*_single_linkage_tree())
 
     def test_matches_oracle_at_every_average_linkage_level(self):
-        hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
-        rng = np.random.default_rng(32)
-        points = np.vstack([rng.normal(loc=c, size=(12, 2)) for c in (-3.0, 0.0, 3.0)])
-        data = Dataset(points)
-        linkage = hierarchy.linkage(points, method="average")
-        _assert_curve_matches_oracle(data, dendrogram_from_merges(len(points), linkage[:, :3]))
+        _assert_curve_matches_oracle(*_average_linkage_tree())
 
     def test_hierarchy_memory_stays_linear(self):
         # N = 2000, d = 8: one N x N float matrix alone would take 32 MB
@@ -260,6 +269,49 @@ class TestSiCurve:
         n = float(data.n_points)
         assert curve.values[0] == pytest.approx(n, rel=1e-9)
         assert curve.values[-1] == pytest.approx(n, rel=1e-9)
+
+
+class TestSiCurveChunks:
+    """A chunk of merges gathers at most ``_BLOCK`` coordinates, one merge at least."""
+
+    @pytest.fixture(params=[1, 40], ids=["one-merge", "few-merges"], autouse=True)
+    def budget(self, request, monkeypatch):
+        monkeypatch.setattr(simplicity, "_BLOCK", request.param)
+
+    def test_single_linkage_tree(self):
+        _assert_curve_matches_oracle(*_single_linkage_tree())
+
+    def test_average_linkage_tree(self):
+        _assert_curve_matches_oracle(*_average_linkage_tree())
+
+    def test_coincident_points_step_down_exactly(self):
+        data = Dataset(np.full((7, 3), 2.5))
+        assert si_curve(data, single_linkage(data)).values == (7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0)
+
+
+def _neumaier_loop(steps):
+    total = compensation = 0.0
+    sums = []
+    for x in steps:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+        sums.append(total + compensation)
+    return sums
+
+
+class TestRunningSums:
+    @given(st.lists(st.floats(-1e300, 1e300) | st.sampled_from([1e16, -1e16, 1.0, 1e-16]), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_loop_bit_for_bit(self, steps):
+        assert simplicity._running_sums(np.array(steps, dtype=float)).tolist() == _neumaier_loop(steps)
+
+    def test_compensates_cancellation(self):
+        # a plain running sum loses the 1.0 under 1e16 and ends at 0
+        assert simplicity._running_sums(np.array([1e16, 1.0, -1e16])).tolist() == [1e16, 1e16 + 1.0, 1.0]
 
 
 class TestSiHierarchical:
