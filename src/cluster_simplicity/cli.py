@@ -34,9 +34,9 @@ import numpy as np
 from .classic import PARTITION_INDEX_IDS, UnknownIndexError, _check_partition_ids, evaluate_many
 from .core import (
     Dataset,
+    Dendrogram,
     IndexValue,
     Partition,
-    dendrogram_from_merges,
     is_defined,
     single_linkage,
     synthetic_dataset,
@@ -111,23 +111,31 @@ def _read_labels(path: str, n_points: int) -> Partition:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _read_linkage(path: str, n_points: int) -> list[tuple[float, float, float]]:
-    # ids are read as floats: dendrogram_from_merges rejects a non-integral id by row
-    merges: list[tuple[float, float, float]] = []
-    for lineno, line in _data_lines(path, "linkage"):
-        fields = line.replace(",", " ").split()
-        if len(fields) != 3:
-            raise InputError(
-                f"{path}: row {lineno}: expected 'left right distance', got {line.strip()!r}"
-            )
-        try:
-            left, right, distance = map(float, fields)
-        except ValueError:
-            raise InputError(f"{path}: row {lineno}: malformed linkage row {line.strip()!r}") from None
-        merges.append((left, right, distance))
-    if len(merges) != n_points - 1:
-        raise InputError(f"{path}: expected {n_points - 1} merge rows for {n_points} points, got {len(merges)}")
-    return merges
+def _read_linkage(path: str, n_points: int) -> np.ndarray:
+    """The ``(N-1) x 3`` float table of a linkage file's rows.
+
+    Ids are read as floats: Dendrogram rejects a non-integral id by row.
+    numpy parses each field with ``float()``; only when a row has other than
+    three fields, or a field does not parse, are the rows checked one by one
+    to name the first bad one."""
+    lines = _data_lines(path, "linkage")
+    rows = [line.replace(",", " ").split() for _, line in lines]
+    try:
+        table = np.array(rows, dtype=float).reshape(len(rows), 3)
+    except ValueError:
+        for (lineno, line), fields in zip(lines, rows):
+            if len(fields) != 3:
+                raise InputError(
+                    f"{path}: row {lineno}: expected 'left right distance', got {line.strip()!r}"
+                ) from None
+            try:
+                list(map(float, fields))
+            except ValueError:
+                raise InputError(f"{path}: row {lineno}: malformed linkage row {line.strip()!r}") from None
+        raise
+    if len(rows) != n_points - 1:
+        raise InputError(f"{path}: expected {n_points - 1} merge rows for {n_points} points, got {len(rows)}")
+    return table
 
 
 def _check_index_ids(ids: list[str], parser: _Parser) -> None:
@@ -181,9 +189,9 @@ def _cmd_hierarchical(args: argparse.Namespace, parser: _Parser) -> dict:
         except ValueError as exc:  # a point distance overflowed on these coordinates
             raise InputError(f"{args.data}: {exc}") from exc
     else:
-        merges = _read_linkage(args.linkage, dataset.n_points)
+        table = _read_linkage(args.linkage, dataset.n_points)
         try:
-            dendrogram = dendrogram_from_merges(dataset.n_points, merges)
+            dendrogram = Dendrogram(dataset.n_points, table[:, :2], table[:, 2])
         except ValueError as exc:
             raise InputError(f"{args.linkage}: {exc}") from exc
     try:
@@ -262,7 +270,7 @@ def _format_table(report: dict) -> str:
 
 
 def _emit(report: dict, fmt: str, out: str | None) -> None:
-    text = json.dumps(report, indent=2) + "\n" if fmt == "structured" else _format_table(report)
+    text = json.dumps(report, allow_nan=False) + "\n" if fmt == "structured" else _format_table(report)
     if out:
         Path(out).write_text(text)
     else:

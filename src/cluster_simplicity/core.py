@@ -240,26 +240,14 @@ class Dendrogram:
         if len(merges) != n - 1:
             raise ValueError(f"expected {n - 1} merges for {n} points, got {len(merges)}")
 
-        merged = bytearray(2 * n - 1)
-        previous = 0.0
-        for row, (pair, distance) in enumerate(zip(merges.tolist(), distances.tolist()), start=1):
-            limit = n + row - 1
-            for cid in pair:
-                if not cid.is_integer():
-                    raise ValueError(f"merge row {row}: cluster id {cid!r} is not an integer")
-                if not 0 <= cid < limit:
-                    raise ValueError(f"merge row {row}: cluster id {int(cid)} out of range 0..{limit - 1}")
-                if merged[int(cid)]:
-                    raise ValueError(f"merge row {row}: cluster id {int(cid)} already merged")
-            left, right = int(pair[0]), int(pair[1])
-            if left == right:
-                raise ValueError(f"merge row {row}: cannot merge cluster {left} with itself")
-            if not math.isfinite(distance) or distance < 0:
-                raise ValueError(f"merge row {row}: distance must be finite and nonnegative, got {distance}")
-            if distance < previous:
-                raise ValueError(f"merge row {row}: distance {distance} decreases below previous {previous}")
-            merged[left] = merged[right] = 1
-            previous = distance
+        bad, merged = _merge_faults(n, merges, distances)
+        if bad.size:
+            row = int(bad[0])
+            previous = float(distances[row - 1]) if row else 0.0
+            fault = _merge_fault(
+                merges[row].tolist(), float(distances[row]), previous, n + row, merged[row].tolist()
+            )
+            raise ValueError(f"merge row {row + 1}: {fault}")
         object.__setattr__(self, "n_points", n)
         object.__setattr__(self, "merges", _readonly(merges.astype(np.intp)))
         object.__setattr__(self, "distances", _readonly(distances))
@@ -280,6 +268,52 @@ class Dendrogram:
             root[left] = root[right] = root[node]
         label_of: dict[int, int] = {}
         return Partition(np.array([label_of.setdefault(r, len(label_of)) for r in root[:n]]))
+
+
+def _merge_faults(n: int, merges: np.ndarray, distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 0-based merge rows that fail a check, in order, and for each id
+    whether an earlier row names an equal id.
+
+    Row ``r`` names two different integral ids below ``n + r`` that no
+    earlier row names; its distance is finite, nonnegative and not below row
+    ``r - 1``'s. The ids stay floats, so no non-integral or out-of-range id
+    is cast. A stable argsort puts equal ids in row order: an id was merged
+    when the equal id sorted just before it lies in an earlier row. The rows
+    before the first failing one are all valid, so that row's flags are the
+    ones a row-by-row check would see.
+    """
+    limit = np.arange(n, 2 * n - 1)[:, None]
+    valid = np.isfinite(merges) & (np.trunc(merges) == merges) & (merges >= 0) & (merges < limit)
+    ids = merges.ravel()
+    order = np.argsort(ids, kind="stable")
+    repeat = ids[order[1:]] == ids[order[:-1]]
+    later, earlier = order[1:][repeat], order[:-1][repeat]
+    merged = np.zeros(ids.size, dtype=bool)
+    merged[later] = earlier // 2 < later // 2
+    merged = merged.reshape(merges.shape)
+    bad = ~valid.all(axis=1) | merged.any(axis=1) | (merges[:, 0] == merges[:, 1])
+    bad |= ~np.isfinite(distances) | (distances < 0)
+    bad[1:] |= distances[1:] < distances[:-1]
+    return np.flatnonzero(bad), merged
+
+
+def _merge_fault(pair: list[float], distance: float, previous: float, limit: int, merged: list[bool]) -> str:
+    """What is wrong with a failing merge row, whose ids must lie below
+    ``limit`` and whose ``merged`` flags say which ids an earlier row took:
+    the first failed check, left id before right, ids before distance."""
+    for cid, taken in zip(pair, merged):
+        if not cid.is_integer():
+            return f"cluster id {cid!r} is not an integer"
+        if not 0 <= cid < limit:
+            return f"cluster id {int(cid)} out of range 0..{limit - 1}"
+        if taken:
+            return f"cluster id {int(cid)} already merged"
+    left, right = int(pair[0]), int(pair[1])
+    if left == right:
+        return f"cannot merge cluster {left} with itself"
+    if not math.isfinite(distance) or distance < 0:
+        return f"distance must be finite and nonnegative, got {distance}"
+    return f"distance {distance} decreases below previous {previous}"
 
 
 def radius_centroid(points: object) -> float:
@@ -355,11 +389,11 @@ def _distance_rows(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
     The one distance kernel. Rows are taken a few at a time, so that their
     b x d x w differences hold at most ``_BLOCK`` elements (one row at
-    least). The differences are squared in place and summed over the
-    coordinate axis, which lies outside the rows of w: numpy's inner loop
-    adds a row of w at a time, so each distance is summed in coordinate order
-    whatever block it is computed in. The square of ``p_j - p_i`` is that of
-    ``p_i - p_j``. So the spanning tree's one-row calls and the tie groups'
+    least). The differences are laid out in C order, whatever the inputs'
+    order, squared in place and summed over the coordinate axis, which lies
+    outside the rows of w: numpy's inner loop adds a row of w at a time, so
+    each distance is summed in coordinate order whatever block it is
+    computed in. The square of ``p_j - p_i`` is that of ``p_i - p_j``. So the spanning tree's one-row calls and the tie groups'
     calls agree exactly with the blocked distance pass and
     :func:`pairwise_distances`, which is exactly symmetric. Callers enter
     ``np.errstate(over="ignore")`` once, outside their loop: an overflowed
@@ -371,7 +405,7 @@ def _distance_rows(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
     out = np.empty((rows.shape[0], w))
     step = max(1, _BLOCK // (d * w))
     for start in range(0, rows.shape[0], step):
-        diff = columns - rows[start : start + step, :, None]
+        diff = np.subtract(columns, rows[start : start + step, :, None], order="C")
         diff *= diff
         np.add.reduce(diff, axis=1, out=out[start : start + step])
     return np.sqrt(out, out=out)

@@ -203,15 +203,16 @@ def si_hierarchical(curve: SiCurve) -> IndexValue:
     Trapezoid integral of the curve over its distance span, normalized by
     ``(N - 1) * (last_distance - first_distance)``. UNDEFINED when the span is
     zero (every merge at the same distance, e.g. all points coincident).
+    Each gap is divided by the span before it is weighted, so no product
+    overflows or loses bits to subnormals, and rescaling the distances by a
+    power of two leaves the score's bits unchanged.
     """
     if len(curve) < 2:
         raise ValueError("hierarchy scoring needs at least 2 curve samples")
-    d = curve.distances
-    v = curve.values
+    d = np.array(curve.distances)
+    v = np.array(curve.values)
     span = d[-1] - d[0]
     if span == 0.0:
         return UNDEFINED
-    area = 0.0
-    for i in range(1, len(curve)):
-        area += (v[i] + v[i - 1]) * (d[i] - d[i - 1]) / 2.0
-    return area / ((len(curve) - 1) * span)
+    area = float(((v[1:] / 2.0 + v[:-1] / 2.0) * (np.diff(d) / span)).sum())
+    return area / (len(curve) - 1)

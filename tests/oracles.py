@@ -110,3 +110,31 @@ def single_linkage_merges(points):
         merges.append((left, right, link[best]))
         active = rest + [new_id]
     return merges
+
+
+def merge_fault(n, merges, distances):
+    """The message a Dendrogram over ``n`` points raises for float id pairs
+    ``merges`` and float ``distances``, or None when they are valid: each
+    row checked in turn, its left id, then its right id, then the pair, the
+    distance and the step from the previous distance."""
+    merged = bytearray(2 * n - 1)
+    previous = 0.0
+    for row, (pair, distance) in enumerate(zip(merges, distances), start=1):
+        limit = n + row - 1
+        for cid in pair:
+            if not cid.is_integer():
+                return f"merge row {row}: cluster id {cid!r} is not an integer"
+            if not 0 <= cid < limit:
+                return f"merge row {row}: cluster id {int(cid)} out of range 0..{limit - 1}"
+            if merged[int(cid)]:
+                return f"merge row {row}: cluster id {int(cid)} already merged"
+        left, right = int(pair[0]), int(pair[1])
+        if left == right:
+            return f"merge row {row}: cannot merge cluster {left} with itself"
+        if not math.isfinite(distance) or distance < 0:
+            return f"merge row {row}: distance must be finite and nonnegative, got {distance}"
+        if distance < previous:
+            return f"merge row {row}: distance {distance} decreases below previous {previous}"
+        merged[left] = merged[right] = 1
+        previous = distance
+    return None

@@ -18,7 +18,7 @@ from cluster_simplicity import (
     single_linkage,
     synthetic_dataset,
 )
-from cluster_simplicity.cli import main
+from cluster_simplicity.cli import InputError, _read_linkage, main
 
 
 def run_cli(capsys, *argv):
@@ -406,6 +406,21 @@ class TestHierarchical:
         assert out == ""
         assert f"error: {data}: si_curve: the arithmetic overflowed to inf; the inputs are too large" in err
 
+    def test_huge_merge_distances_give_valid_json(self, tmp_path, capsys):
+        # the trapezoid area and (N - 1) * span both overflow; their ratio does not
+        data = tmp_path / "square.csv"
+        data.write_text("0,0\n0,1\n3,0\n3,1\n")
+        linkage = tmp_path / "merges.txt"
+        linkage.write_text("0 1 1e308\n2 3 1.5e308\n4 5 1.7e308\n")
+        code, out, err = run_cli(capsys, "hierarchical", "--data", str(data), "--linkage", str(linkage))
+        assert (code, err) == (0, "")
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads(out, parse_constant=reject)
+        assert 1.0 <= report["si_h"] <= 4.0
+
     def test_single_point_explicit_linkage(self, tmp_path, capsys):
         data = tmp_path / "one.csv"
         data.write_text("1,2\n")
@@ -500,6 +515,22 @@ class TestReaders:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"error: {tmp_path / name}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("24 25 1e", "malformed linkage row '24 25 1e'"), ("24 25", "expected 'left right distance', got '24 25'")],
+    )
+    def test_late_bad_linkage_row_names_its_file_line(self, bad, message, tmp_path):
+        # 30 rows with a blank line after the fifth: the 25th row is file line 26;
+        # the malformed row after it is never reached
+        rows = [f"{i} {i + 1} {i}.0" for i in range(30)]
+        rows[24], rows[27] = bad, "x y z"
+        rows.insert(5, "")
+        path = tmp_path / "linkage.txt"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(InputError) as raised:
+            _read_linkage(str(path), 31)
+        assert str(raised.value) == f"{path}: row 26: {message}"
 
     def test_savetxt_labels_are_read(self, tmp_path, capsys):
         # np.savetxt writes integer labels as integral floats: 0.000000000000000000e+00

@@ -76,6 +76,39 @@ def _merge_rows(dendrogram):
     ]
 
 
+@st.composite
+def corrupted_merge_tables(draw):
+    """A random valid merge table over 2-8 points, as float id pairs and
+    distances, with up to three rows corrupted."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    active, merges = list(range(n)), []
+    for new_id in range(n, 2 * n - 1):
+        left = active.pop(draw(st.integers(0, len(active) - 1)))
+        right = active.pop(draw(st.integers(0, len(active) - 1)))
+        merges.append([float(left), float(right)])
+        active.append(new_id)
+    gaps = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=n - 1, max_size=n - 1))
+    distances = np.cumsum(gaps).tolist()
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.integers(0, n - 2))
+        side = draw(st.integers(0, 1))
+        kind = draw(st.sampled_from(["id", "reuse", "self", "distance", "decrease"]))
+        if kind == "id":
+            merges[row][side] = draw(st.sampled_from([
+                merges[row][side] + 0.5, math.nan, math.inf, -math.inf, -1.0, -0.0, float(n + row),
+                float(n + row + 1), 1e300,
+            ]))
+        elif kind == "reuse":
+            merges[row][side] = draw(st.sampled_from([cid for pair in merges for cid in pair]))
+        elif kind == "self":
+            merges[row][side] = merges[row][1 - side]
+        elif kind == "distance":
+            distances[row] = draw(st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -0.0]))
+        else:
+            distances[row] = distances[row - 1] - draw(st.sampled_from([0.25, 5.0])) if row else -0.5
+    return n, merges, distances
+
+
 class TestUndefined:
     def test_singleton(self):
         assert Undefined() is UNDEFINED
@@ -157,6 +190,17 @@ class TestRadii:
     def test_zero_iff_coincident(self, pts):
         coincident = bool(np.all(pts == pts[0]))
         assert (radius_centroid(pts) == 0.0) == coincident
+
+    def test_input_layout_does_not_change_the_bits(self):
+        # np.array keeps a transpose Fortran-ordered; the differences are laid
+        # out in C order whatever the inputs' order, so the coordinates are
+        # still summed one at a time, in order
+        for d in (3, 8, 33, 64):
+            pts = np.random.default_rng(37).normal(size=(40, d))
+            expected = _distance_rows(np.ascontiguousarray(pts.T), pts)
+            columns, rows = np.array(pts.T), np.asfortranarray(pts)
+            assert columns.flags.f_contiguous and not columns.flags.c_contiguous
+            assert np.array_equal(_distance_rows(columns, rows), expected), d
 
     def test_many_blocks_match_the_full_matrix(self):
         # 300 points span three blocks of the distance pass. Whatever the block,
@@ -686,6 +730,19 @@ class TestDendrogramValidation:
         assert dg.n_points == 3
         assert dg.merges.tolist() == [[0, 2], [1, 3]]
         assert dg.partition_at(2).labels.tolist() == [0, 1, 0]
+
+    @given(corrupted_merge_tables())
+    @settings(max_examples=400, deadline=None)
+    def test_rejects_exactly_as_the_row_loop(self, table):
+        # the array checks name the row, id and check the loop would name first
+        n, merges, distances = table
+        expected = oracles.merge_fault(n, merges, distances)
+        try:
+            Dendrogram(n, np.array(merges), np.array(distances))
+        except ValueError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
 
     def test_rejects_wrong_level_count(self):
         with pytest.raises(ValueError, match="expected 2 merges for 3 points"):

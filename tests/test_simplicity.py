@@ -334,6 +334,23 @@ class TestSiHierarchical:
         assert expected == 2.0
         assert si_hierarchical(curve) == pytest.approx(expected, rel=1e-12)
 
+    def test_subnormal_gaps(self):
+        # trapezoids (4+3)/2 and (3+4)/2 over half the span each: 3.5 / (3 - 1)
+        assert si_hierarchical(SiCurve(((0.0, 4.0), (5e-324, 3.0), (1e-323, 4.0)))) == 1.75
+
+    def test_power_of_two_scales_keep_the_bits(self):
+        distances, values = (0.0, 1.0, 1.5, 3.0, 7.0), (5.0, 3.2, 2.9, 4.1, 5.0)
+        expected = si_hierarchical(SiCurve(tuple(zip(distances, values))))
+        assert expected == pytest.approx(oracles.si_hierarchical_oracle(tuple(zip(distances, values))), rel=1e-15)
+        for j in range(-1000, 1001):
+            scaled = SiCurve(tuple((math.ldexp(d, j), v) for d, v in zip(distances, values)))
+            assert si_hierarchical(scaled) == expected, j
+        # the largest scale keeps the last distance finite: 7 * 2**1021
+        top = SiCurve(tuple((math.ldexp(d, 1021), v) for d, v in zip(distances, values)))
+        assert math.isfinite(si_hierarchical(top))
+        with pytest.raises(OverflowError):
+            math.ldexp(distances[-1], 1022)
+
     def test_rejects_short_curve(self):
         with pytest.raises(ValueError, match="at least 2"):
             si_hierarchical(SiCurve(((0.0, 1.0),)))
