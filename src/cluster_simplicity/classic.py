@@ -30,8 +30,8 @@ from .core import (
     DistanceMatrix,
     IndexValue,
     Partition,
-    _DISTANCES,
     _distance_rows,
+    _row_blocks,
     is_defined,
 )
 from .simplicity import _si_centroid, _si_distance
@@ -50,11 +50,11 @@ def _ch(stats: ClusterStats) -> IndexValue:
     n, k = stats.n, stats.k
     if k == 1 or k == n:
         return UNDEFINED
-    overall = stats.points.mean(axis=0)
-    between = float(np.dot(stats.sizes, ((stats.centroids - overall) ** 2).sum(axis=1)))
-    within = float((stats.offsets**2).sum())
+    centroids, squared, _ = stats.clusters
+    within = float(squared.sum())
     if within == 0.0:
         return UNDEFINED
+    between = float(np.dot(stats.sizes, ((centroids - stats.whole[0]) ** 2).sum(axis=1)))
     return (between / (k - 1)) / (within / (n - k))
 
 
@@ -84,9 +84,9 @@ def _sf(stats: ClusterStats) -> IndexValue:
     per-cluster mean member-to-centroid distances (within) through a double
     exponential, yielding a value in (0, 1]. No zero-denominator path.
     """
-    overall = stats.points.mean(axis=0)
-    between = float(np.dot(stats.sizes, np.linalg.norm(stats.centroids - overall, axis=1))) / (stats.n * stats.k)
-    gap = between - float(stats.radii.sum())
+    centroids, _, radii = stats.clusters
+    between = float(np.dot(stats.sizes, np.linalg.norm(centroids - stats.whole[0], axis=1))) / (stats.n * stats.k)
+    gap = between - float(radii.sum())
     if gap > 700.0:  # exp(exp(gap)) overflows; the score saturates at 1
         return 1.0
     return -math.expm1(-math.exp(gap))  # not 1 - exp(...), which rounds a tiny score to 0
@@ -111,22 +111,23 @@ def _db(stats: ClusterStats) -> IndexValue:
 
     Dispersion of a cluster is the mean member-to-centroid distance.
     UNDEFINED for k = 1 and whenever two cluster centroids coincide.
+    Gaps of the upper triangle only, in :func:`_row_blocks`: a ratio is exactly symmetric.
     """
-    k, radii = stats.k, stats.radii
+    (centroids, _, radii), k = stats.clusters, stats.k
     if k == 1:
         return UNDEFINED
-    columns = np.ascontiguousarray(stats.centroids.T)
-    worst = np.empty(k)  # each cluster's largest ratio
-    step = max(1, _DISTANCES // k)
+    columns = np.ascontiguousarray(centroids.T)
+    worst = np.zeros(k)  # each cluster's largest ratio; every ratio is >= 0
     # unchecked: overflowed centroids give NaN for the finiteness guard
     with np.errstate(over="ignore"):  # an overflowed square is an infinite gap
-        for start in range(0, k, step):
-            gaps = _distance_rows(columns, stats.centroids[start : start + step])
-            rows = np.arange(len(gaps))
-            gaps[rows, start + rows] = np.inf  # a cluster is not compared with itself
+        for start, stop in _row_blocks(k):
+            gaps = _distance_rows(columns[:, start:], centroids[start:stop])
+            np.fill_diagonal(gaps, np.inf)  # a cluster is not compared with itself
             if not gaps.all():
                 return UNDEFINED
-            worst[start : start + step] = ((radii[start : start + step, None] + radii) / gaps).max(axis=1)
+            ratios = (radii[start:stop, None] + radii[start:]) / gaps
+            worst[start:stop] = np.maximum(worst[start:stop], ratios.max(axis=1))
+            worst[stop:] = np.maximum(worst[stop:], ratios[:, stop - start :].max(axis=0))
     return float(worst.sum()) / k
 
 

@@ -325,13 +325,24 @@ def radius_centroid(points: object) -> float:
 
 
 def _radius(points: np.ndarray) -> float:
-    """:func:`radius_centroid` without the input checks, for validated points.
+    """:func:`radius_centroid` without the input checks: the points as one slice of :func:`_centroid_stats`."""
+    return float(_centroid_stats(points, np.zeros(1, dtype=np.intp), np.array([points.shape[0]]))[2][0])
 
-    The arithmetic of ``norm(points - points.mean(axis=0), axis=1).mean()``,
-    without the Python wrappers of ``mean`` and ``norm``."""
-    n = points.shape[0]
-    offsets = points - points.sum(axis=0) / n
-    return float(np.sqrt(np.add.reduce(offsets * offsets, axis=1)).sum() / n)
+
+def _centroid_stats(members: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The one route to centroids: the k x d centroids, each member's squared
+    offset and the k radii (mean member-to-centroid distances) of the row
+    slices of ``members`` at ``starts``, by segment sums. Offsets are taken
+    from each slice's first member before they are averaged (Chan, Golub &
+    LeVeque 1983), so coincident members give their exact centroid and
+    radius 0, and a shift far past the spread costs no accuracy."""
+    firsts = members[starts]
+    offsets = np.subtract(members, np.repeat(firsts, sizes, axis=0), order="C")
+    means = np.add.reduceat(offsets, starts, axis=0) / sizes[:, None]
+    offsets -= np.repeat(means, sizes, axis=0)
+    offsets *= offsets
+    squared = np.add.reduce(offsets, axis=1)
+    return firsts + means, squared, np.add.reduceat(np.sqrt(squared), starts) / sizes
 
 
 def pairwise_distances(points: object) -> np.ndarray:
@@ -446,26 +457,21 @@ class ClusterStats:
         self.sorted_labels = np.repeat(np.arange(self.k), self.sizes)
         self.n_within = int((self.sizes * (self.sizes - 1)).sum()) // 2  # within-cluster pairs
         self._starts = np.cumsum(self.sizes) - self.sizes
+        self._order = np.argsort(self.labels, kind="stable")  # point indices in label order
         self._matrix = distances
         self._reductions = frozenset(reductions)
 
     @cached_property
-    def centroids(self) -> np.ndarray:
-        """k x d cluster means: in-order member sums divided by size."""
-        sums = np.zeros((self.k, self.points.shape[1]))
-        np.add.at(sums, self.labels, self.points)
-        return sums / self.sizes[:, None]
+    def clusters(self) -> tuple[np.ndarray, ...]:
+        """:func:`_centroid_stats` of the points in label order, each cluster
+        one slice: k x d centroids, the members' squared offsets, k radii."""
+        return _centroid_stats(self.points[self._order], self._starts, self.sizes)
 
     @cached_property
-    def offsets(self) -> np.ndarray:
-        """Each point minus its cluster's centroid, in point order."""
-        return self.points - self.centroids[self.labels]
-
-    @cached_property
-    def radii(self) -> np.ndarray:
-        """Mean member-to-centroid distance of each cluster; 0 for a singleton."""
-        member_distances = np.linalg.norm(self.offsets, axis=1)
-        return np.bincount(self.labels, weights=member_distances, minlength=self.k) / self.sizes
+    def whole(self) -> tuple[np.ndarray, ...]:
+        """:func:`_centroid_stats` of the whole dataset as one slice: a 1 x d
+        centroid, each point's squared offset, and the radius as a 1-array."""
+        return _centroid_stats(self.points, np.zeros(1, dtype=np.intp), np.array([self.n]))
 
     def reduced(self, name: str) -> Any:
         """The distance reduction ``name`` named at construction, in label
@@ -489,9 +495,8 @@ class ClusterStats:
         The within sums add up the own-cluster sums, and the row sums become
         means at the end. The tails take the entries right of the square's diagonal.
         """
-        n, k, starts, labels = self.n, self.k, self._starts, self.sorted_labels
+        n, k, starts, labels, order = self.n, self.k, self._starts, self.sorted_labels, self._order
         ends = starts + self.sizes
-        order = np.argsort(self.labels, kind="stable")
         spans = list(_row_blocks(n))
         if self._matrix is None:
             points = self.points[order]

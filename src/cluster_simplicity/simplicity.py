@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UNDEFINED, ClusterStats, Dataset, Dendrogram, IndexValue, _BLOCK, _radius
+from .core import UNDEFINED, ClusterStats, Dataset, Dendrogram, IndexValue, _BLOCK, _centroid_stats, _radius
 
 
 def _si_from_exponents(sizes: np.ndarray, exponents: np.ndarray) -> float:
@@ -46,8 +46,8 @@ def _si_centroid(stats: ClusterStats) -> float:
     dataset_radius``, where a radius is the mean member-to-centroid distance.
     Always returns a finite value >= 1.
     """
-    dataset_radius = _radius(stats.points)
-    exponents = stats.radii / dataset_radius if dataset_radius != 0.0 else np.zeros(stats.k)
+    dataset_radius = stats.whole[2][0]
+    exponents = stats.clusters[2] / dataset_radius if dataset_radius != 0.0 else np.zeros(stats.k)
     return _si_from_exponents(stats.sizes, exponents)
 
 
@@ -150,10 +150,9 @@ def _merged_terms(points: np.ndarray, dendrogram: Dendrogram, dataset_radius: fl
 
     In the dendrogram's leaf order every cluster is one contiguous slice of
     the points. Consecutive merges are taken in chunks whose gathered members
-    hold at most ``_BLOCK`` coordinates, one merge at least, and each chunk
-    is scored in a few array passes: centroids by segment sums, offsets
-    squared in place, member distances, radii by segment sums. Memory is
-    O(chunk), and the work O(sum of the merged sizes).
+    hold at most ``_BLOCK`` coordinates, one merge at least; a chunk's radii
+    are one :func:`_centroid_stats` call, whose slices are its merged
+    clusters. Memory is O(chunk), and the work O(sum of the merged sizes).
     """
     n, d = points.shape
     order, start, size = _leaf_layout(dendrogram)
@@ -170,12 +169,7 @@ def _merged_terms(points: np.ndarray, dendrogram: Dendrogram, dataset_radius: fl
         chunk_sizes = sizes[first:last]
         offsets = ends[first:last] - chunk_sizes - base  # each segment's start in the chunk
         members = points[np.arange(ends[last - 1] - base) + np.repeat(starts[first:last] - offsets, chunk_sizes)]
-        centroids = np.add.reduceat(members, offsets, axis=0) / chunk_sizes[:, None]
-        members -= np.repeat(centroids, chunk_sizes, axis=0)
-        members *= members
-        distances = np.sqrt(np.add.reduce(members, axis=1))
-        radii = np.add.reduceat(distances, offsets) / chunk_sizes
-        terms[first:last] = radii / dataset_radius * np.log(chunk_sizes)
+        terms[first:last] = _centroid_stats(members, offsets, chunk_sizes)[2] / dataset_radius * np.log(chunk_sizes)
         first = last
     return terms
 

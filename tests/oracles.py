@@ -6,6 +6,7 @@ and must share no code with the package they check.
 """
 
 import math
+from fractions import Fraction
 
 
 def dist(a, b):
@@ -20,6 +21,16 @@ def centroid(points):
 def centroid_radius(points):
     g = centroid(points)
     return sum(dist(p, g) for p in points) / len(points)
+
+
+def centroid_radius_exact(points):
+    """Mean member-to-centroid distance from an exact Fraction centroid and
+    exact squared offsets: the only roundings are one math.sqrt per member,
+    the correctly rounded sum of the distances and the division by the count."""
+    exact = [[Fraction(x) for x in p] for p in points]
+    n = len(exact)
+    centre = [sum(column) / n for column in zip(*exact)]
+    return math.fsum(math.sqrt(sum((x - c) ** 2 for x, c in zip(p, centre))) for p in exact) / n
 
 
 def mean_pairwise(points):

@@ -99,6 +99,16 @@ class TestCalinskiHarabasz:
     def test_zero_within_dispersion_undefined(self):
         assert calinski_harabasz(*Y2S) is UNDEFINED
 
+    @pytest.mark.parametrize("low, high", [(0.1, 0.7), (-1e308, 1e308)])
+    def test_coincident_clusters_have_zero_dispersion(self, low, high):
+        # three copies each of two points: every offset from a cluster's first
+        # member is 0, so the within dispersion and both radii are exactly 0, even
+        # where the centroid gap overflows; the CH denominator and the DB numerators vanish
+        data = Dataset(np.array([[low, low]] * 3 + [[high, high]] * 3))
+        part = Partition(np.array([0, 0, 0, 1, 1, 1]))
+        assert calinski_harabasz(data, part) is UNDEFINED
+        assert davies_bouldin(data, part) == 0.0
+
 
 class TestDaviesBouldin:
     def test_x2s(self):
@@ -116,14 +126,16 @@ class TestDaviesBouldin:
     def test_all_singletons_is_zero(self):
         assert davies_bouldin(*X3S) == 0.0
 
-    @pytest.mark.parametrize("k, dim", [(2, 1), (150, 3), (400, 8)])
+    @pytest.mark.parametrize("k, dim", [(2, 1), (150, 3), (400, 8), (1500, 2)])
     def test_blocks_of_rows_match_the_full_gap_matrix(self, k, dim):
-        # k = 400 takes 20 blocks of rows; each worst ratio is the full matrix's, bit for bit
+        # the upper triangle's blocks (12 at k = 400, 149 at k = 1500) give each
+        # worst ratio of the full matrix, bit for bit
+        assert len(list(_row_blocks(k))) == {2: 1, 150: 3, 400: 12, 1500: 149}[k]
         data, part = _blobs(k, 3 * k, k, dim)
-        stats = ClusterStats(part, points=data.points)
-        gaps = pairwise_distances(stats.centroids)
+        centroids, _, radii = ClusterStats(part, points=data.points).clusters
+        gaps = pairwise_distances(centroids)
         np.fill_diagonal(gaps, np.inf)
-        worst = ((stats.radii[:, None] + stats.radii[None, :]) / gaps).max(axis=1)
+        worst = ((radii[:, None] + radii[None, :]) / gaps).max(axis=1)
         assert davies_bouldin(data, part) == float(worst.sum()) / k
 
     def test_coincident_centroids_in_a_later_block_undefined(self):
@@ -590,14 +602,14 @@ class TestEvaluateRegistry:
     @pytest.mark.parametrize("index_id", ["si_centroid", "si_distance", "ch", "silhouette", "sf", "db"])
     def test_overflow_raises_naming_index(self, index_id):
         # every public route raises: the registry and the named function on coordinates
-        # of +-1e308, whose centroid sums and squared offsets overflow to NaN, and
+        # out to +-1e308, whose centroid offsets and squares overflow to NaN, and
         # si_distance on a matrix of 1e308 distances, whose sums overflow to infinity
         part = Partition(np.array([0, 0, 1, 1]))
         if index_id == "si_distance":
             distances = DistanceMatrix(1e308 * (1 - np.eye(4)))
             routes = [lambda: si_distance(distances, part)]
         else:
-            data = Dataset(np.array([[-1e308], [-1e308], [1e308], [1e308]]))
+            data = Dataset(np.array([[-1e308], [-5e307], [5e307], [1e308]]))
             routes = [lambda: evaluate_many([index_id], data, part), lambda: PUBLIC_FUNCTIONS[index_id](data, part)]
         for route in routes:
             with pytest.raises(ValueError, match=f"index '{index_id}': the arithmetic overflowed"):

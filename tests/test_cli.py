@@ -236,12 +236,12 @@ class TestCompute:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_is_input_error_naming_index(self, tmp_path, capsys):
         points = tmp_path / "huge.csv"
-        points.write_text("-1e308\n-1e308\n1e308\n1e308\n")
+        points.write_text("-1e308\n-5e307\n5e307\n1e308\n")
         labels = tmp_path / "labels.csv"
         labels.write_text("0\n0\n1\n1\n")
         code, out, err = run_cli(
             capsys, "compute", "--data", str(points), "--labels", str(labels),
-            "--index", "si_distance", "--index", "ch",
+            "--index", "ch", "--index", "si_distance",
         )
         assert code == 2
         assert "NaN" not in out

@@ -58,8 +58,27 @@ def labelled_points(draw, max_points=12, dim=3):
     return np.array(pts), np.array(draw(st.permutations(list(range(k)) + extra)))
 
 
+@st.composite
+def shifted_clusters(draw):
+    """Points and labels of up to 5 clusters of 1-6 members in 1-4 dimensions:
+    unit-box coordinates scaled by a spread of 2^-30 to 2^30 and shifted by up
+    to 1e6 spreads per coordinate. About half the clusters are one point
+    repeated, so their members coincide whatever the shift."""
+    dim = draw(st.integers(1, 4))
+    spread = 2.0 ** draw(st.integers(-30, 30))
+    shift = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=dim, max_size=dim))) * spread
+    point = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)
+    rows, labels = [], []
+    for label in range(draw(st.integers(1, 5))):
+        size = draw(st.integers(1, 6))
+        rows += [draw(point)] * size if draw(st.booleans()) else draw(st.lists(point, min_size=size, max_size=size))
+        labels += [label] * size
+    order = np.array(draw(st.permutations(range(len(labels)))))
+    return shift + spread * np.array(rows)[order], np.array(labels)[order]
+
+
 def _centroids(points, labels):
-    return ClusterStats(Partition(labels), points=np.array(points)).centroids
+    return ClusterStats(Partition(labels), points=np.array(points)).clusters[0]
 
 
 def _grouping(labels):
@@ -228,6 +247,26 @@ class TestRadii:
     @settings(max_examples=60, deadline=None)
     def test_bounded_by_diameter(self, pts):
         assert radius_centroid(pts) <= oracles.diameter(pts.tolist()) + 1e-12
+
+    @given(shifted_clusters())
+    @settings(max_examples=200, deadline=None)
+    def test_radii_match_the_exact_oracle(self, case):
+        # offsets from each cluster's first member: within 1e-14 of the exact
+        # radius at any spread and shift, and exactly 0 for coincident members
+        pts, labels = case
+        radii = ClusterStats(Partition(labels), points=pts).clusters[2]
+        clusters = [pts[labels == label] for label in range(len(radii))]
+        for radius, members in [*zip(radii, clusters), (radius_centroid(pts), pts)]:
+            exact = oracles.centroid_radius_exact(members.tolist())
+            assert radius == exact if exact == 0.0 else abs(radius - exact) <= 1e-14 * exact, (radius, exact)
+
+    @given(shifted_clusters())
+    @settings(max_examples=60, deadline=None)
+    def test_one_cluster_radius_is_radius_centroid(self, case):
+        # one slice of one routine: the same bits from ClusterStats and radius_centroid
+        pts, _ = case
+        stats = ClusterStats(Partition(np.zeros(len(pts), dtype=int)), points=pts)
+        assert stats.clusters[2][0] == radius_centroid(pts) == stats.whole[2][0]
 
 
 class TestWithinClusterSums:

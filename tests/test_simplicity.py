@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cluster_simplicity import (
@@ -12,9 +12,11 @@ from cluster_simplicity import (
     Partition,
     SiCurve,
     UNDEFINED,
+    calinski_harabasz,
     dendrogram_from_merges,
     is_defined,
     pairwise_distances,
+    radius_centroid,
     scale_dataset,
     shift_dataset,
     si_centroid,
@@ -90,6 +92,27 @@ class TestSiCentroidAnchors:
         data, _ = synthetic_dataset("X2S")
         with pytest.raises(ValueError, match="labels 2 items"):
             si_centroid(data, Partition(np.array([0, 1])))
+
+
+class TestCoincidentPoints:
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(1, 3),
+        st.lists(st.integers(0, 3), min_size=2, max_size=8),
+    )
+    @example(0.1, 3, [0, 0, 0, 1, 1, 1])
+    @settings(max_examples=100, deadline=None)
+    def test_reference_values_hold_at_any_coordinate(self, value, dim, groups):
+        # offsets from a cluster's first member are exactly 0 for coincident points,
+        # so every radius is 0: the best value 1 for one cluster, k when split
+        points = np.full((len(groups), dim), value)
+        data = Dataset(points)
+        split = Partition(np.unique(groups, return_inverse=True)[1])
+        assert si_centroid(data, Partition(np.zeros(len(groups), dtype=int))) == 1.0
+        assert si_centroid(data, split) == split.n_clusters
+        assert calinski_harabasz(data, split) is UNDEFINED
+        assert radius_centroid(points) == 0.0
+        assert si_curve(data, single_linkage(data)).samples[-1][1] == 1.0
 
 
 class TestSiDistanceAnchors:
