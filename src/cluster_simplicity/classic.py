@@ -44,8 +44,8 @@ class UnknownIndexError(ValueError):
 def _ch(stats: ClusterStats) -> IndexValue:
     """Variance-ratio criterion: between-cluster over within-cluster dispersion.
 
-    UNDEFINED for k = 1, k = N, or zero within-cluster dispersion (the
-    degrees-of-freedom or dispersion denominator vanishes).
+    UNDEFINED for k = 1, k = N, or zero within-cluster dispersion (a
+    denominator factor, k - 1, N - k or the dispersion, vanishes).
     """
     n, k = stats.n, stats.k
     if k == 1 or k == n:

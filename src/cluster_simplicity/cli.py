@@ -24,7 +24,6 @@ floats, as ``np.savetxt`` writes them.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -146,8 +145,15 @@ def _check_index_ids(ids: list[str], parser: _Parser) -> None:
 
 
 def _flags_record(flags: PropertyFlags) -> dict:
-    record = dataclasses.asdict(flags)
-    return {"index": record.pop("index_id"), **record}
+    return {
+        "index": flags.index_id,
+        "variant": flags.variant,
+        "invariance": flags.invariance,
+        "optimality": flags.optimality,
+        "baseline": flags.baseline,
+        "detail": dict(vars(flags.detail)),
+        "undefined_probes": flags.undefined_probes,
+    }
 
 
 def _cmd_compute(args: argparse.Namespace, parser: _Parser) -> dict:

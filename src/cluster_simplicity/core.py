@@ -11,6 +11,7 @@ builder.
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -216,8 +217,9 @@ class Dendrogram:
     Level ``i`` (1-based) is the partition into ``N - i + 1`` clusters left
     after the first ``i - 1`` merges, formed at the distance of the last of
     them: level 1 is all singletons at distance 0 and level N is the single
-    all-inclusive cluster. Partitions are not stored: :meth:`partition_at`
-    derives one in O(N). The merge array is O(N) memory.
+    all-inclusive cluster. Levels are read from one O(N) leaf layout,
+    computed once when first read: a point order in which every cluster of
+    every level is one slice, so :meth:`partition_at` derives a level in O(N).
     """
 
     n_points: int
@@ -252,6 +254,22 @@ class Dendrogram:
         object.__setattr__(self, "merges", _readonly(merges.astype(np.intp)))
         object.__setattr__(self, "distances", _readonly(distances))
 
+    @cached_property
+    def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Leaf order of the points, and each cluster id's start and size in it, read-only."""
+        n = self.n_points
+        merges = self.merges.tolist()
+        size = [1] * (2 * n - 1)
+        for row, (left, right) in enumerate(merges):
+            size[n + row] = size[left] + size[right]
+        start = [0] * (2 * n - 1)
+        for row in range(n - 2, -1, -1):
+            left, right = merges[row]
+            start[left] = start[n + row]
+            start[right] = start[left] + size[left]
+        start, size = np.array(start), np.array(size)
+        return tuple(_readonly(part) for part in (np.argsort(start[:n]), start, size))
+
     def partition_at(self, level: int) -> Partition:
         """Partition at 1-based ``level``, after the first ``level - 1`` merges.
 
@@ -260,14 +278,16 @@ class Dendrogram:
         n = self.n_points
         if not isinstance(level, (int, np.integer)) or not 1 <= level <= n:
             raise ValueError(f"level must be an integer in 1..{n}, got {level}")
-        # walk the applied merges from the last: each node's root is its parent's
-        root = list(range(n + level - 1))
-        merges = self.merges[: level - 1].tolist()
-        for node in range(n + level - 2, n - 1, -1):
-            left, right = merges[node - n]
-            root[left] = root[right] = root[node]
-        label_of: dict[int, int] = {}
-        return Partition(np.array([label_of.setdefault(r, len(label_of)) for r in root[:n]]))
+        order, start, _ = self._layout
+        # a merge removes the leaf-order boundary where its right part starts
+        boundary = np.zeros(n, dtype=bool)
+        boundary[0] = True
+        boundary[start[self.merges[level - 1 :, 1]]] = True
+        slice_of = np.cumsum(boundary)[start[:n]] - 1  # each point's cluster, as a slice number
+        smallest = np.minimum.reduceat(order, np.flatnonzero(boundary))  # each slice's smallest point
+        rank = np.empty(n - level + 1, dtype=np.intp)
+        rank[np.argsort(smallest)] = np.arange(n - level + 1)
+        return Partition(rank[slice_of])
 
 
 def _merge_faults(n: int, merges: np.ndarray, distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -746,7 +766,8 @@ class _Forest:
 
 class _TieGroup:
     """Clusters that a run of equal-length MST edges joins into one, with the
-    boolean matrix of which pairs of them are at the run's distance.
+    boolean matrix of which pairs of them are at the run's distance, and so
+    each cluster's smallest tied partner.
 
     Only clusters in one group can be at that distance from each other. Each
     cluster is compared with the larger ones through member distances, so
@@ -769,32 +790,22 @@ class _TieGroup:
                     near = _distance_rows(columns[:, :before], members[row : row + 1])[0] <= distance
                     self.tied[i, slot[:before][near]] = True
         self.tied |= self.tied.T
-        self.degree = self.tied.sum(axis=1)
         self.ids = np.array(clusters)
 
-    def smallest_pair(self) -> tuple[int, int] | None:
-        """Slots of the tied pair with the lexicographically smallest ids."""
-        linked = np.flatnonzero(self.degree)
-        if not linked.size:
-            return None
-        a = linked[np.argmin(self.ids[linked])]
+    def partner(self, a: int) -> int | None:
+        """Slot of the smallest id tied to slot ``a``, or None when none is."""
         partners = np.flatnonzero(self.tied[a])
-        return int(a), int(partners[np.argmin(self.ids[partners])])
+        return int(partners[np.argmin(self.ids[partners])]) if partners.size else None
 
     def merge(self, a: int, b: int, new_id: int) -> None:
         """Replace slots ``a`` and ``b`` by their union, in slot ``a``: the
         union is tied to every cluster either part was tied to."""
         row = self.tied[a] | self.tied[b]
         row[[a, b]] = False
-        self.degree -= self.tied[a]
-        self.degree -= self.tied[b]
-        self.degree += row
         self.tied[[a, b], :] = False
         self.tied[:, [a, b]] = False
         self.tied[a] = row
         self.tied[:, a] = row
-        self.degree[a] = row.sum()
-        self.degree[b] = 0
         self.ids[a] = new_id
 
 
@@ -806,9 +817,12 @@ def _merge_tied(points: np.ndarray, forest: _Forest, edges: list[list[int]], dis
     first, and a merged cluster is at that distance from every cluster either
     part was. The MST alone cannot say which pairs are at that distance, so
     each group of joined clusters builds its tie matrix from member distances.
-    """
-    import heapq  # only tied runs need it; importing the package stays lean
 
+    A merge only unites ties, so a cluster without a tied partner never gets
+    one, and a new id is larger than every active one. So an ascending queue
+    of the run's ids, new ids appended, pops each merge's left cluster (the
+    smallest active id with a tied partner) in turn; its group gives the partner.
+    """
     parent: dict[int, int] = {}  # touched cluster -> union-find parent
     for u, v in edges:
         a, b = _root(forest.parent, u), _root(forest.parent, v)
@@ -819,21 +833,17 @@ def _merge_tied(points: np.ndarray, forest: _Forest, edges: list[list[int]], dis
     for c in parent:
         joined.setdefault(_root(parent, c), []).append(c)
     groups = [_TieGroup(points, forest, clusters, distance) for clusters in joined.values()]
-
-    # one entry per group, its current smallest pair: (id, id, group, slot, slot)
-    heap = []
-    for g, group in enumerate(groups):
-        a, b = group.smallest_pair()
-        heap.append((int(group.ids[a]), int(group.ids[b]), g, a, b))
-    heapq.heapify(heap)
-    while heap:
-        left, right, g, a, b = heapq.heappop(heap)
-        group = groups[g]
-        group.merge(a, b, forest.merge(left, right, distance))
-        pair = group.smallest_pair()
-        if pair is not None:
-            a, b = pair
-            heapq.heappush(heap, (int(group.ids[a]), int(group.ids[b]), g, a, b))
+    slots = {int(c): (group, a) for group in groups for a, c in enumerate(group.ids)}  # id -> group, slot
+    queue = deque(sorted(slots))
+    while queue:
+        left = queue.popleft()
+        group, a = slots[left]
+        b = group.partner(a)  # None once it has merged as a partner, or when its group is one cluster
+        if b is not None:
+            new_id = forest.merge(left, int(group.ids[b]), distance)
+            group.merge(a, b, new_id)
+            slots[new_id] = group, a
+            queue.append(new_id)
 
 
 def single_linkage(dataset: Dataset) -> Dendrogram:

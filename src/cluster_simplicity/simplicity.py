@@ -148,17 +148,16 @@ def _running_sums(steps: np.ndarray) -> np.ndarray:
 def _merged_terms(points: np.ndarray, dendrogram: Dendrogram, dataset_radius: float) -> np.ndarray:
     """``radius / dataset_radius * ln(size)`` of the cluster each merge makes, in merge order.
 
-    In the dendrogram's leaf order every cluster is one contiguous slice of
+    In the dendrogram's leaf layout every cluster is one contiguous slice of
     the points. Consecutive merges are taken in chunks whose gathered members
     hold at most ``_BLOCK`` coordinates, one merge at least; a chunk's radii
     are one :func:`_centroid_stats` call, whose slices are its merged
     clusters. Memory is O(chunk), and the work O(sum of the merged sizes).
     """
     n, d = points.shape
-    order, start, size = _leaf_layout(dendrogram)
+    order, start, size = dendrogram._layout
     points = points[order]
-    starts = np.array(start[n:])
-    sizes = np.array(size[n:])
+    starts, sizes = start[n:], size[n:]
     ends = np.cumsum(sizes)  # each merge's end in the merges' gathered members
     terms = np.empty(n - 1)
     budget = max(1, _BLOCK // d)  # gathered rows in one chunk
@@ -172,23 +171,6 @@ def _merged_terms(points: np.ndarray, dendrogram: Dendrogram, dataset_radius: fl
         terms[first:last] = _centroid_stats(members, offsets, chunk_sizes)[2] / dataset_radius * np.log(chunk_sizes)
         first = last
     return terms
-
-
-def _leaf_layout(dendrogram: Dendrogram) -> tuple[np.ndarray, list[int], list[int]]:
-    """Leaf order of the points, and each cluster id's start and size in it."""
-    n = dendrogram.n_points
-    merges = dendrogram.merges.tolist()
-    size = [1] * (2 * n - 1)
-    for row, (left, right) in enumerate(merges):
-        size[n + row] = size[left] + size[right]
-    start = [0] * (2 * n - 1)
-    for row in range(n - 2, -1, -1):
-        left, right = merges[row]
-        start[left] = start[n + row]
-        start[right] = start[left] + size[left]
-    order = np.empty(n, dtype=np.intp)
-    order[start[:n]] = np.arange(n)
-    return order, start, size
 
 
 def si_hierarchical(curve: SiCurve) -> IndexValue:

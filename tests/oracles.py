@@ -123,6 +123,19 @@ def single_linkage_merges(points):
     return merges
 
 
+def partition_at(n, merges, level):
+    """Labels after the first ``level - 1`` of the ``(left, right)`` id pairs
+    ``merges`` over ``n`` points, numbered in the order of each cluster's
+    smallest point: the applied merges walked from the last, each id's root
+    its parent's."""
+    root = list(range(n + level - 1))
+    for node in range(n + level - 2, n - 1, -1):
+        left, right = merges[node - n]
+        root[left] = root[right] = root[node]
+    label_of = {}
+    return [label_of.setdefault(r, len(label_of)) for r in root[:n]]
+
+
 def merge_fault(n, merges, distances):
     """The message a Dendrogram over ``n`` points raises for float id pairs
     ``merges`` and float ``distances``, or None when they are valid: each

@@ -95,17 +95,30 @@ def _merge_rows(dendrogram):
     ]
 
 
+def _random_merges(draw, n):
+    """A valid merge table over ``n`` points: each row joins two active ids
+    drawn at random, so it holds merge orders single linkage never makes."""
+    active, merges = list(range(n)), []
+    for new_id in range(n, 2 * n - 1):
+        left = active.pop(draw(st.integers(0, len(active) - 1)))
+        right = active.pop(draw(st.integers(0, len(active) - 1)))
+        merges.append([left, right])
+        active.append(new_id)
+    return merges
+
+
+@st.composite
+def merge_tables(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    return n, _random_merges(draw, n)
+
+
 @st.composite
 def corrupted_merge_tables(draw):
     """A random valid merge table over 2-8 points, as float id pairs and
     distances, with up to three rows corrupted."""
     n = draw(st.integers(min_value=2, max_value=8))
-    active, merges = list(range(n)), []
-    for new_id in range(n, 2 * n - 1):
-        left = active.pop(draw(st.integers(0, len(active) - 1)))
-        right = active.pop(draw(st.integers(0, len(active) - 1)))
-        merges.append([float(left), float(right)])
-        active.append(new_id)
+    merges = [[float(left), float(right)] for left, right in _random_merges(draw, n)]
     gaps = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=n - 1, max_size=n - 1))
     distances = np.cumsum(gaps).tolist()
     for _ in range(draw(st.integers(0, 3))):
@@ -666,6 +679,15 @@ class TestSingleLinkage:
         # small integer grids: many duplicates and equal heights, exact distances
         assert _merge_rows(single_linkage(Dataset(pts))) == oracles.single_linkage_merges(pts)
 
+    def test_tie_order_matches_closest_pair_scan_on_larger_inputs(self):
+        grid = [[float(x), float(y)] for x in range(9) for y in range(9)]
+        # each block of five is one point of each of four cliques, then a distinct point,
+        # so the distance-0 run holds four groups whose merges interleave
+        corners, others = [[0, 0], [9, 0], [0, 9], [9, 9]], [[2, 5], [4, 1], [5, 7], [7, 4], [3, 3]]
+        cliques = [[float(c) for c in p] for other in others for p in corners + [other]]
+        for pts in (grid, cliques):
+            assert _merge_rows(single_linkage(Dataset(pts))) == oracles.single_linkage_merges(pts)
+
     def test_matches_closest_pair_scan_on_floats(self):
         rng = np.random.default_rng(97)
         for n in (2, 5, 17, 30):
@@ -782,6 +804,14 @@ class TestDendrogramValidation:
             assert str(exc) == expected
         else:
             assert expected is None
+
+    @given(merge_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_levels_match_the_root_walk(self, table):
+        n, merges = table
+        dg = Dendrogram(n, np.array(merges, dtype=np.intp).reshape(-1, 2), np.zeros(n - 1))
+        for level in range(1, n + 1):
+            assert dg.partition_at(level).labels.tolist() == oracles.partition_at(n, merges, level)
 
     def test_rejects_wrong_level_count(self):
         with pytest.raises(ValueError, match="expected 2 merges for 3 points"):
