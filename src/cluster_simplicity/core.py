@@ -346,23 +346,53 @@ def radius_centroid(points: object) -> float:
 
 def _radius(points: np.ndarray) -> float:
     """:func:`radius_centroid` without the input checks: the points as one slice of :func:`_centroid_stats`."""
-    return float(_centroid_stats(points, np.zeros(1, dtype=np.intp), np.array([points.shape[0]]))[2][0])
+    whole = _centroid_stats(points, np.zeros(1, dtype=np.intp), np.array([points.shape[0]]), round_once=False)
+    return float(whole[2][0])
 
 
-def _centroid_stats(members: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, ...]:
+def _centroid_stats(
+    members: np.ndarray, starts: np.ndarray, sizes: np.ndarray, *, round_once: bool = True
+) -> tuple[np.ndarray, ...]:
     """The one route to centroids: the k x d centroids, each member's squared
     offset and the k radii (mean member-to-centroid distances) of the row
     slices of ``members`` at ``starts``, by segment sums. Offsets are taken
     from each slice's first member before they are averaged (Chan, Golub &
     LeVeque 1983), so coincident members give their exact centroid and
-    radius 0, and a shift far past the spread costs no accuracy."""
+    radius 0, and a shift far past the spread costs no accuracy. Each
+    centroid is ``first + sum / size`` rounded once (:func:`_round_once`),
+    so clusters whose exact centroids are equal get equal floats. With
+    ``round_once=False`` it is ``first + mean offset``, rounded twice, which
+    is cheaper for callers that never compare centroids for equality."""
     firsts = members[starts]
     offsets = np.subtract(members, np.repeat(firsts, sizes, axis=0), order="C")
-    means = np.add.reduceat(offsets, starts, axis=0) / sizes[:, None]
+    sums = np.add.reduceat(offsets, starts, axis=0)
+    means = sums / sizes[:, None]
     offsets -= np.repeat(means, sizes, axis=0)
     offsets *= offsets
     squared = np.add.reduce(offsets, axis=1)
-    return firsts + means, squared, np.add.reduceat(np.sqrt(squared), starts) / sizes
+    centroids = _round_once(firsts, sums, means, sizes[:, None]) if round_once else firsts + means
+    return centroids, squared, np.add.reduceat(np.sqrt(squared), starts) / sizes
+
+
+def _round_once(firsts: np.ndarray, sums: np.ndarray, means: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``firsts + sums / sizes`` rounded once, not twice, up to a tie too
+    close to call, where ``means`` is ``sums / sizes`` rounded.
+
+    What the two roundings drop is recovered exactly and added back: the
+    division's remainder ``sums - means * sizes``, from ``means`` split into
+    halves of 26 significant bits whose products with a size below 2^25 are
+    exact (Veltkamp's split, Dekker 1971), and the error of ``firsts +
+    means`` by TwoSum (Knuth). Where a part overflowed (a mean past 1.3e300
+    overflows the split), the twice rounded value stands."""
+    centroids = firsts + means
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = means * 134217729.0  # 2^27 + 1
+        high = scaled - (scaled - means)
+        low = means - high
+        remainders = (sums - high * sizes) - low * sizes
+        back = centroids - firsts
+        dropped = (firsts - (centroids - back)) + (means - back) + remainders / sizes
+    return centroids + np.where(np.isfinite(dropped), dropped, 0.0)
 
 
 def pairwise_distances(points: object) -> np.ndarray:
@@ -490,8 +520,11 @@ class ClusterStats:
     @cached_property
     def whole(self) -> tuple[np.ndarray, ...]:
         """:func:`_centroid_stats` of the whole dataset as one slice: a 1 x d
-        centroid, each point's squared offset, and the radius as a 1-array."""
-        return _centroid_stats(self.points, np.zeros(1, dtype=np.intp), np.array([self.n]))
+        centroid, each point's squared offset, and the radius as a 1-array.
+        The dataset centroid is only subtracted from cluster centroids, in
+        sums of squares and norms, never tested for equality with one, so it
+        is not rounded once."""
+        return _centroid_stats(self.points, np.zeros(1, dtype=np.intp), np.array([self.n]), round_once=False)
 
     def reduced(self, name: str) -> Any:
         """The distance reduction ``name`` named at construction, in label

@@ -168,7 +168,8 @@ def _merged_terms(points: np.ndarray, dendrogram: Dendrogram, dataset_radius: fl
         chunk_sizes = sizes[first:last]
         offsets = ends[first:last] - chunk_sizes - base  # each segment's start in the chunk
         members = points[np.arange(ends[last - 1] - base) + np.repeat(starts[first:last] - offsets, chunk_sizes)]
-        terms[first:last] = _centroid_stats(members, offsets, chunk_sizes)[2] / dataset_radius * np.log(chunk_sizes)
+        radii = _centroid_stats(members, offsets, chunk_sizes, round_once=False)[2]
+        terms[first:last] = radii / dataset_radius * np.log(chunk_sizes)
         first = last
     return terms
 

@@ -123,6 +123,13 @@ class TestDaviesBouldin:
     def test_coincident_centroids_undefined(self):
         assert davies_bouldin(*Y2S) is UNDEFINED
 
+    def test_equal_exact_centroids_reached_from_different_first_members(self):
+        # both exact centroids are 1/6, from offsets to 0.0 and to -0.5; each is
+        # rounded once, so they coincide and no centroid gap is a rounding error
+        data = Dataset(np.array([[0.0], [0.0], [0.5], [-0.5], [0.0], [1.0]]))
+        part = Partition(np.array([0, 0, 0, 1, 1, 1]))
+        assert davies_bouldin(data, part) is UNDEFINED
+
     def test_all_singletons_is_zero(self):
         assert davies_bouldin(*X3S) == 0.0
 

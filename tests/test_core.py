@@ -185,6 +185,18 @@ class TestCentroid:
     def test_three_points(self):
         assert np.allclose(_centroids([P1, P2, P3], [0, 0, 0]), [[1 / 3, 1 / 3, 1 / 3]])
 
+    @given(labelled_points(), st.integers(-40, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_grid_centroids_are_the_exact_mean_rounded_once(self, pts_labels, scale):
+        # on a grid every offset sum is exact, so each centroid must be the
+        # exact mean rounded once: equal exact centroids then compare equal
+        pts, labels = pts_labels
+        pts = np.ldexp(pts, scale)
+        for label, row in enumerate(_centroids(pts, labels)):
+            members = pts[labels == label]
+            exact = [float(sum(map(Fraction, column.tolist())) / len(members)) for column in members.T]
+            assert row.tolist() == exact
+
 
 class TestRadii:
     def test_radius_coincident(self):
