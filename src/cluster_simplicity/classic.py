@@ -82,7 +82,8 @@ def _sf(stats: ClusterStats) -> IndexValue:
 
     Combines size-weighted centroid-to-grand-centroid distances (between) with
     per-cluster mean member-to-centroid distances (within) through a double
-    exponential, yielding a value in (0, 1]. No zero-denominator path.
+    exponential, yielding a value in [0, 1]: exactly 0 once ``exp(gap)``
+    underflows, at a gap below about -745. No zero-denominator path.
     """
     centroids, _, radii = stats.clusters
     between = float(np.dot(stats.sizes, np.linalg.norm(centroids - stats.whole[0], axis=1))) / (stats.n * stats.k)

@@ -63,10 +63,11 @@ def _render(value: IndexValue) -> float | str:
 
 def _data_lines(path: str, what: str) -> list[tuple[int, str]]:
     """The non-blank lines of the ``what`` file at ``path``, with their 1-based
-    line numbers; InputError if the file cannot be read."""
+    line numbers; InputError if the file cannot be read or is not UTF-8.
+    A leading byte-order mark is dropped."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc
     return [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1) if line.strip()]
 

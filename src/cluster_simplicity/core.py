@@ -11,6 +11,7 @@ builder.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -454,8 +455,9 @@ def _distance_rows(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
     order, squared in place and summed over the coordinate axis, which lies
     outside the rows of w: numpy's inner loop adds a row of w at a time, so
     each distance is summed in coordinate order whatever block it is
-    computed in. The square of ``p_j - p_i`` is that of ``p_i - p_j``. So the spanning tree's one-row calls and the tie groups'
-    calls agree exactly with the blocked distance pass and
+    computed in. The square of ``p_j - p_i`` is that of ``p_i - p_j``. So
+    the spanning tree's one-row calls and the tie groups' block calls, in
+    whatever member order, agree exactly with the blocked distance pass and
     :func:`pairwise_distances`, which is exactly symmetric. Callers enter
     ``np.errstate(over="ignore")`` once, outside their loop: an overflowed
     square sums to an infinite distance.
@@ -765,7 +767,7 @@ def _minimum_spanning_tree(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ends, lengths
 
 
-def _root(parent: list[int] | dict[int, int], node: int) -> int:
+def _root(parent: array[int], node: int) -> int:
     """The root of ``node`` in the union-find forest ``parent`` (node -> parent),
     halving the path on the way."""
     while parent[node] != node:
@@ -773,57 +775,32 @@ def _root(parent: list[int] | dict[int, int], node: int) -> int:
     return node
 
 
-class _Forest:
-    """The clusters of a single-linkage hierarchy as it grows: union-find over
-    cluster ids (:func:`_root` of a point is its cluster), each merge recorded
-    as a linkage row."""
-
-    def __init__(self, n_points: int) -> None:
-        self.n_points = n_points
-        self.parent = list(range(2 * n_points - 1))  # cluster id -> the id it merged into
-        self.members = {p: [p] for p in range(n_points)}  # active cluster id -> points
-        self.merges: list[tuple[int, int]] = []
-        self.distances: list[float] = []
-
-    def merge(self, a: int, b: int, distance: float) -> int:
-        """Merge active clusters ``a`` and ``b`` and return the new cluster's id."""
-        new_id = self.n_points + len(self.merges)
-        self.parent[a] = self.parent[b] = new_id
-        larger, smaller = sorted((self.members.pop(a), self.members.pop(b)), key=len, reverse=True)
-        larger.extend(smaller)
-        self.members[new_id] = larger
-        self.merges.append((min(a, b), max(a, b)))
-        self.distances.append(distance)
-        return new_id
-
-
 class _TieGroup:
     """Clusters that a run of equal-length MST edges joins into one, with the
     boolean matrix of which pairs of them are at the run's distance, and so
     each cluster's smallest tied partner.
 
-    Only clusters in one group can be at that distance from each other. Each
-    cluster is compared with the larger ones through member distances, so
-    over a whole hierarchy this costs at most one distance per pair of points;
-    the matrix takes m^2 bytes for m tied clusters.
+    Only clusters in one group can be at that distance from each other. The
+    members, smallest cluster first, are compared on the upper-triangle
+    schedule of :func:`_row_blocks`, one kernel call per block, with rows
+    stopping where the largest cluster starts. Both entries of a tied pair
+    are set at once: m tied clusters take m^2 bytes, once.
     """
 
-    def __init__(self, points: np.ndarray, forest: _Forest, clusters: list[int], distance: float) -> None:
-        clusters = sorted(clusters, key=lambda c: (-len(forest.members[c]), c))
-        sizes = [len(forest.members[c]) for c in clusters]
-        members = points[[p for c in clusters for p in forest.members[c]]]
-        columns = np.ascontiguousarray(members.T)
-        slot = np.repeat(np.arange(len(clusters)), sizes)
-        ends = np.cumsum(sizes)
-        self.tied = np.zeros((len(clusters), len(clusters)), dtype=bool)
+    def __init__(self, points: np.ndarray, ids: np.ndarray, sizes: np.ndarray, distance: float) -> None:
+        slot = np.repeat(np.arange(len(ids)), sizes)
+        columns = np.ascontiguousarray(points.T)
+        largest = len(points) - sizes[-1]
+        self.tied = np.zeros((len(ids), len(ids)), dtype=bool)
         with np.errstate(over="ignore"):  # an overflowed distance is infinite, so never tied
-            for i in range(1, len(clusters)):
-                before = ends[i - 1]
-                for row in range(before, ends[i]):
-                    near = _distance_rows(columns[:, :before], members[row : row + 1])[0] <= distance
-                    self.tied[i, slot[:before][near]] = True
-        self.tied |= self.tied.T
-        self.ids = np.array(clusters)
+            for start, stop in _row_blocks(len(points)):
+                if start >= largest:
+                    break
+                near = _distance_rows(columns[:, start:], points[start : min(stop, largest)]) <= distance
+                a, b = (slot[start + pairs] for pairs in np.nonzero(near))
+                self.tied[a, b] = self.tied[b, a] = True
+        np.fill_diagonal(self.tied, False)  # a cluster's own pairs
+        self.ids = ids
 
     def partner(self, a: int) -> int | None:
         """Slot of the smallest id tied to slot ``a``, or None when none is."""
@@ -831,41 +808,57 @@ class _TieGroup:
         return int(partners[np.argmin(self.ids[partners])]) if partners.size else None
 
     def merge(self, a: int, b: int, new_id: int) -> None:
-        """Replace slots ``a`` and ``b`` by their union, in slot ``a``: the
-        union is tied to every cluster either part was tied to."""
+        """Put the union of slots ``a`` and ``b`` in slot ``a``, tied to every
+        cluster either part was tied to, and clear slot ``b``."""
         row = self.tied[a] | self.tied[b]
         row[[a, b]] = False
-        self.tied[[a, b], :] = False
-        self.tied[:, [a, b]] = False
-        self.tied[a] = row
-        self.tied[:, a] = row
+        self.tied[a] = self.tied[:, a] = row
+        self.tied[b] = self.tied[:, b] = False
         self.ids[a] = new_id
 
 
-def _merge_tied(points: np.ndarray, forest: _Forest, edges: list[list[int]], distance: float) -> None:
-    """Merge the clusters joined by a run of equal-length MST edges.
+def _merge_tied(
+    points: np.ndarray, parent: array[int], edges: np.ndarray, distance: float, next_id: int
+) -> Iterator[tuple[int, int]]:
+    """The merges, as id pairs, of a run of equal-length MST edges; the
+    caller records them under the ids from ``next_id`` on.
 
     Reproduces the closest-pair scan: among active clusters at single-link
     distance ``distance`` the lexicographically smallest pair of ids merges
     first, and a merged cluster is at that distance from every cluster either
     part was. The MST alone cannot say which pairs are at that distance, so
     each group of joined clusters builds its tie matrix from member distances.
+    One pointer-jumping pass over ``parent`` gives every point's cluster, and
+    one stable sort of the points by cluster makes each cluster a slice, so a
+    group gathers its members in O(its size). The run's edges then link their
+    clusters in ``parent``, so :func:`_root` gives each one's group; the run
+    merges every such cluster, and recording that merge overwrites its link.
 
     A merge only unites ties, so a cluster without a tied partner never gets
     one, and a new id is larger than every active one. So an ascending queue
     of the run's ids, new ids appended, pops each merge's left cluster (the
     smallest active id with a tied partner) in turn; its group gives the partner.
     """
-    parent: dict[int, int] = {}  # touched cluster -> union-find parent
-    for u, v in edges:
-        a, b = _root(forest.parent, u), _root(forest.parent, v)
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
+    root = np.frombuffer(parent, dtype=np.int64)  # a view of parent
+    while not np.array_equal(up := root[root], root):  # pointer jumping, in place: each id then points at its root
+        root[:] = up
+    cluster = root[: len(points)].copy()  # the links below write to parent
+    order = np.argsort(cluster, kind="stable")  # the points, cluster by cluster
+    joined = cluster[edges]
+    for a, b in joined.tolist():
         parent[_root(parent, a)] = _root(parent, b)
-    joined: dict[int, list[int]] = {}
-    for c in parent:
-        joined.setdefault(_root(parent, c), []).append(c)
-    groups = [_TieGroup(points, forest, clusters, distance) for clusters in joined.values()]
+    touched = np.unique(joined)
+    group_root = np.array([_root(parent, c) for c in touched.tolist()])
+    start, stop = np.searchsorted(cluster[order], [touched, touched + 1])  # each cluster's slice
+    by_group = np.lexsort((touched, stop - start, group_root))  # each group's smallest cluster first
+    touched, group_root, start, sizes = (part[by_group] for part in (touched, group_root, start, stop - start))
+    ends = np.cumsum(sizes)
+    members = points[order[np.arange(ends[-1]) + np.repeat(start - (ends - sizes), sizes)]]
+    firsts = [0, *(np.flatnonzero(np.diff(group_root)) + 1).tolist(), len(touched)]  # each group's first slot
+    groups = [
+        _TieGroup(members[ends[a] - sizes[a] : ends[b - 1]], touched[a:b], sizes[a:b], distance)
+        for a, b in zip(firsts, firsts[1:])
+    ]
     slots = {int(c): (group, a) for group in groups for a, c in enumerate(group.ids)}  # id -> group, slot
     queue = deque(sorted(slots))
     while queue:
@@ -873,10 +866,11 @@ def _merge_tied(points: np.ndarray, forest: _Forest, edges: list[list[int]], dis
         group, a = slots[left]
         b = group.partner(a)  # None once it has merged as a partner, or when its group is one cluster
         if b is not None:
-            new_id = forest.merge(left, int(group.ids[b]), distance)
-            group.merge(a, b, new_id)
-            slots[new_id] = group, a
-            queue.append(new_id)
+            yield left, int(group.ids[b])
+            group.merge(a, b, next_id)
+            slots[next_id] = group, a
+            queue.append(next_id)
+            next_id += 1
 
 
 def single_linkage(dataset: Dataset) -> Dendrogram:
@@ -886,10 +880,13 @@ def single_linkage(dataset: Dataset) -> Dendrogram:
     ties go to the lexicographically smallest pair of cluster ids, which makes
     the result deterministic. Built as Gower & Ross (1969) do: a Prim minimum
     spanning tree, whose edges sorted by length are the merges, joined with
-    union-find. O(N^2) time and O(N) memory beyond the points; no N x N
-    matrix is formed. A run of equal-length edges is resolved against member
-    distances so that the tie rule holds exactly; ``m`` clusters tied at one
-    distance take an ``m x m`` boolean matrix while they are merged.
+    one union-find array. O(N^2) time and O(N) memory beyond the points; no
+    N x N matrix is formed. A run of equal-length edges makes one merge per
+    edge, so the stably sorted lengths are the merge heights. A tied run is
+    resolved against member distances so that the tie rule holds exactly:
+    members come from one sort of the points by cluster, tied pairs from one
+    kernel call per block, and ``m`` clusters tied at one distance take an
+    ``m x m`` boolean matrix, once, while they are merged.
     """
     n = dataset.n_points
     if n < 2:
@@ -897,18 +894,17 @@ def single_linkage(dataset: Dataset) -> Dendrogram:
     points = dataset.points
     ends, lengths = _minimum_spanning_tree(points)
     order = np.argsort(lengths, kind="stable")
-    ends, lengths = ends[order].tolist(), lengths[order].tolist()
-    forest = _Forest(n)
-    start = 0
-    while start < n - 1:
-        distance = lengths[start]
-        stop = start + 1
-        while stop < n - 1 and lengths[stop] == distance:
-            stop += 1
+    ends, lengths = ends[order], lengths[order]
+    parent = array("q", range(2 * n - 1))  # union-find over cluster ids: the roots are the active clusters
+    merges: list[tuple[int, int]] = []
+    runs = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), n - 1]  # runs of equal lengths
+    for start, stop in zip(runs, runs[1:]):
         if stop - start == 1:
-            u, v = ends[start]
-            forest.merge(_root(forest.parent, u), _root(forest.parent, v), distance)
+            u, v = ends[start].tolist()
+            pairs: Iterable[tuple[int, int]] = [(_root(parent, u), _root(parent, v))]
         else:
-            _merge_tied(points, forest, ends[start:stop], distance)
-        start = stop
-    return Dendrogram(n, np.array(forest.merges), np.array(forest.distances))
+            pairs = _merge_tied(points, parent, ends[start:stop], lengths[start], n + len(merges))
+        for a, b in pairs:
+            parent[a] = parent[b] = n + len(merges)
+            merges.append((min(a, b), max(a, b)))
+    return Dendrogram(n, np.array(merges), lengths)

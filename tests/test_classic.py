@@ -241,6 +241,12 @@ class TestScoreFunction:
         assert value > 0.0
         assert value == pytest.approx(math.exp(-50.0), rel=1e-12)
 
+    def test_score_is_zero_once_the_gap_underflows(self):
+        # two clusters sharing centroid 0: between = 0, within = 1000 + 1000, gap = -2000
+        value = score_function(Dataset(np.array([[-1000.0], [1000.0], [-1000.0], [1000.0]])), Partition([0, 0, 1, 1]))
+        assert value == 0.0
+        assert math.copysign(1.0, value) == 1.0  # +0.0
+
     def test_saturates_instead_of_overflowing(self):
         # far-apart tight clusters drive the inner exponential over the top
         pts = np.vstack([np.zeros((2, 1)), np.full((2, 1), 1e6)])

@@ -568,6 +568,21 @@ class TestReaders:
         assert code == 2
         assert err.startswith(f"error: cannot read {what} file {missing}: ")
 
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"\xff0,0\n1,0\n")
+        code, out, err = run_cli(capsys, "hierarchical", "--data", str(data))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read points file {data}: ")
+        assert "can't decode byte 0xff" in err
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        data = tmp_path / "bom.csv"
+        data.write_bytes(b"\xef\xbb\xbf" + self.FILES["points"].encode())  # UTF-8 byte-order mark
+        hierarchy = run_json(capsys, "hierarchical", "--data", str(data))
+        assert hierarchy["n_points"] == 3
+        assert [sample["distance"] for sample in hierarchy["curve"]] == [0.0, 1.0, 2.0]
+
 
 class TestUsage:
     def test_missing_subcommand(self, capsys):

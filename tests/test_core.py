@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from cluster_simplicity import (
     synthetic_dataset,
     SYNTHETIC_DATASET_IDS,
 )
+from cluster_simplicity import core
 from cluster_simplicity.core import ClusterStats, _Tails, _distance_rows, _row_blocks
 
 import oracles
@@ -93,6 +95,22 @@ def _merge_rows(dendrogram):
         (left, right, distance)
         for (left, right), distance in zip(dendrogram.merges.tolist(), dendrogram.distances.tolist())
     ]
+
+
+def _tied_inputs():
+    """Inputs whose tied runs hold several clusters, small enough for the closest-pair scan."""
+    grid = [[float(x), float(y)] for x in range(9) for y in range(9)]
+    # each block of five is one point of each of four cliques, then a distinct point,
+    # so the distance-0 run holds four groups whose merges interleave
+    corners, others = [[0, 0], [9, 0], [0, 9], [9, 9]], [[2, 5], [4, 1], [5, 7], [7, 4], [3, 3]]
+    cliques = [[float(c) for c in p] for other in others for p in corners + [other]]
+    # at distance 1 a run of six points ties with four pairs, and far off four pairs
+    # tie in a chain; the two groups' points alternate, so their cluster ids interleave
+    star = [(x / 2, 0) for x in range(6)]
+    star += [(0, 1), (0, 1.5), (1, -1), (1, -1.5), (2, 1), (2, 1.5), (3.5, 0), (4, 0)]
+    chain = [(10 + x, y) for x in range(3) for y in (0, 0.5)] + [(11, 1.5), (11, 2)]
+    mixed = [[float(c) for c in p] for i in range(len(star)) for p in star[i : i + 1] + chain[i : i + 1]]
+    return grid, cliques, mixed
 
 
 def _random_merges(draw, n):
@@ -692,13 +710,25 @@ class TestSingleLinkage:
         assert _merge_rows(single_linkage(Dataset(pts))) == oracles.single_linkage_merges(pts)
 
     def test_tie_order_matches_closest_pair_scan_on_larger_inputs(self):
-        grid = [[float(x), float(y)] for x in range(9) for y in range(9)]
-        # each block of five is one point of each of four cliques, then a distinct point,
-        # so the distance-0 run holds four groups whose merges interleave
-        corners, others = [[0, 0], [9, 0], [0, 9], [9, 9]], [[2, 5], [4, 1], [5, 7], [7, 4], [3, 3]]
-        cliques = [[float(c) for c in p] for other in others for p in corners + [other]]
-        for pts in (grid, cliques):
+        for pts in _tied_inputs():
             assert _merge_rows(single_linkage(Dataset(pts))) == oracles.single_linkage_merges(pts)
+
+    def test_tie_order_holds_when_tied_pairs_span_many_blocks(self, monkeypatch):
+        monkeypatch.setattr(core, "_DISTANCES", 5)  # a block of one or a few rows
+        for pts in _tied_inputs():
+            assert _merge_rows(single_linkage(Dataset(pts))) == oracles.single_linkage_merges(pts)
+
+    def test_tie_matrix_is_held_once(self):
+        # at distance 1 every point of a 40 x 40 grid is a tied cluster: m = 1600
+        m = 1600
+        grid = Dataset([[float(x), float(y)] for x in range(40) for y in range(40)])
+        tracemalloc.start()
+        try:
+            single_linkage(grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * m * m
 
     def test_matches_closest_pair_scan_on_floats(self):
         rng = np.random.default_rng(97)
