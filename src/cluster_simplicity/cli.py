@@ -73,42 +73,63 @@ def _data_lines(path: str, what: str) -> list[tuple[int, str]]:
 
 
 def _read_points(path: str) -> Dataset:
-    rows: list[list[float]] = []
-    for lineno, line in _data_lines(path, "points"):
-        try:
-            row = [float(f) for f in line.split(",")]  # float() ignores surrounding whitespace
-        except ValueError:
-            raise InputError(f"{path}: row {lineno}: not a numeric CSV row: {line!r}") from None
-        if rows and len(row) != len(rows[0]):
-            raise InputError(
-                f"{path}: row {lineno}: expected {len(rows[0])} coordinates, got {len(row)}"
-            )
-        rows.append(row)
-    if not rows:
+    """The points file's rows as a Dataset.
+
+    numpy parses each field with ``float()`` (which ignores surrounding
+    whitespace); only when a field does not parse, or the rows differ in
+    width, are the rows checked one by one to name the first bad one."""
+    lines = _data_lines(path, "points")
+    if not lines:
         raise InputError(f"{path}: no data rows")
+    rows = [line.split(",") for _, line in lines]
     try:
-        return Dataset(np.array(rows))
+        points = np.array(rows, dtype=float)
+    except ValueError:
+        for (lineno, line), fields in zip(lines, rows):
+            try:
+                list(map(float, fields))
+            except ValueError:
+                raise InputError(f"{path}: row {lineno}: not a numeric CSV row: {line!r}") from None
+            if len(fields) != len(rows[0]):
+                raise InputError(
+                    f"{path}: row {lineno}: expected {len(rows[0])} coordinates, got {len(fields)}"
+                ) from None
+        raise
+    try:
+        return Dataset(points)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
 def _read_labels(path: str, n_points: int) -> Partition:
-    # read as floats, so that the integral floats np.savetxt writes are accepted
-    labels: list[int] = []
-    for lineno, line in _data_lines(path, "labels"):
-        try:
-            label = float(line)
-        except ValueError:
-            label = float("nan")
-        if not label.is_integer():  # 1.5, nan, inf and text
-            raise InputError(f"{path}: row {lineno}: not an integer label: {line.strip()!r}")
-        labels.append(int(label))
+    """The labels file's rows as a Partition.
+
+    Read as floats, so that the integral floats np.savetxt writes are
+    accepted. numpy parses each row with ``float()``; only when a row does
+    not parse are the rows parsed one by one, text as nan. The first row that
+    is not an integer (1.5, nan, inf or text) is named."""
+    lines = _data_lines(path, "labels")
+    try:
+        labels = np.array([line for _, line in lines], dtype=float)
+    except ValueError:
+        labels = np.array([_float_or_nan(line) for _, line in lines])
+    bad = np.flatnonzero(~np.isfinite(labels) | (np.trunc(labels) != labels))
+    if bad.size:
+        lineno, line = lines[bad[0]]
+        raise InputError(f"{path}: row {lineno}: not an integer label: {line.strip()!r}")
     if len(labels) != n_points:
         raise InputError(f"{path}: {len(labels)} labels for {n_points} points")
     try:
-        return Partition(np.array(labels))
+        return Partition(labels)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return float("nan")
 
 
 def _read_linkage(path: str, n_points: int) -> np.ndarray:

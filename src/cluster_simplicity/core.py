@@ -741,29 +741,39 @@ def dendrogram_from_merges(
 def _minimum_spanning_tree(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Prim's algorithm on the complete Euclidean graph: (n-1, 2) ends and lengths.
 
-    One distance row per step, so O(N^2 d) time and O(N d) memory.
+    Prim runs over the points still outside the tree only. They fill the
+    first m slots of their coordinates (coordinate-major, as the kernel reads
+    them), their ids, their keys (distance to the tree) and their nearest tree
+    points; when a point joins, the last outside slot moves into its slot.
+    Each step computes the distances from the newest tree point to the m
+    outside points, so each pair's distance is computed once: n(n-1)/2 in
+    all, O(N^2 d) time and O(N d) memory. Among equal keys the first slot
+    joins, so a tie's spanning tree depends on the slot order; every minimum
+    spanning tree gives :func:`single_linkage` the same merges.
     """
     n = points.shape[0]
-    outside = np.ones(n, dtype=bool)
-    best = np.full(n, np.inf)  # distance from each outside point to the tree
-    nearest = np.zeros(n, dtype=np.intp)  # the tree point at that distance
+    columns = points[1:].T.copy()  # point 0 starts the tree; the slot moves below write to the copy
+    ids = np.arange(1, n)
+    keys = np.full(n - 1, np.inf)
+    nearest = np.zeros(n - 1, dtype=np.intp)
     ends = np.empty((n - 1, 2), dtype=np.intp)
     lengths = np.empty(n - 1)
-    columns = np.ascontiguousarray(points.T)
     current = 0
     with np.errstate(over="ignore"):  # an overflowed edge is infinite, and raises below
         for step in range(n - 1):
-            outside[current] = False
-            best[current] = np.inf
-            row = _distance_rows(columns, points[current : current + 1])[0]
-            closer = outside & (row < best)
-            best[closer] = row[closer]
-            nearest[closer] = current
-            current = int(np.argmin(best))
-            if best[current] == math.inf:  # every remaining edge overflowed; argmin found no outside point
+            m = n - 1 - step
+            key = keys[:m]
+            row = _distance_rows(columns[:, :m], points[current : current + 1])[0]
+            np.copyto(nearest[:m], current, where=row < key)
+            np.minimum(key, row, out=key)
+            j = int(key.argmin())
+            if key[j] == math.inf:  # every remaining edge overflowed
                 raise ValueError("single linkage: a point distance overflowed to inf; the coordinates are too large")
-            ends[step] = nearest[current], current
-            lengths[step] = best[current]
+            current = int(ids[j])
+            ends[step] = nearest[j], current
+            lengths[step] = key[j]
+            last = m - 1  # its slot moves into j, the joining point's
+            columns[:, j], ids[j], key[j], nearest[j] = columns[:, last], ids[last], key[last], nearest[last]
     return ends, lengths
 
 
@@ -880,13 +890,15 @@ def single_linkage(dataset: Dataset) -> Dendrogram:
     ties go to the lexicographically smallest pair of cluster ids, which makes
     the result deterministic. Built as Gower & Ross (1969) do: a Prim minimum
     spanning tree, whose edges sorted by length are the merges, joined with
-    one union-find array. O(N^2) time and O(N) memory beyond the points; no
-    N x N matrix is formed. A run of equal-length edges makes one merge per
-    edge, so the stably sorted lengths are the merge heights. A tied run is
-    resolved against member distances so that the tie rule holds exactly:
-    members come from one sort of the points by cluster, tied pairs from one
-    kernel call per block, and ``m`` clusters tied at one distance take an
-    ``m x m`` boolean matrix, once, while they are merged.
+    one union-find array. Prim runs over the points still outside the tree,
+    so each pair's distance is computed once. O(N^2) time and O(N) memory
+    beyond the points; no N x N matrix is formed. A run of equal-length
+    edges makes one merge per edge, so the stably sorted lengths are the
+    merge heights. A tied run is resolved against member distances so that
+    the tie rule holds exactly: members come from one sort of the points by
+    cluster, tied pairs from one kernel call per block, and ``m`` clusters
+    tied at one distance take an ``m x m`` boolean matrix, once, while they
+    are merged.
     """
     n = dataset.n_points
     if n < 2:
@@ -896,15 +908,16 @@ def single_linkage(dataset: Dataset) -> Dendrogram:
     order = np.argsort(lengths, kind="stable")
     ends, lengths = ends[order], lengths[order]
     parent = array("q", range(2 * n - 1))  # union-find over cluster ids: the roots are the active clusters
-    merges: list[tuple[int, int]] = []
+    merges = array("q")  # the merged id pairs, flat: a seventh of the bytes of a list of tuples
     runs = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), n - 1]  # runs of equal lengths
+    edges = ends.ravel().tolist()  # edge i's ends at 2i and 2i + 1
     for start, stop in zip(runs, runs[1:]):
         if stop - start == 1:
-            u, v = ends[start].tolist()
+            u, v = edges[2 * start], edges[2 * start + 1]
             pairs: Iterable[tuple[int, int]] = [(_root(parent, u), _root(parent, v))]
         else:
-            pairs = _merge_tied(points, parent, ends[start:stop], lengths[start], n + len(merges))
+            pairs = _merge_tied(points, parent, ends[start:stop], lengths[start], n + len(merges) // 2)
         for a, b in pairs:
-            parent[a] = parent[b] = n + len(merges)
-            merges.append((min(a, b), max(a, b)))
-    return Dendrogram(n, np.array(merges), lengths)
+            parent[a] = parent[b] = n + len(merges) // 2
+            merges.extend((min(a, b), max(a, b)))
+    return Dendrogram(n, np.frombuffer(merges, dtype=np.int64).reshape(n - 1, 2), lengths)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -75,14 +76,19 @@ class SiCurve:
         samples = tuple((float(d), float(v)) for d, v in self.samples)
         if not samples:
             raise ValueError("curve has no samples")
-        for i, (d, v) in enumerate(samples):
-            if not (math.isfinite(d) and math.isfinite(v)) or d < 0:
-                raise ValueError(f"sample {i + 1} must be finite with nonnegative distance, got {(d, v)}")
-            if i and d < samples[i - 1][0]:
-                raise ValueError(
-                    f"curve distances must be nondecreasing: sample {i + 1} has "
-                    f"{d} after {samples[i - 1][0]}"
-                )
+        table = np.fromiter(chain.from_iterable(samples), float, 2 * len(samples)).reshape(-1, 2)
+        distances = table[:, 0]
+        invalid = ~np.isfinite(table).all(axis=1) | (distances < 0)
+        decreasing = np.concatenate(([False], distances[1:] < distances[:-1]))
+        bad = np.flatnonzero(invalid | decreasing)
+        if bad.size:  # the first failing sample, and at it the finite/nonnegative check first
+            i = int(bad[0])
+            if invalid[i]:
+                raise ValueError(f"sample {i + 1} must be finite with nonnegative distance, got {samples[i]}")
+            raise ValueError(
+                f"curve distances must be nondecreasing: sample {i + 1} has "
+                f"{samples[i][0]} after {samples[i - 1][0]}"
+            )
         object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:

@@ -123,6 +123,26 @@ def single_linkage_merges(points):
     return merges
 
 
+def spanning_tree_lengths(matrix):
+    """Sorted edge lengths of a minimum spanning tree of the complete graph
+    whose N x N edge weights are ``matrix``: plain Prim from point 0, one key
+    per point outside the tree. Every minimum spanning tree has the same
+    sorted lengths, whichever tied edge each step takes."""
+    n = len(matrix)
+    inside = [False] * n
+    key = [math.inf] * n
+    lengths = []
+    current = 0
+    for _ in range(n - 1):
+        inside[current] = True
+        for j in range(n):
+            if not inside[j] and matrix[current][j] < key[j]:
+                key[j] = matrix[current][j]
+        current = min((j for j in range(n) if not inside[j]), key=lambda j: key[j])
+        lengths.append(key[current])
+    return sorted(lengths)
+
+
 def partition_at(n, merges, level):
     """Labels after the first ``level - 1`` of the ``(left, right)`` id pairs
     ``merges`` over ``n`` points, numbered in the order of each cluster's

@@ -18,7 +18,7 @@ from cluster_simplicity import (
     single_linkage,
     synthetic_dataset,
 )
-from cluster_simplicity.cli import InputError, _read_linkage, main
+from cluster_simplicity.cli import InputError, _read_linkage, _read_points, main
 
 
 def run_cli(capsys, *argv):
@@ -530,6 +530,22 @@ class TestReaders:
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(InputError) as raised:
             _read_linkage(str(path), 31)
+        assert str(raised.value) == f"{path}: row 26: {message}"
+
+    @pytest.mark.parametrize(
+        "bad, later, message",
+        [("1,2e", "7", "not a numeric CSV row: '1,2e'"), ("7", "1,2e", "expected 2 coordinates, got 1")],
+    )
+    def test_late_bad_points_row_names_its_file_line(self, bad, later, message, tmp_path):
+        # 30 rows with a blank line after the fifth: the 25th row is file line 26;
+        # the bad row of the other kind after it is never reached
+        rows = [f"{i},{i}.5" for i in range(30)]
+        rows[24], rows[27] = bad, later
+        rows.insert(5, "")
+        path = tmp_path / "points.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(InputError) as raised:
+            _read_points(str(path))
         assert str(raised.value) == f"{path}: row 26: {message}"
 
     def test_savetxt_labels_are_read(self, tmp_path, capsys):

@@ -79,6 +79,17 @@ def shifted_clusters(draw):
     return shift + spread * np.array(rows)[order], np.array(labels)[order]
 
 
+@st.composite
+def scaled_duplicated_points(draw):
+    """2-60 points in 1-8 dimensions, drawn from a pool of distinct rows, so
+    that duplicate points are common, and scaled by a power of two."""
+    n, dim = draw(st.integers(2, 60)), draw(st.integers(1, 8))
+    row = st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim)
+    pool = draw(st.lists(row, min_size=1, max_size=n))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    return np.array([pool[i] for i in picks]) * 2.0 ** draw(st.integers(-30, 30))
+
+
 def _centroids(points, labels):
     return ClusterStats(Partition(labels), points=np.array(points)).clusters[0]
 
@@ -738,6 +749,12 @@ class TestSingleLinkage:
             reference = oracles.single_linkage_merges(points.tolist())
             assert [row[:2] for row in ours] == [row[:2] for row in reference]
             assert [row[2] for row in ours] == pytest.approx([row[2] for row in reference], rel=1e-12)
+
+    @given(scaled_duplicated_points())
+    @settings(max_examples=60, deadline=None)
+    def test_heights_are_the_spanning_tree_lengths_exactly(self, pts):
+        lengths = oracles.spanning_tree_lengths(pairwise_distances(pts).tolist())
+        assert single_linkage(Dataset(pts)).distances.tolist() == lengths
 
     def test_rejects_single_point(self):
         with pytest.raises(ValueError, match="at least 2"):

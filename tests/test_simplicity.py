@@ -271,8 +271,12 @@ class TestSiCurve:
             ((), "curve has no samples"),
             (((0.0, 3.0), (1.0, math.inf)), r"sample 2 must be finite with nonnegative distance, got \(1.0, inf\)"),
             (((math.nan, 3.0),), r"sample 1 must be finite with nonnegative distance, got \(nan, 3.0\)"),
+            # negative and decreasing at one sample: the sign is reported
+            (((1.0, 3.0), (-1.0, 2.0)), r"sample 2 must be finite with nonnegative distance, got \(-1.0, 2.0\)"),
+            # the first failing sample is reported, not the first non-finite one
+            (((1.0, 3.0), (0.5, 2.0), (math.nan, 1.0)), "nondecreasing: sample 2 has 0.5 after 1.0"),
         ],
-        ids=["empty", "infinite-value", "nan-distance"],
+        ids=["empty", "infinite-value", "nan-distance", "negative-and-decreasing", "decreasing-before-nan"],
     )
     def test_rejects_empty_and_non_finite_samples(self, samples, message):
         with pytest.raises(ValueError, match=message):
