@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -72,29 +73,81 @@ def _data_lines(path: str, what: str) -> list[tuple[int, str]]:
     return [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1) if line.strip()]
 
 
-def _read_points(path: str) -> Dataset:
-    """The points file's rows as a Dataset.
+# Fields cast to float at once by :func:`_cast_rows`: a chunk's split rows
+# are the only Python strings held per field, never the whole file's.
+_CAST_FIELDS = 2**11
 
-    numpy parses each field with ``float()`` (which ignores surrounding
-    whitespace); only when a field does not parse, or the rows differ in
-    width, are the rows checked one by one to name the first bad one."""
+
+def _cast_rows(
+    path: str,
+    lines: list[tuple[int, str]],
+    split: Callable[[str], list[str]],
+    width: int,
+    fault: Callable[[str, list[str], int], str | None],
+) -> np.ndarray:
+    """The ``len(lines) x width`` float table of the fields that ``split``
+    makes of each line, cast ``max(1, _CAST_FIELDS // width)`` rows at a
+    time into one preallocated array; numpy parses each field with
+    ``float()`` (which ignores surrounding whitespace).
+
+    Only when a chunk does not cast to exactly its rows x ``width`` are the
+    rows walked from the first: ``fault(line, fields, width)`` gives what is
+    wrong with a row, or None, and the first fault raises InputError naming
+    the row's file line."""
+    table = np.empty((len(lines), width))
+    step = max(1, _CAST_FIELDS // width)
+    for start in range(0, len(lines), step):
+        rows = table[start : start + step]
+        try:
+            # the split chunk lives only for its cast; reshape raises unless every
+            # row has width fields, so a chunk of one-field rows cannot broadcast
+            cast = np.array([split(line) for _, line in lines[start : start + step]], dtype=float)
+            rows[...] = cast.reshape(rows.shape)
+        except ValueError:
+            for lineno, line in lines:
+                message = fault(line, split(line), width)
+                if message:
+                    raise InputError(f"{path}: row {lineno}: {message}") from None
+            raise
+    return table
+
+
+def _points_fault(line: str, fields: list[str], width: int) -> str | None:
+    try:
+        list(map(float, fields))
+    except ValueError:
+        return f"not a numeric CSV row: {line!r}"
+    if len(fields) != width:
+        return f"expected {width} coordinates, got {len(fields)}"
+    return None
+
+
+def _linkage_fault(line: str, fields: list[str], width: int) -> str | None:
+    if len(fields) != width:
+        return f"expected 'left right distance', got {line.strip()!r}"
+    try:
+        list(map(float, fields))
+    except ValueError:
+        return f"malformed linkage row {line.strip()!r}"
+    return None
+
+
+def _csv_fields(line: str) -> list[str]:
+    return line.split(",")
+
+
+def _linkage_fields(line: str) -> list[str]:
+    return line.replace(",", " ").split()
+
+
+def _read_points(path: str) -> Dataset:
+    """The points file's rows as a Dataset, cast by :func:`_cast_rows` as
+    wide as the first row; the first row that does not parse, or differs in
+    width, is named."""
     lines = _data_lines(path, "points")
     if not lines:
         raise InputError(f"{path}: no data rows")
-    rows = [line.split(",") for _, line in lines]
-    try:
-        points = np.array(rows, dtype=float)
-    except ValueError:
-        for (lineno, line), fields in zip(lines, rows):
-            try:
-                list(map(float, fields))
-            except ValueError:
-                raise InputError(f"{path}: row {lineno}: not a numeric CSV row: {line!r}") from None
-            if len(fields) != len(rows[0]):
-                raise InputError(
-                    f"{path}: row {lineno}: expected {len(rows[0])} coordinates, got {len(fields)}"
-                ) from None
-        raise
+    points = _cast_rows(path, lines, _csv_fields, len(_csv_fields(lines[0][1])), _points_fault)
     try:
         return Dataset(points)
     except ValueError as exc:
@@ -133,29 +186,15 @@ def _float_or_nan(text: str) -> float:
 
 
 def _read_linkage(path: str, n_points: int) -> np.ndarray:
-    """The ``(N-1) x 3`` float table of a linkage file's rows.
+    """The ``(N-1) x 3`` float table of a linkage file's rows, cast by
+    :func:`_cast_rows`; the first row that has other than three fields, or
+    a field that does not parse, is named.
 
-    Ids are read as floats: Dendrogram rejects a non-integral id by row.
-    numpy parses each field with ``float()``; only when a row has other than
-    three fields, or a field does not parse, are the rows checked one by one
-    to name the first bad one."""
+    Ids are read as floats: Dendrogram rejects a non-integral id by row."""
     lines = _data_lines(path, "linkage")
-    rows = [line.replace(",", " ").split() for _, line in lines]
-    try:
-        table = np.array(rows, dtype=float).reshape(len(rows), 3)
-    except ValueError:
-        for (lineno, line), fields in zip(lines, rows):
-            if len(fields) != 3:
-                raise InputError(
-                    f"{path}: row {lineno}: expected 'left right distance', got {line.strip()!r}"
-                ) from None
-            try:
-                list(map(float, fields))
-            except ValueError:
-                raise InputError(f"{path}: row {lineno}: malformed linkage row {line.strip()!r}") from None
-        raise
-    if len(rows) != n_points - 1:
-        raise InputError(f"{path}: expected {n_points - 1} merge rows for {n_points} points, got {len(rows)}")
+    table = _cast_rows(path, lines, _linkage_fields, 3, _linkage_fault)
+    if len(lines) != n_points - 1:
+        raise InputError(f"{path}: expected {n_points - 1} merge rows for {n_points} points, got {len(lines)}")
     return table
 
 

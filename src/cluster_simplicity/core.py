@@ -340,9 +340,15 @@ def _merge_fault(pair: list[float], distance: float, previous: float, limit: int
 def radius_centroid(points: object) -> float:
     """Mean distance from the centroid to each member.
 
-    Zero for a singleton or a set of coincident points.
+    Zero for a singleton or a set of coincident points. ValueError when the
+    arithmetic overflows on these points.
     """
-    return _radius(_as_points(points))
+    points = _as_points(points)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is non-finite, and raises below
+        radius = _radius(points)
+    if not math.isfinite(radius):
+        raise ValueError(f"radius_centroid: the arithmetic overflowed to {radius}; the inputs are too large")
+    return radius
 
 
 def _radius(points: np.ndarray) -> float:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from cluster_simplicity import (
     single_linkage,
     synthetic_dataset,
 )
-from cluster_simplicity.cli import InputError, _read_linkage, _read_points, main
+from cluster_simplicity.cli import _CAST_FIELDS, InputError, _read_linkage, _read_points, main
 
 
 def run_cli(capsys, *argv):
@@ -547,6 +548,67 @@ class TestReaders:
         with pytest.raises(InputError) as raised:
             _read_points(str(path))
         assert str(raised.value) == f"{path}: row 26: {message}"
+
+    # rows per cast of 2-field points and of 3-field linkage rows, and a good row of each
+    CHUNK = {"points": _CAST_FIELDS // 2, "linkage": _CAST_FIELDS // 3}
+    ROW = {"points": "{i},{i}.5", "linkage": "{i} {i} {i}.0"}
+
+    @staticmethod
+    def read(name, path, n_rows):
+        return _read_points(str(path)) if name == "points" else _read_linkage(str(path), n_rows + 1)
+
+    @pytest.mark.parametrize(
+        "name, bad, message",
+        [
+            ("points", "7,2e", "not a numeric CSV row: '7,2e'"),
+            ("points", "7", "expected 2 coordinates, got 1"),
+            ("linkage", "5 6 1e", "malformed linkage row '5 6 1e'"),
+            ("linkage", "5 6", "expected 'left right distance', got '5 6'"),
+        ],
+    )
+    def test_bad_row_in_a_later_chunk_names_its_file_line(self, name, bad, message, tmp_path):
+        # three chunks, with two blank lines in the first: the row 10 past the
+        # start of the third chunk is file line 2 * chunk + 13
+        chunk = self.CHUNK[name]
+        rows = [self.ROW[name].format(i=i) for i in range(3 * chunk)]
+        rows[2 * chunk + 10] = bad
+        rows[3:3] = ["", "  "]
+        path = tmp_path / name
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(InputError) as raised:
+            self.read(name, path, 3 * chunk)
+        assert str(raised.value) == f"{path}: row {2 * chunk + 13}: {message}"
+
+    @pytest.mark.parametrize("name", ["points", "linkage"])
+    def test_later_chunk_of_one_field_rows_is_rejected(self, name, tmp_path):
+        # every row of the second chunk holds one field: cast alone it is a
+        # one-column array, which must not be spread across the columns
+        chunk = self.CHUNK[name]
+        rows = [self.ROW[name].format(i=i) if i < chunk else str(i) for i in range(2 * chunk)]
+        rows[3:3] = [""]
+        path = tmp_path / name
+        path.write_text("\n".join(rows) + "\n")
+        message = "expected 2 coordinates, got 1" if name == "points" else f"expected 'left right distance', got '{chunk}'"
+        with pytest.raises(InputError) as raised:
+            self.read(name, path, 2 * chunk)
+        assert str(raised.value) == f"{path}: row {chunk + 2}: {message}"
+
+    def test_points_cast_in_bounded_memory(self, tmp_path):
+        # one chunk's split fields are held at a time, not the whole file's:
+        # 1000 x 8 repr floats (150 kB of text) peak near 0.5 MB under
+        # tracemalloc, and holding every field as a string at once passes 1 MB
+        points = np.random.default_rng(0).standard_normal((1000, 8))
+        path = tmp_path / "points.csv"
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in points.tolist()))
+        _read_points(str(path))  # first-call imports and caches are not counted
+        tracemalloc.start()
+        try:
+            dataset = _read_points(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(dataset.points, points)
+        assert peak < 0.75e6
 
     def test_savetxt_labels_are_read(self, tmp_path, capsys):
         # np.savetxt writes integer labels as integral floats: 0.000000000000000000e+00

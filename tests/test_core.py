@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -242,6 +243,17 @@ class TestRadii:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             radius_centroid(np.empty((0, 3)))
+
+    @pytest.mark.parametrize(
+        "pts, value", [([[1e308, 1e308], [-1e308, -1e308]], "nan"), ([[1e300, 0.0], [-1e300, 0.0]], "inf")]
+    )
+    def test_overflow_raises_without_a_warning(self, pts, value):
+        # the first pair's offsets overflow and inf - inf is nan; the second's squares overflow to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = f"radius_centroid: the arithmetic overflowed to {value}; the inputs are too large"
+            with pytest.raises(ValueError, match=message):
+                radius_centroid(pts)
 
     @given(point_sets())
     @settings(max_examples=60, deadline=None)
