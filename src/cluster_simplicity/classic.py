@@ -87,6 +87,8 @@ def _sf(stats: ClusterStats) -> IndexValue:
     """
     centroids, _, radii = stats.clusters
     between = float(np.dot(stats.sizes, np.linalg.norm(centroids - stats.whole[0], axis=1))) / (stats.n * stats.k)
+    if math.isinf(between):  # overflowed: the score would saturate at 1
+        return math.nan
     gap = between - float(radii.sum())
     if gap > 700.0:  # exp(exp(gap)) overflows; the score saturates at 1
         return 1.0
@@ -119,16 +121,18 @@ def _db(stats: ClusterStats) -> IndexValue:
         return UNDEFINED
     columns = np.ascontiguousarray(centroids.T)
     worst = np.zeros(k)  # each cluster's largest ratio; every ratio is >= 0
-    # unchecked: overflowed centroids give NaN for the finiteness guard
-    with np.errstate(over="ignore"):  # an overflowed square is an infinite gap
-        for start, stop in _row_blocks(k):
-            gaps = _distance_rows(columns[:, start:], centroids[start:stop])
-            np.fill_diagonal(gaps, np.inf)  # a cluster is not compared with itself
-            if not gaps.all():
-                return UNDEFINED
-            ratios = (radii[start:stop, None] + radii[start:]) / gaps
-            worst[start:stop] = np.maximum(worst[start:stop], ratios.max(axis=1))
-            worst[stop:] = np.maximum(worst[stop:], ratios[:, stop - start :].max(axis=0))
+    # unchecked: overflowed centroids give NaN for the finiteness guard, and an
+    # overflowed square an infinite gap (under :func:`_score`'s errstate)
+    for start, stop in _row_blocks(k):
+        gaps = _distance_rows(columns[:, start:], centroids[start:stop])
+        sums = radii[start:stop, None] + radii[start:]
+        sums[np.isposinf(gaps) & (sums > 0)] = np.nan  # an infinite gap would give a ratio of 0
+        np.fill_diagonal(gaps, np.inf)  # a cluster is not compared with itself
+        if not gaps.all():
+            return UNDEFINED
+        ratios = sums / gaps
+        worst[start:stop] = np.maximum(worst[start:stop], ratios.max(axis=1))
+        worst[stop:] = np.maximum(worst[stop:], ratios[:, stop - start :].max(axis=0))
     return float(worst.sum()) / k
 
 
@@ -146,6 +150,8 @@ def _cindex(stats: ClusterStats) -> IndexValue:
     if not 0 < stats.n_within < stats.n * (stats.n - 1) // 2:  # k = N, k = 1 or N = 1: S_max = S_min
         return UNDEFINED
     smallest_sum, largest_sum = stats.reduced("tails")
+    if math.isinf(largest_sum):  # overflowed: S_max = S_min could not be told from S_max > S_min
+        return math.nan
     if largest_sum == smallest_sum:
         return UNDEFINED
     max_within, min_between = stats.reduced("extremes")
@@ -251,10 +257,13 @@ def _check_partition_ids(index_ids: Iterable[str]) -> tuple[str, ...]:
 def _score(index_ids: Sequence[str], partition: Partition, **source: np.ndarray) -> list[IndexValue]:
     """The scoring step of every public scorer: checked ``index_ids`` on one
     ClusterStats of ``source`` (``points=`` or ``distances=``) with only the
-    reductions they read. A NaN or infinite value raises ValueError naming it."""
+    reductions they read. A NaN or infinite value raises ValueError naming it:
+    a scorer returns NaN where an overflowed quantity would be absorbed into
+    a finite value, so numpy's overflow warnings are not shown."""
     reductions = frozenset().union(*(_INDICES[index_id][2] for index_id in index_ids))
     stats = ClusterStats(partition, reductions=reductions, **source)
-    values = [_INDICES[index_id][1](stats) for index_id in index_ids]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = [_INDICES[index_id][1](stats) for index_id in index_ids]
     for index_id, value in zip(index_ids, values):
         if is_defined(value) and not math.isfinite(value):
             raise ValueError(f"index {index_id!r}: the arithmetic overflowed to {value}; the inputs are too large")

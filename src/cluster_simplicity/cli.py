@@ -344,49 +344,75 @@ def _emit(report: dict, fmt: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def build_parser() -> _Parser:
+def _add_common(p: _Parser) -> None:
+    p.add_argument("--format", choices=("structured", "table"), default="structured",
+                   help="report format: JSON document (default) or plain table")
+    p.add_argument("--out", help="write the report to this file instead of stdout")
+
+
+def _compute_arguments(p: _Parser) -> None:
+    p.add_argument("--data", required=True, help="points CSV (headerless, one point per row)")
+    p.add_argument("--labels", required=True, help="labels file (one integer per row)")
+    p.add_argument("--index", action="append", required=True,
+                   help=f"index id, repeatable; one of: {', '.join(PARTITION_INDEX_IDS)}")
+    _add_common(p)
+
+
+def _properties_arguments(p: _Parser) -> None:
+    p.add_argument("--index", action="append", help="index id, repeatable; default: all partition indices")
+    _add_common(p)
+
+
+def _hierarchical_arguments(p: _Parser) -> None:
+    p.add_argument("--data", required=True, help="points CSV (headerless, one point per row)")
+    p.add_argument("--linkage", default="auto",
+                   help="linkage file of N-1 rows 'left right distance', or 'auto' "
+                        "to build a single-linkage dendrogram (default)")
+    _add_common(p)
+
+
+def _synth_arguments(p: _Parser) -> None:
+    p.add_argument("id", help=f"dataset id, one of: {', '.join(SYNTHETIC_DATASET_IDS)}")
+    p.add_argument("--format", choices=("structured", "table"), default="structured",
+                   help="report format: JSON document (default) or plain table")
+    p.add_argument("--out", dest="out_dir", help="directory to write the CSV files into (default: .)")
+
+
+# command -> (help, a function that adds its arguments, handler), in the order --help lists them
+_COMMANDS: dict[str, tuple[str, Callable[[_Parser], None], Callable[[argparse.Namespace, _Parser], dict]]] = {
+    "compute": ("score a dataset/partition with one or more indices", _compute_arguments, _cmd_compute),
+    "properties": ("audit index properties and print the flag table", _properties_arguments, _cmd_properties),
+    "hierarchical": ("score a dendrogram over a dataset", _hierarchical_arguments, _cmd_hierarchical),
+    "synth": ("write a builtin benchmark dataset as CSV files", _synth_arguments, _cmd_synth),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The CLI's parser: with only the subparser of ``command`` when it names
+    a command exactly, and with all four otherwise (None included).
+
+    Help and usage output do not depend on which are built: a command line
+    whose first argument names a command never reaches another subparser,
+    nor the top-level help that lists them all, and the top-level usage
+    names every command either way."""
     parser = _Parser(prog="cluster-simplicity", description="Cluster validity scoring and property audit.")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add_common(p: _Parser) -> None:
-        p.add_argument("--format", choices=("structured", "table"), default="structured",
-                       help="report format: JSON document (default) or plain table")
-        p.add_argument("--out", help="write the report to this file instead of stdout")
-
-    p_compute = sub.add_parser("compute", help="score a dataset/partition with one or more indices")
-    p_compute.add_argument("--data", required=True, help="points CSV (headerless, one point per row)")
-    p_compute.add_argument("--labels", required=True, help="labels file (one integer per row)")
-    p_compute.add_argument("--index", action="append", required=True,
-                           help=f"index id, repeatable; one of: {', '.join(PARTITION_INDEX_IDS)}")
-    add_common(p_compute)
-    p_compute.set_defaults(handler=_cmd_compute)
-
-    p_props = sub.add_parser("properties", help="audit index properties and print the flag table")
-    p_props.add_argument("--index", action="append",
-                         help="index id, repeatable; default: all partition indices")
-    add_common(p_props)
-    p_props.set_defaults(handler=_cmd_properties)
-
-    p_hier = sub.add_parser("hierarchical", help="score a dendrogram over a dataset")
-    p_hier.add_argument("--data", required=True, help="points CSV (headerless, one point per row)")
-    p_hier.add_argument("--linkage", default="auto",
-                        help="linkage file of N-1 rows 'left right distance', or 'auto' "
-                             "to build a single-linkage dendrogram (default)")
-    add_common(p_hier)
-    p_hier.set_defaults(handler=_cmd_hierarchical)
-
-    p_synth = sub.add_parser("synth", help="write a builtin benchmark dataset as CSV files")
-    p_synth.add_argument("id", help=f"dataset id, one of: {', '.join(SYNTHETIC_DATASET_IDS)}")
-    p_synth.add_argument("--format", choices=("structured", "table"), default="structured",
-                         help="report format: JSON document (default) or plain table")
-    p_synth.add_argument("--out", dest="out_dir",
-                         help="directory to write the CSV files into (default: .)")
-    p_synth.set_defaults(handler=_cmd_synth)
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # argparse builds the usage line's command list from the registered subparsers; no metavar
+    # with all four, or an invalid-choice error would name the argument by its list, not 'command'
+    metavar = None if len(names) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser, metavar=metavar)
+    for name in names:
+        help_text, add_arguments, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         report = args.handler(args, parser)

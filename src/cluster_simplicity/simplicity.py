@@ -45,9 +45,12 @@ def _si_centroid(stats: ClusterStats) -> float:
 
     Each cluster's size enters with exponent ``cluster_radius /
     dataset_radius``, where a radius is the mean member-to-centroid distance.
-    Always returns a finite value >= 1.
+    A finite value >= 1; where the dataset radius overflows, the scoring
+    step raises ValueError naming the index.
     """
     dataset_radius = stats.whole[2][0]
+    if math.isinf(dataset_radius):  # overflowed: every exponent would be 0
+        return math.nan
     exponents = stats.clusters[2] / dataset_radius if dataset_radius != 0.0 else np.zeros(stats.k)
     return _si_from_exponents(stats.sizes, exponents)
 
@@ -56,6 +59,8 @@ def _si_distance(stats: ClusterStats) -> float:
     n, sizes = stats.n, stats.sizes
     _, sums, total = stats.reduced("within")
     whole_mean = total / (n * (n - 1) // 2) if n > 1 else 0.0
+    if math.isinf(whole_mean):  # overflowed: every exponent would be 0
+        return math.nan
     cluster_means = sums / np.maximum(sizes * (sizes - 1) // 2, 1)  # 0 for a singleton
     exponents = cluster_means / whole_mean if whole_mean != 0.0 else np.zeros(stats.k)
     return _si_from_exponents(sizes, exponents)

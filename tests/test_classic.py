@@ -611,7 +611,6 @@ class TestEvaluateRegistry:
         # the peak past 72 MB
         assert _peak(*_blobs(5, 3000, 1500), ["silhouette"]) < 40e6
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("index_id", ["si_centroid", "si_distance", "ch", "silhouette", "sf", "db"])
     def test_overflow_raises_naming_index(self, index_id):
         # every public route raises: the registry and the named function on coordinates
@@ -627,6 +626,31 @@ class TestEvaluateRegistry:
         for route in routes:
             with pytest.raises(ValueError, match=f"index '{index_id}': the arithmetic overflowed"):
                 route()
+
+    @pytest.mark.parametrize("index_id", PARTITION_INDEX_IDS)
+    def test_no_silently_wrong_value_near_overflow(self, index_id):
+        # a 3 x 1 rectangle, scored one id at a time: at 1e153 every scale-free index
+        # keeps its unit-scale value; from 1e154 the diagonal's squared difference
+        # overflows, which once gave si_centroid = si_distance = 2, db = 0, sf = 1 and
+        # cindex UNDEFINED with no error. No RuntimeWarning comes first (pytest's filter)
+        square = np.array([[0.0, 0.0], [0.0, 1.0], [3.0, 0.0], [3.0, 1.0]])
+        part = Partition(np.array([0, 0, 1, 1]))
+        if index_id != "sf":  # sf is not scale-invariant: 0 once the gap passes -745
+            assert evaluate(index_id, Dataset(square * 1e153), part) == pytest.approx(
+                evaluate(index_id, Dataset(square), part), rel=1e-12, abs=1e-12
+            )
+        for scale in (1e154, 1e155, 1e160, 1e200, 1e300):
+            with pytest.raises(ValueError, match=f"index '{index_id}': the arithmetic overflowed"):
+                evaluate(index_id, Dataset(square * scale), part)
+
+    def test_cindex_of_overflowed_distances_is_not_undefined(self):
+        # every pair distance overflows, so S_max = S_min = inf; the copy scaled by
+        # 1e-308 scores 1.0, so UNDEFINED would be a wrong value
+        points = np.array([[1e308, -1e308], [-1e308, 1e308], [1e308, 1e308], [-1e308, -1e308]])
+        part = Partition(np.array([0, 0, 1, 1]))
+        assert c_index(Dataset(points * 1e-308), part) == 1.0
+        with pytest.raises(ValueError, match="index 'cindex': the arithmetic overflowed"):
+            c_index(Dataset(points), part)
 
     def test_unknown_id(self):
         with pytest.raises(UnknownIndexError, match="unknown index"):

@@ -19,7 +19,7 @@ from cluster_simplicity import (
     single_linkage,
     synthetic_dataset,
 )
-from cluster_simplicity.cli import _CAST_FIELDS, InputError, _read_linkage, _read_points, main
+from cluster_simplicity.cli import _CAST_FIELDS, InputError, _read_linkage, _read_points, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -234,7 +234,6 @@ class TestCompute:
         assert code == 2
         assert "label 1 has no members" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_is_input_error_naming_index(self, tmp_path, capsys):
         points = tmp_path / "huge.csv"
         points.write_text("-1e308\n-5e307\n5e307\n1e308\n")
@@ -247,6 +246,18 @@ class TestCompute:
         assert code == 2
         assert "NaN" not in out
         assert f"{points}: index 'ch': the arithmetic overflowed" in err
+
+    def test_overflow_near_1e154_is_input_error_naming_index(self, tmp_path, capsys):
+        # the diagonal's squared difference overflows: once a silent 2.0, with a RuntimeWarning
+        points = tmp_path / "huge.csv"
+        points.write_text("0,0\n0,1e154\n3e154,0\n3e154,1e154\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("0\n0\n1\n1\n")
+        code, out, err = run_cli(
+            capsys, "compute", "--data", str(points), "--labels", str(labels), "--index", "si_centroid",
+        )
+        assert (code, out) == (2, "")
+        assert f"{points}: index 'si_centroid': the arithmetic overflowed" in err
 
     def test_bad_label_names_row(self, x2s_files, tmp_path, capsys):
         points_path, _ = x2s_files
@@ -662,18 +673,80 @@ class TestReaders:
         assert [sample["distance"] for sample in hierarchy["curve"]] == [0.0, 1.0, 2.0]
 
 
+def parse_outcome(parser, argv, capsys):
+    """(exit code, stdout, stderr) of parsing ``argv``; the code is 0 with the
+    namespace, and the top-level usage that a handler's parser.error prints,
+    when parsing succeeds."""
+    try:
+        namespace = parser.parse_args(argv)
+    except SystemExit as exc:
+        return (exc.code, *capsys.readouterr())
+    return 0, vars(namespace), parser.format_usage()
+
+
+_RUN = ["--data", "p.csv", "--labels", "l.csv", "--index", "ch"]
+PARSER_CASES = [
+    [], ["-h"], ["--help"], ["--"], ["-h", "compute"], ["--help", "synth"], ["-x"], ["--", "compute"],
+    ["bogus"], ["comp"], ["Compute"], ["hier"], ["--format", "table", "compute"], ["--data", "p.csv", "compute"],
+    ["compute"], ["compute", "-h"], ["compute", "--help"], ["compute", "--data", "p.csv"],
+    ["compute", "--data", "p.csv", "--labels", "l.csv"], ["compute", *_RUN],
+    ["compute", *_RUN, "--index", "db", "--format", "table", "--out", "r.txt"], ["compute", *_RUN, "extra"],
+    ["compute", "--data", "p.csv", "--labels", "l.csv", "--index", "bogus"], ["compute", *_RUN, "--format", "xml"],
+    ["compute", "--dat", "p.csv", "--lab", "l.csv", "--ind", "ch"], ["compute", *_RUN, "--bogus"],
+    ["compute", "--data"], ["compute", "--data", "p.csv", "-h"], ["compute", "--", "x"], ["compute", "-x"],
+    ["properties"], ["properties", "-h"], ["properties", "--help"], ["properties", "--index", "ch", "--index", "sf"],
+    ["properties", "--index", "nope"], ["properties", "x"], ["properties", "--format", "table", "--out", "f"],
+    ["properties", "--form", "xml"], ["properties", "--in", "ch"], ["properties", "--index"],
+    ["hierarchical"], ["hierarchical", "-h"], ["hierarchical", "--help"], ["hierarchical", "--data", "p.csv"],
+    ["hierarchical", "--data", "p.csv", "--linkage", "m.txt"], ["hierarchical", "--data", "p.csv", "y"],
+    ["hierarchical", "--data", "p.csv", "--linkage"], ["hierarchical", "--data", "p.csv", "--format", "json"],
+    ["hierarchical", "--lin", "auto", "--data", "p.csv"], ["hierarchical", "--linkage", "m.txt"],
+    ["synth"], ["synth", "-h"], ["synth", "--help"], ["synth", "X2L"], ["synth", "X2L", "--out", "d"],
+    ["synth", "X2L", "a"], ["synth", "bogus"], ["synth", "X2L", "--format", "x"], ["synth", "--out", "d"],
+    ["synth", "X2L", "--o", "d"], ["synth", "X2L", "--format", "table", "extra", "more"],
+]
+
+
 class TestUsage:
     def test_missing_subcommand(self, capsys):
         assert run_cli(capsys)[0] == 1
 
     def test_unknown_subcommand(self, capsys):
-        assert run_cli(capsys, "bogus")[0] == 1
+        code, _, err = run_cli(capsys, "bogus")
+        assert code == 1
+        assert "argument command: invalid choice: 'bogus'" in err  # not named by the command list
 
     def test_missing_required_flag(self, capsys):
         assert run_cli(capsys, "compute", "--data", "x.csv")[0] == 1
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+    @pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+    def test_parser_of_first_argument_matches_full_parser(self, argv, capsys):
+        # main builds only the subparser that argv[0] names; compared with the full
+        # parser, not stored text, since argparse's wording differs between versions
+        one, full = (parse_outcome(parser, argv, capsys) for parser in (build_parser(*argv[:1]), build_parser()))
+        assert one == full
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["hierarchical", "--help"], "usage: cluster-simplicity hierarchical"),
+            (["compute", "--data", "a", "--labels", "b", "--index", "ch", "extra"], "unrecognized arguments: extra"),
+        ],
+    )
+    def test_console_argv_matches_full_parser(self, argv, expected, monkeypatch, capsys):
+        # the console script calls main() with no arguments, which reads sys.argv once
+        code, out, err = parse_outcome(build_parser(), argv, capsys)
+        monkeypatch.setattr(sys, "argv", ["cluster-simplicity", *argv])
+        assert (main(), *capsys.readouterr()) == (code, out, err)
+        assert expected in out + err
+
+    def test_one_command_parser_registers_only_that_command(self, capsys):
+        parser = build_parser("synth")
+        assert parse_outcome(parser, ["synth", "X2S"], capsys)[0] == 0
+        assert parse_outcome(parser, ["compute", *_RUN], capsys)[0] == 1
 
 
 def test_module_entry_point(tmp_path):
