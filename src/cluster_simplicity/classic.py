@@ -52,6 +52,8 @@ def _ch(stats: ClusterStats) -> IndexValue:
         return UNDEFINED
     centroids, squared, _ = stats.clusters
     within = float(squared.sum())
+    if math.isinf(within):  # overflowed: a finite between term would give a ratio of 0
+        return math.nan
     if within == 0.0:
         return UNDEFINED
     between = float(np.dot(stats.sizes, ((centroids - stats.whole[0]) ** 2).sum(axis=1)))
@@ -68,8 +70,11 @@ def _silhouette(stats: ClusterStats) -> IndexValue:
     """
     if stats.k == 1:
         return UNDEFINED
+    own, _, total = stats.reduced("within")
+    if math.isinf(total):  # overflowed: an infinite mean could hide the least one from b
+        return math.nan
     own_size = stats.sizes[stats.sorted_labels]
-    a = stats.reduced("within")[0] / np.maximum(own_size - 1, 1)
+    a = own / np.maximum(own_size - 1, 1)
     b = stats.reduced("rows").min(axis=1)
     scale = np.maximum(a, b)
     # singletons and a = b = 0 keep width 0
@@ -87,9 +92,10 @@ def _sf(stats: ClusterStats) -> IndexValue:
     """
     centroids, _, radii = stats.clusters
     between = float(np.dot(stats.sizes, np.linalg.norm(centroids - stats.whole[0], axis=1))) / (stats.n * stats.k)
-    if math.isinf(between):  # overflowed: the score would saturate at 1
+    within = float(radii.sum())
+    if math.isinf(between) or math.isinf(within):  # overflowed: the score would saturate at 1 or 0
         return math.nan
-    gap = between - float(radii.sum())
+    gap = between - within
     if gap > 700.0:  # exp(exp(gap)) overflows; the score saturates at 1
         return 1.0
     return -math.expm1(-math.exp(gap))  # not 1 - exp(...), which rounds a tiny score to 0
@@ -104,6 +110,8 @@ def _dunn(stats: ClusterStats) -> IndexValue:
     if stats.k == 1:
         return UNDEFINED
     max_diameter, min_separation = stats.reduced("extremes")
+    if math.isinf(max_diameter):  # overflowed: a finite separation would give a ratio of 0
+        return math.nan
     if max_diameter == 0.0:
         return UNDEFINED
     return min_separation / max_diameter
@@ -150,7 +158,9 @@ def _cindex(stats: ClusterStats) -> IndexValue:
     if not 0 < stats.n_within < stats.n * (stats.n - 1) // 2:  # k = N, k = 1 or N = 1: S_max = S_min
         return UNDEFINED
     smallest_sum, largest_sum = stats.reduced("tails")
-    if math.isinf(largest_sum):  # overflowed: S_max = S_min could not be told from S_max > S_min
+    # overflowed, to infinity or, past P / 2, to the NaN of infinity less an infinite tail:
+    # S_max = S_min could not be told from S_max > S_min
+    if not math.isfinite(largest_sum):
         return math.nan
     if largest_sum == smallest_sum:
         return UNDEFINED

@@ -344,10 +344,11 @@ def _emit(report: dict, fmt: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _add_common(p: _Parser) -> None:
+def _add_common(p: _Parser, out_dest: str = "out",
+                out_help: str = "write the report to this file instead of stdout") -> None:
     p.add_argument("--format", choices=("structured", "table"), default="structured",
                    help="report format: JSON document (default) or plain table")
-    p.add_argument("--out", help="write the report to this file instead of stdout")
+    p.add_argument("--out", dest=out_dest, help=out_help)
 
 
 def _compute_arguments(p: _Parser) -> None:
@@ -373,9 +374,7 @@ def _hierarchical_arguments(p: _Parser) -> None:
 
 def _synth_arguments(p: _Parser) -> None:
     p.add_argument("id", help=f"dataset id, one of: {', '.join(SYNTHETIC_DATASET_IDS)}")
-    p.add_argument("--format", choices=("structured", "table"), default="structured",
-                   help="report format: JSON document (default) or plain table")
-    p.add_argument("--out", dest="out_dir", help="directory to write the CSV files into (default: .)")
+    _add_common(p, out_dest="out_dir", out_help="directory to write the CSV files into (default: .)")
 
 
 # command -> (help, a function that adds its arguments, handler), in the order --help lists them

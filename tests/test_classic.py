@@ -539,6 +539,22 @@ class TestRatioFormInvariance:
                     assert values_equal(value, reference), (index_id, b)
 
 
+def _assert_raises_or_keeps_value(index_id, points, part):
+    """Scoring ``points`` raises the ValueError naming the index, or gives the value
+    of the copy scaled by 2^-512, which is exact: a scale-free index keeps it, and
+    sf, whose gap scales too, saturates to 1 or 0 on the side of the copy's gap
+    (SF_COINCIDENT is its value at a gap of 0)."""
+    expected = evaluate(index_id, Dataset(points * 2.0**-512), part)
+    if index_id == "sf" and expected != SF_COINCIDENT:  # the copy's gap is positive or negative, not 0
+        expected = 1.0 if expected > SF_COINCIDENT else 0.0
+    try:
+        value = evaluate(index_id, Dataset(points), part)
+    except ValueError as exc:
+        assert f"index '{index_id}': the arithmetic overflowed" in str(exc)
+        return
+    assert values_equal(value, expected), (index_id, value, expected)
+
+
 class TestEvaluateRegistry:
     def test_matches_direct_functions(self):
         data, part = X2S
@@ -642,6 +658,47 @@ class TestEvaluateRegistry:
         for scale in (1e154, 1e155, 1e160, 1e200, 1e300):
             with pytest.raises(ValueError, match=f"index '{index_id}': the arithmetic overflowed"):
                 evaluate(index_id, Dataset(square * scale), part)
+
+    @pytest.mark.parametrize(
+        "broken, points, labels",
+        [
+            # the within sum of squares overflows, the between term (1e306) does not;
+            # ch once read 0.0 (true 0.0025)
+            ("ch", [[-2e154, 0], [2e154, 0], [1e153, 0], [1e153, 0]], [0, 0, 1, 1]),
+            # the largest diameter overflows, the least separation (1e154) does not;
+            # dunn once read 0.0 (true 0.5)
+            ("dunn", [[0, 0], [2e154, 0], [3e154, 0], [4e154, 0]], [0, 0, 1, 1]),
+            # one member's distance to its centroid overflows, the between term does not;
+            # sf once read 0.0 (true 1.0: the gap is about +2.8e153)
+            ("sf", [[0]] * 99 + [[2e154]] + [[1.3e154]] * 100, [0] * 100 + [1] * 100),
+            # the first point's mean distance to cluster 1 (true 6e153) overflows, that to
+            # cluster 2 (8e153) does not; silhouette once took b from cluster 2 and read
+            # 0.2393 (true 0.2333)
+            ("silhouette", [[0], [1e153], [2e153], [2e153], [1.4e154], [8e153], [8e153]], [0, 0, 1, 1, 1, 2, 2]),
+            # 8 of the 10 pair distances overflow; with w = 6 of P = 10 within pairs the tails are
+            # the infinite total less the other tail, NaN, and cindex once read 0.0 (true 0.125)
+            ("cindex", [[-1e154], [-1e154], [1e154], [1e154], [2.5e154]], [0, 0, 0, 0, 1]),
+        ],
+        ids=["ch", "dunn", "sf", "silhouette", "cindex"],
+    )
+    def test_no_silently_wrong_value_when_some_squares_overflow(self, broken, points, labels):
+        # only some squared differences overflow; the index that once absorbed one raises
+        data, part = Dataset(np.array(points, dtype=float)), Partition(np.array(labels))
+        with pytest.raises(ValueError, match=f"index '{broken}': the arithmetic overflowed"):
+            evaluate(broken, data, part)
+        for index_id in PARTITION_INDEX_IDS:
+            _assert_raises_or_keeps_value(index_id, data.points, part)
+
+    def test_overflow_raises_or_keeps_the_scaled_down_value(self):
+        # points in [-1, 1]^d times 2^512: a squared difference overflows exactly when
+        # the unit-scale difference passes 1, so some do and some do not
+        rng = np.random.default_rng(7)
+        for _ in range(150):
+            n = int(rng.integers(3, 9))
+            unit = rng.uniform(-1.0, 1.0, size=(n, int(rng.integers(1, 3))))
+            part = Partition(np.concatenate([[0, 1], rng.integers(0, 3, size=n - 2)]))
+            for index_id in PARTITION_INDEX_IDS:
+                _assert_raises_or_keeps_value(index_id, unit * 2.0**512, part)
 
     def test_cindex_of_overflowed_distances_is_not_undefined(self):
         # every pair distance overflows, so S_max = S_min = inf; the copy scaled by
