@@ -37,7 +37,10 @@ def _si_from_exponents(sizes: np.ndarray, exponents: np.ndarray) -> float:
     # product computed in log space: k * exp(mean(exponent * ln size))
     k = len(sizes)
     log_sum = float(np.dot(exponents, np.log(sizes)))
-    return k * math.exp(log_sum / k)
+    try:
+        return k * math.exp(log_sum / k)
+    except OverflowError:  # the index itself passes the largest float: infinite, for the scoring step's guard
+        return math.inf
 
 
 def _si_centroid(stats: ClusterStats) -> float:
@@ -45,8 +48,8 @@ def _si_centroid(stats: ClusterStats) -> float:
 
     Each cluster's size enters with exponent ``cluster_radius /
     dataset_radius``, where a radius is the mean member-to-centroid distance.
-    A finite value >= 1; where the dataset radius overflows, the scoring
-    step raises ValueError naming the index.
+    A finite value >= 1; where the dataset radius or the index itself
+    overflows, the scoring step raises ValueError naming the index.
     """
     dataset_radius = stats.whole[2][0]
     if math.isinf(dataset_radius):  # overflowed: every exponent would be 0
@@ -138,8 +141,11 @@ def si_curve(dataset: Dataset, dendrogram: Dendrogram) -> SiCurve:
     term = np.concatenate((np.zeros(n), merged))
     sums = _running_sums(np.column_stack((merged, -term[dendrogram.merges])).ravel())[2::3]
     samples = [(0.0, float(n))]
-    for k, distance, total in zip(range(n - 1, 0, -1), dendrogram.distances.tolist(), sums.tolist()):
-        samples.append((distance, k * math.exp(total / k)))
+    try:
+        for k, distance, total in zip(range(n - 1, 0, -1), dendrogram.distances.tolist(), sums.tolist()):
+            samples.append((distance, k * math.exp(total / k)))
+    except OverflowError:  # a level's index itself passes the largest float
+        raise ValueError("si_curve: the arithmetic overflowed to inf; the inputs are too large") from None
     return SiCurve(tuple(samples))
 
 

@@ -700,6 +700,16 @@ class TestEvaluateRegistry:
             for index_id in PARTITION_INDEX_IDS:
                 _assert_raises_or_keeps_value(index_id, unit * 2.0**512, part)
 
+    @pytest.mark.parametrize("index_id", ["si_centroid", "si_distance"])
+    def test_simplicity_index_past_the_largest_float_raises_naming_index(self, index_id):
+        # 4198 coincident points and the pair +-1 as a second cluster: the pair's exponent
+        # is N / 2, so SI = 2 exp(N ln 2 / 4), past the largest float from N = 4097
+        points = np.zeros((4200, 1))
+        points[:2, 0] = (1.0, -1.0)
+        part = Partition(np.array([0, 0] + [1] * 4198))
+        with pytest.raises(ValueError, match=f"index '{index_id}': the arithmetic overflowed to inf"):
+            evaluate(index_id, Dataset(points), part)
+
     def test_cindex_of_overflowed_distances_is_not_undefined(self):
         # every pair distance overflows, so S_max = S_min = inf; the copy scaled by
         # 1e-308 scores 1.0, so UNDEFINED would be a wrong value

@@ -259,6 +259,18 @@ class TestCompute:
         assert (code, out) == (2, "")
         assert f"{points}: index 'si_centroid': the arithmetic overflowed" in err
 
+    def test_index_past_the_largest_float_is_input_error(self, tmp_path, capsys):
+        # SI = 2 exp(N ln 2 / 4) at N = 4200: once an uncaught OverflowError
+        points = tmp_path / "spike.csv"
+        points.write_text("1\n-1\n" + "0\n" * 4198)
+        labels = tmp_path / "labels.csv"
+        labels.write_text("0\n0\n" + "1\n" * 4198)
+        code, out, err = run_cli(
+            capsys, "compute", "--data", str(points), "--labels", str(labels), "--index", "si_centroid",
+        )
+        assert (code, out) == (2, "")
+        assert f"{points}: index 'si_centroid': the arithmetic overflowed to inf" in err
+
     def test_bad_label_names_row(self, x2s_files, tmp_path, capsys):
         points_path, _ = x2s_files
         labels = tmp_path / "bad_labels.csv"

@@ -282,6 +282,17 @@ class TestSiCurve:
         with pytest.raises(ValueError, match=message):
             SiCurve(samples)
 
+    def test_index_past_the_largest_float_raises(self):
+        # 4198 coincident points, then the pair +-1: at the two-cluster level the pair's
+        # exponent is N / 2, and SI = 2 exp(N ln 2 / 4) passes the largest float
+        n = 4200
+        points = np.zeros((n, 1))
+        points[:2, 0] = (1.0, -1.0)
+        chain = [(2, 3, 0.0), *((n + i, 4 + i, 0.0) for i in range(n - 4))]
+        dendrogram = dendrogram_from_merges(n, [*chain, (0, 1, 2.0), (2 * n - 4, 2 * n - 3, 2.0)])
+        with pytest.raises(ValueError, match="si_curve: the arithmetic overflowed to inf"):
+            si_curve(Dataset(points), dendrogram)
+
     def test_rejects_mismatched_dataset(self):
         data = Dataset([[0.0], [1.0], [3.0]])
         other = Dataset([[0.0], [1.0]])
