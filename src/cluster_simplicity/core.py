@@ -452,32 +452,34 @@ def _row_blocks(n: int) -> Iterator[tuple[int, int]]:
 
 
 def _distance_rows(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Distances from each of the b x d ``rows`` to each of the w points
-    held coordinate-major in the d x w ``columns``: a b x w array.
+    """:func:`_squared_rows`, square-rooted in place. sqrt is correctly rounded, so the distance
+    pass, :func:`pairwise_distances` (exactly symmetric), the tie groups' block calls in any
+    member order and the spanning tree's rooted keys all give a distance the same bits."""
+    out = _squared_rows(columns, rows)
+    return np.sqrt(out, out=out)
+
+
+def _squared_rows(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Squared distances from each of the b x d ``rows`` to each of the w
+    points held coordinate-major in the d x w ``columns``: a b x w array.
 
     The one distance kernel. Rows are taken a few at a time, so that their
-    b x d x w differences hold at most ``_BLOCK`` elements (one row at
-    least). The differences are laid out in C order, whatever the inputs'
-    order, squared in place and summed over the coordinate axis, which lies
-    outside the rows of w: numpy's inner loop adds a row of w at a time, so
-    each distance is summed in coordinate order whatever block it is
-    computed in. The square of ``p_j - p_i`` is that of ``p_i - p_j``. So
-    the spanning tree's one-row calls and the tie groups' block calls, in
-    whatever member order, agree exactly with the blocked distance pass and
-    :func:`pairwise_distances`, which is exactly symmetric. Callers enter
-    ``np.errstate(over="ignore")`` once, outside their loop: an overflowed
-    square sums to an infinite distance.
-    """
+    b x d x w differences hold at most ``_BLOCK`` elements (one row at least),
+    laid out in C order whatever the inputs' order, squared in place and
+    summed over the coordinate axis, outside the rows of w: numpy adds a row
+    of w at a time, so each sum runs in coordinate order whatever the block.
+    ``(p_j - p_i)^2`` is ``(p_i - p_j)^2``. Callers enter
+    ``np.errstate(over="ignore")`` once, outside their loop."""
     d, w = columns.shape
     if w == 1:  # numpy would drop the unit axis, make the coordinates its inner loop and sum them pairwise
-        return _distance_rows(np.repeat(columns, 2, axis=1), rows)[:, :1]
+        return _squared_rows(np.repeat(columns, 2, axis=1), rows)[:, :1]
     out = np.empty((rows.shape[0], w))
     step = max(1, _BLOCK // (d * w))
     for start in range(0, rows.shape[0], step):
         diff = np.subtract(columns, rows[start : start + step, :, None], order="C")
         diff *= diff
         np.add.reduce(diff, axis=1, out=out[start : start + step])
-    return np.sqrt(out, out=out)
+    return out
 
 
 class ClusterStats:
@@ -745,42 +747,35 @@ def dendrogram_from_merges(
 
 
 def _minimum_spanning_tree(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Prim's algorithm on the complete Euclidean graph: (n-1, 2) ends and lengths.
+    """Prim's algorithm on the complete Euclidean graph: the join order (n
+    point ids, point 0 first) and each joiner's distance to the tree (n-1).
 
-    Prim runs over the points still outside the tree only. They fill the
-    first m slots of their coordinates (coordinate-major, as the kernel reads
-    them), their ids, their keys (distance to the tree) and their nearest tree
-    points; when a point joins, the last outside slot moves into its slot.
-    Each step computes the distances from the newest tree point to the m
-    outside points, so each pair's distance is computed once: n(n-1)/2 in
-    all, O(N^2 d) time and O(N d) memory. Among equal keys the first slot
-    joins, so a tie's spanning tree depends on the slot order; every minimum
-    spanning tree gives :func:`single_linkage` the same merges.
+    Prim runs on squared keys over the points still outside the tree, which
+    fill the first m columns of one (d+2) x (n-1) table: coordinates
+    (coordinate-major, as the kernel reads them), key and id, so a join moves
+    one column. Each step computes the squares from the newest tree point to
+    the m outside points, so each pair is computed once: O(N^2 d) time, O(N d)
+    memory. sqrt is correctly rounded and monotone, so the tree is minimal
+    for the distances too, and the keys' square roots, taken once, have the
+    distance pass's bits. Among equal keys the first column joins.
     """
-    n = points.shape[0]
-    columns = points[1:].T.copy()  # point 0 starts the tree; the slot moves below write to the copy
-    ids = np.arange(1, n)
-    keys = np.full(n - 1, np.inf)
-    nearest = np.zeros(n - 1, dtype=np.intp)
-    ends = np.empty((n - 1, 2), dtype=np.intp)
-    lengths = np.empty(n - 1)
+    n, d = points.shape
+    table = np.empty((d + 2, n - 1))
+    table[:d], table[d], table[d + 1] = points[1:].T, np.inf, np.arange(1, n)
+    order = np.zeros(n, dtype=np.intp)  # point 0 starts the tree
+    squares = np.empty(n - 1)
     current = 0
     with np.errstate(over="ignore"):  # an overflowed edge is infinite, and raises below
-        for step in range(n - 1):
-            m = n - 1 - step
-            key = keys[:m]
-            row = _distance_rows(columns[:, :m], points[current : current + 1])[0]
-            np.copyto(nearest[:m], current, where=row < key)
-            np.minimum(key, row, out=key)
-            j = int(key.argmin())
-            if key[j] == math.inf:  # every remaining edge overflowed
+        for m in range(n - 1, 0, -1):
+            outside = table[d, :m]
+            np.minimum(outside, _squared_rows(table[:d, :m], points[current : current + 1])[0], out=outside)
+            j = int(outside.argmin())
+            if outside[j] == math.inf:  # every remaining edge overflowed
                 raise ValueError("single linkage: a point distance overflowed to inf; the coordinates are too large")
-            current = int(ids[j])
-            ends[step] = nearest[j], current
-            lengths[step] = key[j]
-            last = m - 1  # its slot moves into j, the joining point's
-            columns[:, j], ids[j], key[j], nearest[j] = columns[:, last], ids[last], key[last], nearest[last]
-    return ends, lengths
+            current = order[n - m] = int(table[d + 1, j])
+            squares[n - 1 - m] = outside[j]
+            table[:, j] = table[:, m - 1]
+    return order, np.sqrt(squares, out=squares)
 
 
 def _root(parent: array[int], node: int) -> int:
@@ -894,36 +889,41 @@ def single_linkage(dataset: Dataset) -> Dendrogram:
 
     Merges the closest pair of clusters under minimum inter-cluster distance;
     ties go to the lexicographically smallest pair of cluster ids, which makes
-    the result deterministic. Built as Gower & Ross (1969) do: a Prim minimum
-    spanning tree, whose edges sorted by length are the merges, joined with
-    one union-find array. Prim runs over the points still outside the tree,
-    so each pair's distance is computed once. O(N^2) time and O(N) memory
-    beyond the points; no N x N matrix is formed. A run of equal-length
-    edges makes one merge per edge, so the stably sorted lengths are the
-    merge heights. A tied run is resolved against member distances so that
-    the tie rule holds exactly: members come from one sort of the points by
-    cluster, tied pairs from one kernel call per block, and ``m`` clusters
-    tied at one distance take an ``m x m`` boolean matrix, once, while they
-    are merged.
+    the result deterministic. Built as Gower & Ross (1969) do, from a Prim
+    minimum spanning tree whose lengths, stably sorted, are the merge heights,
+    joined with one union-find array: O(N^2) time, O(N) memory beyond the
+    points. As in Sibson's SLINK (1973), the join order carries the
+    hierarchy: at any height h the clusters are the maximal runs of the order
+    whose joiners after the first joined at most h from the tree, as Prim
+    leaves a component only when its smallest outgoing edge exceeds h. So a
+    joiner's edge links it to the point before it in the order, which at a
+    unique height already shares a cluster with its nearest tree point; a run
+    of equal heights links the same clusters into the same groups. A tied run
+    is resolved against member distances so that the tie rule holds exactly:
+    members come from one sort of the points by cluster, tied pairs from one
+    kernel call per block, and ``m`` tied clusters take an ``m x m`` boolean
+    matrix, once.
     """
     n = dataset.n_points
     if n < 2:
         raise ValueError("single linkage needs at least 2 points")
     points = dataset.points
-    ends, lengths = _minimum_spanning_tree(points)
+    joined, lengths = _minimum_spanning_tree(points)
     order = np.argsort(lengths, kind="stable")
-    ends, lengths = ends[order], lengths[order]
+    edges = joined[np.stack((order, order + 1), axis=1)].ravel().tolist()  # edge i's ends at 2i and 2i + 1
+    lengths = lengths[order]
     parent = array("q", range(2 * n - 1))  # union-find over cluster ids: the roots are the active clusters
     merges = array("q")  # the merged id pairs, flat: a seventh of the bytes of a list of tuples
     runs = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), n - 1]  # runs of equal lengths
-    edges = ends.ravel().tolist()  # edge i's ends at 2i and 2i + 1
+    new_id = n
     for start, stop in zip(runs, runs[1:]):
         if stop - start == 1:
             u, v = edges[2 * start], edges[2 * start + 1]
             pairs: Iterable[tuple[int, int]] = [(_root(parent, u), _root(parent, v))]
         else:
-            pairs = _merge_tied(points, parent, ends[start:stop], lengths[start], n + len(merges) // 2)
+            pairs = _merge_tied(points, parent, np.reshape(edges[2 * start : 2 * stop], (-1, 2)), lengths[start], new_id)
         for a, b in pairs:
-            parent[a] = parent[b] = n + len(merges) // 2
+            parent[a] = parent[b] = new_id
             merges.extend((min(a, b), max(a, b)))
+            new_id += 1
     return Dendrogram(n, np.frombuffer(merges, dtype=np.int64).reshape(n - 1, 2), lengths)

@@ -75,7 +75,9 @@ class SiCurve:
 
     One ``(distance, si_value)`` sample per level, in level order, with
     nondecreasing distances. For a dataset of N distinct points the first and
-    last samples both equal N.
+    last samples equal N up to rounding: the last is exp(ln N), which is
+    3.0000000000000004 for the points 0, 1, 3 and 399.9999999999999 on a
+    20 x 20 integer grid.
     """
 
     samples: tuple[tuple[float, float], ...]

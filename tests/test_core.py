@@ -27,7 +27,7 @@ from cluster_simplicity import (
     SYNTHETIC_DATASET_IDS,
 )
 from cluster_simplicity import core
-from cluster_simplicity.core import ClusterStats, _Tails, _distance_rows, _row_blocks
+from cluster_simplicity.core import ClusterStats, _Tails, _distance_rows, _row_blocks, _squared_rows
 
 import oracles
 
@@ -100,6 +100,22 @@ def _grouping(labels):
     for index, label in enumerate(labels):
         clusters.setdefault(int(label), set()).add(index)
     return frozenset(frozenset(members) for members in clusters.values())
+
+
+@st.composite
+def small_clouds(draw):
+    """2-40 points in 1-3 dimensions: a small integer grid, rows drawn from a
+    small pool (so duplicates are common), or standard Gaussians."""
+    n, dim = draw(st.integers(2, 40)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["grid", "duplicates", "gaussian"]))
+    if kind == "grid":
+        row = st.lists(st.integers(-2, 2).map(float), min_size=dim, max_size=dim)
+        return np.array(draw(st.lists(row, min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "duplicates":
+        pool = rng.standard_normal((draw(st.integers(1, n)), dim))
+        return pool[rng.integers(0, len(pool), n)]
+    return rng.standard_normal((n, dim))
 
 
 def _merge_rows(dendrogram):
@@ -301,6 +317,10 @@ class TestRadii:
             assert np.array_equal(full, full.T), d
             assert all(np.array_equal(full[i], _distance_rows(columns, pts[i : i + 1])[0]) for i in range(300)), d
             assert np.array_equal(full[:, -1:], _distance_rows(columns[:, -1:], pts)), d
+            # the distances are the squares' roots bit for bit, also on the one-column path
+            for w in (300, 1):
+                roots = np.sqrt(_squared_rows(columns[:, -w:], pts))
+                assert _distance_rows(columns[:, -w:], pts).tobytes() == roots.tobytes(), (d, w)
             stats = ClusterStats(part, points=pts, reductions=["within", "extremes"])
             assert stats.reduced("extremes")[0] == full.max(), d
             from_matrix = ClusterStats(part, distances=full, reductions=["within"])
@@ -752,6 +772,38 @@ class TestSingleLinkage:
         finally:
             tracemalloc.stop()
         assert peak < 1.8 * m * m
+
+    def test_untied_path_memory_is_linear(self):
+        # 3000 points in O(N) arrays: 0.74 MB under tracemalloc. Holding the
+        # join order and the keys in lists and the edges as a list of pairs
+        # peaks at 0.91 MB
+        data = Dataset(np.random.default_rng(3).standard_normal((3000, 2)))
+        tracemalloc.start()
+        try:
+            single_linkage(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 850_000
+
+    @given(small_clouds())
+    @settings(max_examples=100, deadline=None)
+    def test_heights_split_the_join_order_into_runs(self, pts):
+        # single linkage takes each joiner's edge to the point before it in
+        # Prim's join order; that rests on every cluster at every height being
+        # one run of the order. Inside a tied run the tie rule merges by id,
+        # so a level before the run's last merge need not be runs.
+        joined, lengths = core._minimum_spanning_tree(pts)
+        assert sorted(joined.tolist()) == list(range(len(pts))) and joined[0] == 0
+        assert sorted(lengths.tolist()) == oracles.spanning_tree_lengths(pairwise_distances(pts).tolist())
+        dg = single_linkage(Dataset(pts))
+        heights = dg.distances.tolist()
+        for applied in range(len(pts)):
+            if 0 < applied < len(pts) - 1 and heights[applied - 1] == heights[applied]:
+                continue  # inside a tied run
+            partition = dg.partition_at(applied + 1)
+            in_order = partition.labels[joined]
+            assert np.count_nonzero(np.diff(in_order)) == partition.n_clusters - 1, applied
 
     def test_matches_closest_pair_scan_on_floats(self):
         rng = np.random.default_rng(97)
