@@ -778,27 +778,19 @@ def _minimum_spanning_tree(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.sqrt(squares, out=squares)
 
 
-def _root(parent: array[int], node: int) -> int:
-    """The root of ``node`` in the union-find forest ``parent`` (node -> parent),
-    halving the path on the way."""
-    while parent[node] != node:
-        parent[node] = node = parent[parent[node]]
-    return node
-
-
 class _TieGroup:
     """Clusters that a run of equal-length MST edges joins into one, with the
     boolean matrix of which pairs of them are at the run's distance, and so
     each cluster's smallest tied partner.
 
     Only clusters in one group can be at that distance from each other. The
-    members, smallest cluster first, are compared on the upper-triangle
+    members, largest cluster last, are compared on the upper-triangle
     schedule of :func:`_row_blocks`, one kernel call per block, with rows
     stopping where the largest cluster starts. Both entries of a tied pair
     are set at once: m tied clusters take m^2 bytes, once.
     """
 
-    def __init__(self, points: np.ndarray, ids: np.ndarray, sizes: np.ndarray, distance: float) -> None:
+    def __init__(self, points: np.ndarray, ids: np.ndarray, sizes: list[int], distance: float) -> None:
         slot = np.repeat(np.arange(len(ids)), sizes)
         columns = np.ascontiguousarray(points.T)
         largest = len(points) - sizes[-1]
@@ -829,47 +821,44 @@ class _TieGroup:
 
 
 def _merge_tied(
-    points: np.ndarray, parent: array[int], edges: np.ndarray, distance: float, next_id: int
+    points: np.ndarray, joined: np.ndarray, runs: tuple[array, ...], places: list[int], distance: float, next_id: int
 ) -> Iterator[tuple[int, int]]:
-    """The merges, as id pairs, of a run of equal-length MST edges; the
-    caller records them under the ids from ``next_id`` on.
+    """The merges, as id pairs, of a run of equal-length MST edges at the
+    ascending join-order places ``places``; the caller records them under the
+    ids from ``next_id`` on.
 
     Reproduces the closest-pair scan: among active clusters at single-link
     distance ``distance`` the lexicographically smallest pair of ids merges
     first, and a merged cluster is at that distance from every cluster either
     part was. The MST alone cannot say which pairs are at that distance, so
     each group of joined clusters builds its tie matrix from member distances.
-    One pointer-jumping pass over ``parent`` gives every point's cluster, and
-    one stable sort of the points by cluster makes each cluster a slice, so a
-    group gathers its members in O(its size). The run's edges then link their
-    clusters in ``parent``, so :func:`_root` gives each one's group; the run
-    merges every such cluster, and recording that merge overwrites its link.
+    The clusters are the runs ``(last, first, label)`` of the join order
+    ``joined`` that :func:`single_linkage` keeps. Two edges join one group
+    when the run starting at the first one's place ends at the second's, so a
+    group's members are one slice of the order, split into its clusters at
+    its places, and a rotation of the slice puts its largest cluster last.
+    Once the run's merges are made, each group is one run, labelled with its
+    largest id, its last merge.
 
     A merge only unites ties, so a cluster without a tied partner never gets
     one, and a new id is larger than every active one. So an ascending queue
     of the run's ids, new ids appended, pops each merge's left cluster (the
     smallest active id with a tied partner) in turn; its group gives the partner.
     """
-    root = np.frombuffer(parent, dtype=np.int64)  # a view of parent
-    while not np.array_equal(up := root[root], root):  # pointer jumping, in place: each id then points at its root
-        root[:] = up
-    cluster = root[: len(points)].copy()  # the links below write to parent
-    order = np.argsort(cluster, kind="stable")  # the points, cluster by cluster
-    joined = cluster[edges]
-    for a, b in joined.tolist():
-        parent[_root(parent, a)] = _root(parent, b)
-    touched = np.unique(joined)
-    group_root = np.array([_root(parent, c) for c in touched.tolist()])
-    start, stop = np.searchsorted(cluster[order], [touched, touched + 1])  # each cluster's slice
-    by_group = np.lexsort((touched, stop - start, group_root))  # each group's smallest cluster first
-    touched, group_root, start, sizes = (part[by_group] for part in (touched, group_root, start, stop - start))
-    ends = np.cumsum(sizes)
-    members = points[order[np.arange(ends[-1]) + np.repeat(start - (ends - sizes), sizes)]]
-    firsts = [0, *(np.flatnonzero(np.diff(group_root)) + 1).tolist(), len(touched)]  # each group's first slot
-    groups = [
-        _TieGroup(members[ends[a] - sizes[a] : ends[b - 1]], touched[a:b], sizes[a:b], distance)
-        for a, b in zip(firsts, firsts[1:])
-    ]
+    last, first, label = runs
+    bounds: list[list[int]] = []  # each group's cluster bounds in the order
+    for p in places:
+        if bounds and bounds[-1][-1] == p:
+            bounds[-1].append(last[p])
+        else:
+            bounds.append([first[p], p, last[p]])
+    groups = []
+    for cuts in bounds:
+        sizes = [stop - start for start, stop in zip(cuts, cuts[1:])]
+        j = sizes.index(max(sizes)) + 1  # the largest cluster ends at cuts[j]
+        members = np.concatenate((joined[cuts[j] : cuts[-1]], joined[cuts[0] : cuts[j]]))
+        ids = np.array([label[start] for start in cuts[j:-1] + cuts[:j]])
+        groups.append(_TieGroup(points[members], ids, sizes[j:] + sizes[:j], distance))
     slots = {int(c): (group, a) for group in groups for a, c in enumerate(group.ids)}  # id -> group, slot
     queue = deque(sorted(slots))
     while queue:
@@ -882,6 +871,13 @@ def _merge_tied(
             slots[next_id] = group, a
             queue.append(next_id)
             next_id += 1
+    for cuts, group in zip(bounds, groups):
+        last[cuts[0]], first[cuts[-1]], label[cuts[0]] = cuts[-1], cuts[0], int(group.ids.max())
+
+
+def _ints(values: np.ndarray) -> array[int]:
+    """``values`` as 8-byte ints, which a Python loop reads without an int object held per entry."""
+    return array("q", values.astype(np.int64).tobytes())
 
 
 def single_linkage(dataset: Dataset) -> Dendrogram:
@@ -890,19 +886,18 @@ def single_linkage(dataset: Dataset) -> Dendrogram:
     Merges the closest pair of clusters under minimum inter-cluster distance;
     ties go to the lexicographically smallest pair of cluster ids, which makes
     the result deterministic. Built as Gower & Ross (1969) do, from a Prim
-    minimum spanning tree whose lengths, stably sorted, are the merge heights,
-    joined with one union-find array: O(N^2) time, O(N) memory beyond the
-    points. As in Sibson's SLINK (1973), the join order carries the
-    hierarchy: at any height h the clusters are the maximal runs of the order
-    whose joiners after the first joined at most h from the tree, as Prim
-    leaves a component only when its smallest outgoing edge exceeds h. So a
-    joiner's edge links it to the point before it in the order, which at a
-    unique height already shares a cluster with its nearest tree point; a run
-    of equal heights links the same clusters into the same groups. A tied run
-    is resolved against member distances so that the tie rule holds exactly:
-    members come from one sort of the points by cluster, tied pairs from one
-    kernel call per block, and ``m`` tied clusters take an ``m x m`` boolean
-    matrix, once.
+    minimum spanning tree whose lengths, stably sorted, are the merge heights:
+    O(N^2) time, O(N) memory beyond the points. As in Sibson's SLINK (1973),
+    the join order carries the hierarchy: at any height h the clusters are the
+    maximal runs of the order whose joiners after the first joined at most h
+    from the tree, as Prim leaves a component only when its smallest outgoing
+    edge exceeds h. So the clusters are kept as runs, by their bounds in the
+    order, and the edge of the joiner at place p merges the run that ends at p
+    with the run that starts there, in O(1). A run of equal heights joins
+    adjacent runs into groups, each one slice of the order, and is resolved
+    against member distances so that the tie rule holds exactly: tied pairs
+    come from one kernel call per block, and ``m`` tied clusters take an
+    ``m x m`` boolean matrix, once.
     """
     n = dataset.n_points
     if n < 2:
@@ -910,20 +905,23 @@ def single_linkage(dataset: Dataset) -> Dendrogram:
     points = dataset.points
     joined, lengths = _minimum_spanning_tree(points)
     order = np.argsort(lengths, kind="stable")
-    edges = joined[np.stack((order, order + 1), axis=1)].ravel().tolist()  # edge i's ends at 2i and 2i + 1
+    places = _ints(order + 1)  # sorted edge i links the joiner at place places[i] to the place before
     lengths = lengths[order]
-    parent = array("q", range(2 * n - 1))  # union-find over cluster ids: the roots are the active clusters
+    # run [s, last[s]) of the order is cluster label[s]; first[e] is the start of the run ending at e
+    last, first, label = array("q", range(1, n + 1)), array("q", range(-1, n)), _ints(joined)
     merges = array("q")  # the merged id pairs, flat: a seventh of the bytes of a list of tuples
-    runs = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), n - 1]  # runs of equal lengths
+    runs = _ints(np.flatnonzero(np.diff(lengths, prepend=-1, append=math.inf)))  # equal lengths: [runs[i], runs[i + 1])
     new_id = n
     for start, stop in zip(runs, runs[1:]):
         if stop - start == 1:
-            u, v = edges[2 * start], edges[2 * start + 1]
-            pairs: Iterable[tuple[int, int]] = [(_root(parent, u), _root(parent, v))]
-        else:
-            pairs = _merge_tied(points, parent, np.reshape(edges[2 * start : 2 * stop], (-1, 2)), lengths[start], new_id)
-        for a, b in pairs:
-            parent[a] = parent[b] = new_id
-            merges.extend((min(a, b), max(a, b)))
+            p = places[start]
+            s, e = first[p], last[p]
+            merges.extend(sorted((label[s], label[p])))
+            last[s], first[e], label[s] = e, s, new_id
             new_id += 1
+        else:
+            tied = sorted(places[start:stop])
+            for pair in _merge_tied(points, joined, (last, first, label), tied, lengths[start], new_id):
+                merges.extend(pair)
+                new_id += 1
     return Dendrogram(n, np.frombuffer(merges, dtype=np.int64).reshape(n - 1, 2), lengths)

@@ -138,7 +138,17 @@ def _tied_inputs():
     star += [(0, 1), (0, 1.5), (1, -1), (1, -1.5), (2, 1), (2, 1.5), (3.5, 0), (4, 0)]
     chain = [(10 + x, y) for x in range(3) for y in (0, 0.5)] + [(11, 1.5), (11, 2)]
     mixed = [[float(c) for c in p] for i in range(len(star)) for p in star[i : i + 1] + chain[i : i + 1]]
-    return grid, cliques, mixed
+    # 15 far-apart triples, rows shuffled: spacings 1..15 make 15 tied runs of two edges;
+    # one spacing makes one run of 15 groups, and the equal gaps a run of one 15-cluster group
+    shuffle = np.random.default_rng(5).permutation(45).tolist()
+    spaced = [[100.0 * i + (i + 1) * step] for i in range(15) for step in range(3)]
+    spaced = [spaced[i] for i in shuffle]
+    even = [[100.0 * i + step] for i in range(15) for step in range(3)]
+    even = [even[i] for i in shuffle]
+    # at distance 10 each copy's pair, block and pair join in that order, so each group's
+    # largest cluster is in the middle of the join order; the blocks hold 3, 4 and 5 points
+    rotated = [[1000.0 * copy + x] for copy in range(3) for x in (0, 2, *range(12, 15 + copy), 24 + copy, 26 + copy)]
+    return grid, cliques, mixed, spaced, even, rotated
 
 
 def _random_merges(draw, n):
@@ -774,9 +784,11 @@ class TestSingleLinkage:
         assert peak < 1.8 * m * m
 
     def test_untied_path_memory_is_linear(self):
-        # 3000 points in O(N) arrays: 0.74 MB under tracemalloc. Holding the
-        # join order and the keys in lists and the edges as a list of pairs
-        # peaks at 0.91 MB
+        # 3000 points in O(N) arrays: 0.48 MB under tracemalloc. Holding the
+        # sorted edges and the run starts as lists of Python ints peaks at
+        # 0.65 MB, the edges as a list of their 2(N-1) ends beside a
+        # union-find array at 0.74 MB, and the join order and the keys in
+        # lists with the edges as a list of pairs at 0.91 MB
         data = Dataset(np.random.default_rng(3).standard_normal((3000, 2)))
         tracemalloc.start()
         try:
@@ -784,7 +796,7 @@ class TestSingleLinkage:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 850_000
+        assert peak < 700_000
 
     @given(small_clouds())
     @settings(max_examples=100, deadline=None)
