@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,9 +24,9 @@ class Undefined:
     """Distinguished non-value for an index whose defining denominator is zero.
 
     A singleton: every construction returns the same object, so results can be
-    compared with ``is UNDEFINED``. Arithmetic involving an Undefined operand
-    yields Undefined again, so an undefined result can never silently turn
-    back into a number.
+    compared with ``is UNDEFINED``. It defines no arithmetic, so using an
+    undefined result as a number raises TypeError rather than silently
+    turning it back into one.
     """
 
     __slots__ = ()
@@ -43,16 +42,6 @@ class Undefined:
 
     def __bool__(self) -> bool:
         return False
-
-    def _absorb(self, _other: object = None) -> "Undefined":
-        return self
-
-    __add__ = __radd__ = _absorb
-    __sub__ = __rsub__ = _absorb
-    __mul__ = __rmul__ = _absorb
-    __truediv__ = __rtruediv__ = _absorb
-    __pow__ = __rpow__ = _absorb
-    __neg__ = __pos__ = __abs__ = _absorb
 
 
 UNDEFINED = Undefined()
@@ -453,8 +442,8 @@ def _row_blocks(n: int) -> Iterator[tuple[int, int]]:
 
 def _distance_rows(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """:func:`_squared_rows`, square-rooted in place. sqrt is correctly rounded, so the distance
-    pass, :func:`pairwise_distances` (exactly symmetric), the tie groups' block calls in any
-    member order and the spanning tree's rooted keys all give a distance the same bits."""
+    pass, :func:`pairwise_distances` (exactly symmetric) and both spanning-tree passes give a
+    distance the same bits."""
     out = _squared_rows(columns, rows)
     return np.sqrt(out, out=out)
 
@@ -778,101 +767,43 @@ def _minimum_spanning_tree(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.sqrt(squares, out=squares)
 
 
-class _TieGroup:
-    """Clusters that a run of equal-length MST edges joins into one, with the
-    boolean matrix of which pairs of them are at the run's distance, and so
-    each cluster's smallest tied partner.
+def _pair_order_tree(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Prim's algorithm as in :func:`_minimum_spanning_tree`, with point pairs
+    ordered by (distance, smaller id, larger id): each joiner's tree point, the
+    joiner and their distance, one entry per edge in join order.
 
-    Only clusters in one group can be at that distance from each other. The
-    members, largest cluster last, are compared on the upper-triangle
-    schedule of :func:`_row_blocks`, one kernel call per block, with rows
-    stopping where the largest cluster starts. Both entries of a tied pair
-    are set at once: m tied clusters take m^2 bytes, once.
+    Each outside point keeps its nearest tree point, and on an equal distance
+    the smaller id: for a fixed point p, the pair (p, x) precedes (p, y)
+    exactly when x < y. The point that joins next is the one whose (distance,
+    smaller id, larger id) is least. Under that order no two pairs tie, as in
+    Edelsbrunner & Mücke's Simulation of Simplicity (1990), so the tree is the
+    one spanning tree minimal under it. The keys are distances, not squares:
+    two squares can round to one distance.
     """
-
-    def __init__(self, points: np.ndarray, ids: np.ndarray, sizes: list[int], distance: float) -> None:
-        slot = np.repeat(np.arange(len(ids)), sizes)
-        columns = np.ascontiguousarray(points.T)
-        largest = len(points) - sizes[-1]
-        self.tied = np.zeros((len(ids), len(ids)), dtype=bool)
-        with np.errstate(over="ignore"):  # an overflowed distance is infinite, so never tied
-            for start, stop in _row_blocks(len(points)):
-                if start >= largest:
-                    break
-                near = _distance_rows(columns[:, start:], points[start : min(stop, largest)]) <= distance
-                a, b = (slot[start + pairs] for pairs in np.nonzero(near))
-                self.tied[a, b] = self.tied[b, a] = True
-        np.fill_diagonal(self.tied, False)  # a cluster's own pairs
-        self.ids = ids
-
-    def partner(self, a: int) -> int | None:
-        """Slot of the smallest id tied to slot ``a``, or None when none is."""
-        partners = np.flatnonzero(self.tied[a])
-        return int(partners[np.argmin(self.ids[partners])]) if partners.size else None
-
-    def merge(self, a: int, b: int, new_id: int) -> None:
-        """Put the union of slots ``a`` and ``b`` in slot ``a``, tied to every
-        cluster either part was tied to, and clear slot ``b``."""
-        row = self.tied[a] | self.tied[b]
-        row[[a, b]] = False
-        self.tied[a] = self.tied[:, a] = row
-        self.tied[b] = self.tied[:, b] = False
-        self.ids[a] = new_id
-
-
-def _merge_tied(
-    points: np.ndarray, joined: np.ndarray, runs: tuple[array, ...], places: list[int], distance: float, next_id: int
-) -> Iterator[tuple[int, int]]:
-    """The merges, as id pairs, of a run of equal-length MST edges at the
-    ascending join-order places ``places``; the caller records them under the
-    ids from ``next_id`` on.
-
-    Reproduces the closest-pair scan: among active clusters at single-link
-    distance ``distance`` the lexicographically smallest pair of ids merges
-    first, and a merged cluster is at that distance from every cluster either
-    part was. The MST alone cannot say which pairs are at that distance, so
-    each group of joined clusters builds its tie matrix from member distances.
-    The clusters are the runs ``(last, first, label)`` of the join order
-    ``joined`` that :func:`single_linkage` keeps. Two edges join one group
-    when the run starting at the first one's place ends at the second's, so a
-    group's members are one slice of the order, split into its clusters at
-    its places, and a rotation of the slice puts its largest cluster last.
-    Once the run's merges are made, each group is one run, labelled with its
-    largest id, its last merge.
-
-    A merge only unites ties, so a cluster without a tied partner never gets
-    one, and a new id is larger than every active one. So an ascending queue
-    of the run's ids, new ids appended, pops each merge's left cluster (the
-    smallest active id with a tied partner) in turn; its group gives the partner.
-    """
-    last, first, label = runs
-    bounds: list[list[int]] = []  # each group's cluster bounds in the order
-    for p in places:
-        if bounds and bounds[-1][-1] == p:
-            bounds[-1].append(last[p])
-        else:
-            bounds.append([first[p], p, last[p]])
-    groups = []
-    for cuts in bounds:
-        sizes = [stop - start for start, stop in zip(cuts, cuts[1:])]
-        j = sizes.index(max(sizes)) + 1  # the largest cluster ends at cuts[j]
-        members = np.concatenate((joined[cuts[j] : cuts[-1]], joined[cuts[0] : cuts[j]]))
-        ids = np.array([label[start] for start in cuts[j:-1] + cuts[:j]])
-        groups.append(_TieGroup(points[members], ids, sizes[j:] + sizes[:j], distance))
-    slots = {int(c): (group, a) for group in groups for a, c in enumerate(group.ids)}  # id -> group, slot
-    queue = deque(sorted(slots))
-    while queue:
-        left = queue.popleft()
-        group, a = slots[left]
-        b = group.partner(a)  # None once it has merged as a partner, or when its group is one cluster
-        if b is not None:
-            yield left, int(group.ids[b])
-            group.merge(a, b, next_id)
-            slots[next_id] = group, a
-            queue.append(next_id)
-            next_id += 1
-    for cuts, group in zip(bounds, groups):
-        last[cuts[0]], first[cuts[-1]], label[cuts[0]] = cuts[-1], cuts[0], int(group.ids.max())
+    n, d = points.shape
+    table = np.empty((d + 3, n - 1))  # coordinates, key, id and nearest tree point
+    table[:d], table[d], table[d + 1], table[d + 2] = points[1:].T, np.inf, np.arange(1, n), 0
+    edges = np.empty((3, n - 1))  # each edge's key, id and nearest tree point
+    current = 0
+    with np.errstate(over="ignore"):  # an overflowed edge is infinite, and raises below
+        for m in range(n - 1, 0, -1):
+            key, ids, near = table[d, :m], table[d + 1, :m], table[d + 2, :m]
+            lengths = _distance_rows(table[:d, :m], points[current : current + 1])[0]
+            closer = lengths < key
+            closer |= (lengths == key) & (near > current)
+            np.copyto(key, lengths, where=closer)
+            np.copyto(near, current, where=closer)
+            j = int(key.argmin())
+            if key[j] == math.inf:  # every remaining edge overflowed
+                raise ValueError("single linkage: a point distance overflowed to inf; the coordinates are too large")
+            tied = key == key[j]
+            if np.count_nonzero(tied) > 1:
+                ties = np.flatnonzero(tied)
+                j = ties[np.lexsort((np.maximum(ids[ties], near[ties]), np.minimum(ids[ties], near[ties])))[0]]
+            edges[:, n - 1 - m] = table[d:, j]
+            current = int(ids[j])
+            table[:, j] = table[:, m - 1]
+    return edges[2].astype(np.intp), edges[1].astype(np.intp), edges[0]
 
 
 def _ints(values: np.ndarray) -> array[int]:
@@ -883,45 +814,36 @@ def _ints(values: np.ndarray) -> array[int]:
 def single_linkage(dataset: Dataset) -> Dendrogram:
     """Agglomerative single-linkage dendrogram over a dataset of >= 2 points.
 
-    Merges the closest pair of clusters under minimum inter-cluster distance;
-    ties go to the lexicographically smallest pair of cluster ids, which makes
-    the result deterministic. Built as Gower & Ross (1969) do, from a Prim
-    minimum spanning tree whose lengths, stably sorted, are the merge heights:
-    O(N^2) time, O(N) memory beyond the points. As in Sibson's SLINK (1973),
-    the join order carries the hierarchy: at any height h the clusters are the
-    maximal runs of the order whose joiners after the first joined at most h
-    from the tree, as Prim leaves a component only when its smallest outgoing
-    edge exceeds h. So the clusters are kept as runs, by their bounds in the
-    order, and the edge of the joiner at place p merges the run that ends at p
-    with the run that starts there, in O(1). A run of equal heights joins
-    adjacent runs into groups, each one slice of the order, and is resolved
-    against member distances so that the tie rule holds exactly: tied pairs
-    come from one kernel call per block, and ``m`` tied clusters take an
-    ``m x m`` boolean matrix, once.
+    Merges the closest pair of clusters under minimum inter-cluster distance,
+    with point pairs ordered by (distance, smaller id, larger id), so that no
+    two pairs tie and the result is deterministic. Built as Gower & Ross
+    (1969) do: Kruskal over a minimum spanning tree, its edges sorted by that
+    order and merged with union-find, in O(N^2) time and O(N) memory beyond
+    the points. Prim's fast pass gives the tree's lengths, which are the merge
+    heights. When no two lengths are equal every tie rule gives the same
+    dendrogram, and as in Sibson's SLINK (1973) the join order carries it: at
+    any height h the clusters are the maximal runs of the order whose joiners
+    after the first joined at most h from the tree, so each joiner's edge may
+    link it to the point that joined just before it. When a length repeats,
+    :func:`_pair_order_tree` finds the one tree minimal under the pair order.
     """
     n = dataset.n_points
     if n < 2:
         raise ValueError("single linkage needs at least 2 points")
     points = dataset.points
     joined, lengths = _minimum_spanning_tree(points)
-    order = np.argsort(lengths, kind="stable")
-    places = _ints(order + 1)  # sorted edge i links the joiner at place places[i] to the place before
-    lengths = lengths[order]
-    # run [s, last[s]) of the order is cluster label[s]; first[e] is the start of the run ending at e
-    last, first, label = array("q", range(1, n + 1)), array("q", range(-1, n)), _ints(joined)
+    ends = joined[:-1], joined[1:]
+    if (np.diff(np.sort(lengths)) == 0).any():  # a repeated length: the pair order picks the tree
+        *ends, lengths = _pair_order_tree(points)
+    low, high = np.minimum(*ends), np.maximum(*ends)
+    order = np.lexsort((high, low, lengths))
+    parent, label = array("q", range(n)), array("q", range(n))  # a root's cluster id in label
     merges = array("q")  # the merged id pairs, flat: a seventh of the bytes of a list of tuples
-    runs = _ints(np.flatnonzero(np.diff(lengths, prepend=-1, append=math.inf)))  # equal lengths: [runs[i], runs[i + 1])
-    new_id = n
-    for start, stop in zip(runs, runs[1:]):
-        if stop - start == 1:
-            p = places[start]
-            s, e = first[p], last[p]
-            merges.extend(sorted((label[s], label[p])))
-            last[s], first[e], label[s] = e, s, new_id
-            new_id += 1
-        else:
-            tied = sorted(places[start:stop])
-            for pair in _merge_tied(points, joined, (last, first, label), tied, lengths[start], new_id):
-                merges.extend(pair)
-                new_id += 1
-    return Dendrogram(n, np.frombuffer(merges, dtype=np.int64).reshape(n - 1, 2), lengths)
+    for new_id, a, b in zip(range(n, 2 * n - 1), _ints(low[order]), _ints(high[order])):
+        while parent[a] != a:  # path halving
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        merges.extend(sorted((label[a], label[b])))
+        parent[b], label[a] = a, new_id
+    return Dendrogram(n, np.frombuffer(merges, dtype=np.int64).reshape(n - 1, 2), lengths[order])

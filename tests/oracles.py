@@ -91,19 +91,21 @@ def si_hierarchical_oracle(samples):
     return numerator / ((n - 1) * (d[-1] - d[0]))
 
 
-def single_linkage_merges(points):
+def single_linkage_merges(points, matrix=None):
     """Closest-pair scan: ``(left, right, distance)`` rows of single linkage.
 
-    Every step merges the pair of active clusters at the smallest single-link
-    distance; among equal distances the first pair in lexicographic id order
-    wins. Ids follow the linkage-matrix convention: points are 0 .. n-1 and
-    step ``s`` creates cluster ``n + s``. O(n^3), for small inputs only.
+    Point pairs are ordered by ``(distance, smaller id, larger id)``, so no
+    two tie, and a cluster pair's link is the least of its point pairs. Every
+    step merges the pair of active clusters with the least link. Ids follow
+    the linkage-matrix convention: points are 0 .. n-1 and step ``s`` creates
+    cluster ``n + s``. The point distances come from :func:`dist`, or from
+    the N x N ``matrix`` when given. O(n^3), for small inputs only.
     """
     n = len(points)
     link = {}
     for i in range(n):
         for j in range(i + 1, n):
-            link[(i, j)] = dist(points[i], points[j])
+            link[(i, j)] = (dist(points[i], points[j]) if matrix is None else matrix[i][j], i, j)
     active = list(range(n))  # sorted: a new id is always the largest
     merges = []
     for step in range(n - 1):
@@ -118,7 +120,7 @@ def single_linkage_merges(points):
         rest = [c for c in active if c != left and c != right]
         for c in rest:
             link[(c, new_id)] = min(link[(min(c, left), max(c, left))], link[(min(c, right), max(c, right))])
-        merges.append((left, right, link[best]))
+        merges.append((left, right, link[best][0]))
         active = rest + [new_id]
     return merges
 

@@ -19,7 +19,15 @@ from cluster_simplicity import (
     single_linkage,
     synthetic_dataset,
 )
-from cluster_simplicity.cli import _CAST_FIELDS, InputError, _read_linkage, _read_points, build_parser, main
+from cluster_simplicity.cli import (
+    _CAST_FIELDS,
+    InputError,
+    _read_labels,
+    _read_linkage,
+    _read_points,
+    build_parser,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -615,6 +623,21 @@ class TestReaders:
         with pytest.raises(InputError) as raised:
             self.read(name, path, 2 * chunk)
         assert str(raised.value) == f"{path}: row {chunk + 2}: {message}"
+
+    @pytest.mark.parametrize("first, later", [("1.5", "x"), ("x", "1.5")])
+    @pytest.mark.parametrize("gap", [1, _CAST_FIELDS], ids=["one chunk", "next chunk"])
+    def test_first_bad_label_row_is_named(self, first, later, gap, tmp_path):
+        # labels are cast a chunk of whole lines at a time; a row that is not an
+        # integer and one that does not parse are named alike, the first one first.
+        # With a blank line after the third row, the sixth row is file line 7
+        rows = ["0"] * (2 * _CAST_FIELDS)
+        rows[5], rows[5 + gap] = first, later
+        rows.insert(3, "")
+        path = tmp_path / "labels.txt"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(InputError) as raised:
+            _read_labels(str(path), 2 * _CAST_FIELDS)
+        assert str(raised.value) == f"{path}: row 7: not an integer label: {first!r}"
 
     def test_points_cast_in_bounded_memory(self, tmp_path):
         # one chunk's split fields are held at a time, not the whole file's:
