@@ -442,8 +442,8 @@ def _row_blocks(n: int) -> Iterator[tuple[int, int]]:
 
 def _distance_rows(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """:func:`_squared_rows`, square-rooted in place. sqrt is correctly rounded, so the distance
-    pass, :func:`pairwise_distances` (exactly symmetric) and both spanning-tree passes give a
-    distance the same bits."""
+    pass, :func:`pairwise_distances` (exactly symmetric) and both spanning-tree passes, which
+    call :func:`_squares` directly, give a distance the same bits."""
     out = _squared_rows(columns, rows)
     return np.sqrt(out, out=out)
 
@@ -452,23 +452,36 @@ def _squared_rows(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Squared distances from each of the b x d ``rows`` to each of the w
     points held coordinate-major in the d x w ``columns``: a b x w array.
 
-    The one distance kernel. Rows are taken a few at a time, so that their
-    b x d x w differences hold at most ``_BLOCK`` elements (one row at least),
-    laid out in C order whatever the inputs' order, squared in place and
-    summed over the coordinate axis, outside the rows of w: numpy adds a row
-    of w at a time, so each sum runs in coordinate order whatever the block.
-    ``(p_j - p_i)^2`` is ``(p_i - p_j)^2``. Callers enter
-    ``np.errstate(over="ignore")`` once, outside their loop."""
+    Only splits the rows, so that each call of :func:`_squares` holds at most
+    ``_BLOCK`` differences (one row at least); at d <= 8 every block of the
+    distance pass is one call. The output is allocated before the calls'
+    difference arrays: a block the pass holds on to, allocated above a freed
+    difference array, makes glibc's heap grow and shrink each block, about
+    five times the page faults of a ``compute`` run on 1000 x 8 points."""
     d, w = columns.shape
-    if w == 1:  # numpy would drop the unit axis, make the coordinates its inner loop and sum them pairwise
-        return _squared_rows(np.repeat(columns, 2, axis=1), rows)[:, :1]
-    out = np.empty((rows.shape[0], w))
     step = max(1, _BLOCK // (d * w))
+    out = np.empty((rows.shape[0], w))
     for start in range(0, rows.shape[0], step):
-        diff = np.subtract(columns, rows[start : start + step, :, None], order="C")
-        diff *= diff
-        np.add.reduce(diff, axis=1, out=out[start : start + step])
+        out[start : start + step] = _squares(columns, rows[start : start + step, :, None])
     return out
+
+
+def _squares(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Squared distances from the d x 1 column ``rows``, or from each of a
+    b x d x 1 stack of them, to each of the w points held coordinate-major
+    in the d x w ``columns``: w entries, or b x w.
+
+    The one distance kernel. The differences are laid out in C order whatever
+    the inputs' order, squared in place and summed over the coordinate axis,
+    outside the rows of w: numpy adds a row of w at a time, so each sum runs
+    in coordinate order whatever the caller. ``(p_j - p_i)^2`` is
+    ``(p_i - p_j)^2``. Callers enter ``np.errstate(over="ignore")`` once,
+    outside their loop."""
+    if columns.shape[1] == 1:  # numpy would drop the unit axis, make the coordinates its inner loop and sum them pairwise
+        return _squares(np.repeat(columns, 2, axis=1), rows)[..., :1]
+    diff = np.subtract(columns, rows, order="C")
+    diff *= diff
+    return np.add.reduce(diff, axis=-2)
 
 
 class ClusterStats:
@@ -742,26 +755,29 @@ def _minimum_spanning_tree(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Prim runs on squared keys over the points still outside the tree, which
     fill the first m columns of one (d+2) x (n-1) table: coordinates
     (coordinate-major, as the kernel reads them), key and id, so a join moves
-    one column. Each step computes the squares from the newest tree point to
-    the m outside points, so each pair is computed once: O(N^2 d) time, O(N d)
-    memory. sqrt is correctly rounded and monotone, so the tree is minimal
-    for the distances too, and the keys' square roots, taken once, have the
-    distance pass's bits. Among equal keys the first column joins.
+    one column. Each step is one call of :func:`_squares`, from the newest
+    tree point, held as a d x 1 column, to the m outside points, so each pair
+    is computed once: O(N^2 d) time, O(N d) memory. sqrt is correctly rounded
+    and monotone, so the tree is minimal for the distances too, and the keys'
+    square roots, taken once, have the distance pass's bits. Among equal keys
+    the first column joins.
     """
     n, d = points.shape
     table = np.empty((d + 2, n - 1))
-    table[:d], table[d], table[d + 1] = points[1:].T, np.inf, np.arange(1, n)
+    columns, keys, ids = table[:d], table[d], table[d + 1]
+    columns[:], keys[:], ids[:] = points[1:].T, np.inf, np.arange(1, n)
+    rows = points[:, :, None]  # each point as a d x 1 column
     order = np.zeros(n, dtype=np.intp)  # point 0 starts the tree
     squares = np.empty(n - 1)
     current = 0
     with np.errstate(over="ignore"):  # an overflowed edge is infinite, and raises below
         for m in range(n - 1, 0, -1):
-            outside = table[d, :m]
-            np.minimum(outside, _squared_rows(table[:d, :m], points[current : current + 1])[0], out=outside)
+            outside = keys[:m]
+            np.minimum(outside, _squares(columns[:, :m], rows[current]), out=outside)
             j = int(outside.argmin())
             if outside[j] == math.inf:  # every remaining edge overflowed
                 raise ValueError("single linkage: a point distance overflowed to inf; the coordinates are too large")
-            current = order[n - m] = int(table[d + 1, j])
+            current = order[n - m] = int(ids[j])
             squares[n - 1 - m] = outside[j]
             table[:, j] = table[:, m - 1]
     return order, np.sqrt(squares, out=squares)
@@ -778,17 +794,21 @@ def _pair_order_tree(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     smaller id, larger id) is least. Under that order no two pairs tie, as in
     Edelsbrunner & Mücke's Simulation of Simplicity (1990), so the tree is the
     one spanning tree minimal under it. The keys are distances, not squares:
-    two squares can round to one distance.
+    two squares can round to one distance. Each step is one call of
+    :func:`_squares`, square-rooted in place.
     """
     n, d = points.shape
     table = np.empty((d + 3, n - 1))  # coordinates, key, id and nearest tree point
-    table[:d], table[d], table[d + 1], table[d + 2] = points[1:].T, np.inf, np.arange(1, n), 0
+    columns, keys, ids, nears = table[:d], table[d], table[d + 1], table[d + 2]
+    columns[:], keys[:], ids[:], nears[:] = points[1:].T, np.inf, np.arange(1, n), 0
+    rows = points[:, :, None]  # each point as a d x 1 column
     edges = np.empty((3, n - 1))  # each edge's key, id and nearest tree point
     current = 0
     with np.errstate(over="ignore"):  # an overflowed edge is infinite, and raises below
         for m in range(n - 1, 0, -1):
-            key, ids, near = table[d, :m], table[d + 1, :m], table[d + 2, :m]
-            lengths = _distance_rows(table[:d, :m], points[current : current + 1])[0]
+            key, near = keys[:m], nears[:m]
+            lengths = _squares(columns[:, :m], rows[current])
+            np.sqrt(lengths, out=lengths)
             closer = lengths < key
             closer |= (lengths == key) & (near > current)
             np.copyto(key, lengths, where=closer)

@@ -27,7 +27,7 @@ from cluster_simplicity import (
     SYNTHETIC_DATASET_IDS,
 )
 from cluster_simplicity import core
-from cluster_simplicity.core import ClusterStats, _Tails, _distance_rows, _row_blocks, _squared_rows
+from cluster_simplicity.core import ClusterStats, _Tails, _distance_rows, _row_blocks, _squared_rows, _squares
 
 import oracles
 
@@ -82,9 +82,10 @@ def shifted_clusters(draw):
 
 @st.composite
 def scaled_duplicated_points(draw):
-    """2-60 points in 1-8 dimensions, drawn from a pool of distinct rows, so
-    that duplicate points are common, and scaled by a power of two."""
-    n, dim = draw(st.integers(2, 60)), draw(st.integers(1, 8))
+    """2-60 points in 1-24 dimensions, drawn from a pool of distinct rows, so
+    that duplicate points are common, and scaled by a power of two. Past 8
+    dimensions numpy's own summation order would differ from the kernel's."""
+    n, dim = draw(st.integers(2, 60)), draw(st.integers(1, 24))
     row = st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim)
     pool = draw(st.lists(row, min_size=1, max_size=n))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
@@ -336,8 +337,8 @@ class TestRadii:
     def test_many_blocks_match_the_full_matrix(self):
         # 300 points span three blocks of the distance pass. Whatever the block,
         # a distance comes out the same, at every d: from the matrix, from a
-        # one-row call, from a one-column call and from the pass, so that
-        # single linkage's one-row and tie distances agree exactly.
+        # one-row call, from a one-column call, from the kernel's one d x 1 row
+        # and from the pass, so that single linkage's distances agree exactly.
         assert len(list(_row_blocks(300))) >= 3
         part = Partition(np.zeros(300, dtype=int))
         for d in (1, 2, 3, 8, 33, 64):
@@ -347,6 +348,10 @@ class TestRadii:
             assert np.array_equal(full, full.T), d
             assert all(np.array_equal(full[i], _distance_rows(columns, pts[i : i + 1])[0]) for i in range(300)), d
             assert np.array_equal(full[:, -1:], _distance_rows(columns[:, -1:], pts)), d
+            # the call each Prim step makes: one d x 1 row against the first w points
+            rows = pts[:, :, None]
+            for w in (1, 2, 300):
+                assert all(np.sqrt(_squares(columns[:, :w], rows[i])).tobytes() == full[i, :w].tobytes() for i in range(300)), (d, w)
             # the distances are the squares' roots bit for bit, also on the one-column path
             for w in (300, 1):
                 roots = np.sqrt(_squared_rows(columns[:, -w:], pts))
