@@ -30,8 +30,7 @@ from .core import (
     DistanceMatrix,
     IndexValue,
     Partition,
-    _distance_rows,
-    _row_blocks,
+    _distance_blocks,
     is_defined,
 )
 from .simplicity import _si_centroid, _si_distance
@@ -122,17 +121,16 @@ def _db(stats: ClusterStats) -> IndexValue:
 
     Dispersion of a cluster is the mean member-to-centroid distance.
     UNDEFINED for k = 1 and whenever two cluster centroids coincide.
-    Gaps of the upper triangle only, in :func:`_row_blocks`: a ratio is exactly symmetric.
+    Gaps of the upper triangle only, in the blocks of :func:`_distance_blocks`
+    over the centroids: a ratio is exactly symmetric.
     """
     (centroids, _, radii), k = stats.clusters, stats.k
     if k == 1:
         return UNDEFINED
-    columns = np.ascontiguousarray(centroids.T)
     worst = np.zeros(k)  # each cluster's largest ratio; every ratio is >= 0
     # unchecked: overflowed centroids give NaN for the finiteness guard, and an
     # overflowed square an infinite gap (under :func:`_score`'s errstate)
-    for start, stop in _row_blocks(k):
-        gaps = _distance_rows(columns[:, start:], centroids[start:stop])
+    for start, stop, gaps in _distance_blocks(centroids):
         sums = radii[start:stop, None] + radii[start:]
         sums[np.isposinf(gaps) & (sums > 0)] = np.nan  # an infinite gap would give a ratio of 0
         np.fill_diagonal(gaps, np.inf)  # a cluster is not compared with itself

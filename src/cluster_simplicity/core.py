@@ -394,37 +394,23 @@ def _round_once(firsts: np.ndarray, sums: np.ndarray, means: np.ndarray, sizes: 
 def pairwise_distances(points: object) -> np.ndarray:
     """Full square matrix of Euclidean distances between rows of ``points``.
 
-    Filled a block of rows at a time, in O(block) extra memory. The squares of
-    ``p_j - p_i`` are exactly those of ``p_i - p_j``, so the matrix is exactly
-    symmetric.
+    Each pair is computed once, in the blocks of :func:`_distance_blocks`:
+    the part right of a block's own square is mirrored below it. The squares
+    of ``p_j - p_i`` are exactly those of ``p_i - p_j``, so the matrix is
+    exactly symmetric.
     """
-    return _pairwise(_as_points(points))
-
-
-def _pairwise(points: np.ndarray) -> np.ndarray:
-    """:func:`pairwise_distances` without the input checks: a non-finite
-    coordinate gives non-finite distances.
-
-    Each pair is computed once: the rows ``[start, stop)`` of a block of
-    :func:`_row_blocks` meet only the columns ``[start, N)``, and the part
-    right of the block's own square is mirrored below it."""
-    n = points.shape[0]
-    columns = np.ascontiguousarray(points.T)
-    dm = np.empty((n, n))
+    points = _as_points(points)
+    dm = np.empty((len(points), len(points)))
     with np.errstate(over="ignore"):  # an overflowed square is an infinite distance
-        for start, stop in _row_blocks(n):
-            dm[start:stop, start:] = _distance_rows(columns[:, start:], points[start:stop])
-            dm[stop:, start:stop] = dm[start:stop, stop:].T
+        for start, stop, block in _distance_blocks(points):
+            dm[start:stop, start:] = block
+            dm[stop:, start:stop] = block[:, stop - start :].T
     return dm
 
 
-# Distances in one block of the distance pass: rows x columns, computed or
-# gathered from a matrix. 2^13 float64 is 64 KB.
-_DISTANCES = 2**13
-
-# Elements of the kernel's rows x d x columns difference tensor.
-# 2^16 float64 is 512 KB.
-_BLOCK = 2**16
+# At most 2^13 distances (64 KB) in one block of the distance pass, computed
+# or gathered from a matrix, and 2^16 differences (512 KB) in one kernel call.
+_DISTANCES, _BLOCK = 2**13, 2**16
 
 
 def _row_blocks(n: int) -> Iterator[tuple[int, int]]:
@@ -440,30 +426,26 @@ def _row_blocks(n: int) -> Iterator[tuple[int, int]]:
         start = stop
 
 
-def _distance_rows(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """:func:`_squared_rows`, square-rooted in place. sqrt is correctly rounded, so the distance
-    pass, :func:`pairwise_distances` (exactly symmetric) and both spanning-tree passes, which
-    call :func:`_squares` directly, give a distance the same bits."""
-    out = _squared_rows(columns, rows)
-    return np.sqrt(out, out=out)
+def _distance_blocks(points: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The upper-triangle distance pass over the N x d ``points``: for each
+    span ``[start, stop)`` of :func:`_row_blocks`, the (stop - start) x
+    (N - start) block of distances from those rows to the points from start on.
 
-
-def _squared_rows(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Squared distances from each of the b x d ``rows`` to each of the w
-    points held coordinate-major in the d x w ``columns``: a b x w array.
-
-    Only splits the rows, so that each call of :func:`_squares` holds at most
-    ``_BLOCK`` differences (one row at least); at d <= 8 every block of the
-    distance pass is one call. The output is allocated before the calls'
-    difference arrays: a block the pass holds on to, allocated above a freed
-    difference array, makes glibc's heap grow and shrink each block, about
-    five times the page faults of a ``compute`` run on 1000 x 8 points."""
-    d, w = columns.shape
-    step = max(1, _BLOCK // (d * w))
-    out = np.empty((rows.shape[0], w))
-    for start in range(0, rows.shape[0], step):
-        out[start : start + step] = _squares(columns, rows[start : start + step, :, None])
-    return out
+    Holds the points as one d x N copy, fills each block with :func:`_squares`
+    calls of at most ``_BLOCK`` differences (one row at least; one call at
+    d <= 8) and square-roots it in place, so a distance has the bits of both
+    spanning-tree passes. A block is allocated before its difference arrays,
+    or glibc's heap grows and shrinks each block (five times the page faults
+    of a ``compute`` on 1000 x 8 points). Callers enter ``np.errstate``: one
+    entered here would stay set in the caller between blocks."""
+    n, d = points.shape
+    columns = np.ascontiguousarray(points.T)
+    for start, stop in _row_blocks(n):
+        step = max(1, _BLOCK // (d * (n - start)))
+        block, right, rows = np.empty((stop - start, n - start)), columns[:, start:], points[start:stop, :, None]
+        for first in range(0, stop - start, step):
+            block[first : first + step] = _squares(right, rows[first : first + step])
+        yield start, stop, np.sqrt(block, out=block)
 
 
 def _squares(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -492,11 +474,11 @@ class ClusterStats:
     quantity is computed when first read and belongs to this object alone.
 
     Distance quantities come from one streamed pass over the upper triangle of
-    the pair distances, run when the first of them is read: rows and columns
-    in label order, so that each cluster is one contiguous slice, and each
-    pair computed once. It makes only the ``reductions`` named at
-    construction, read by :meth:`reduced`; reading another one raises
-    KeyError. No N x N matrix is formed: the pass holds O(b N) floats for
+    the pair distances (:func:`_distance_blocks` for points), run when the
+    first of them is read: rows and columns in label order, so that each
+    cluster is one contiguous slice, and each pair computed once. It makes
+    only the ``reductions`` named at construction, read by :meth:`reduced`;
+    reading another one raises KeyError. No N x N matrix is formed: the pass holds O(b N) floats for
     blocks of b rows, the row means N k, the within sums N, the extremes two
     floats, and the tails O(min(w, P - w)) for w within-cluster pairs of P.
     """
@@ -552,7 +534,8 @@ class ClusterStats:
     @cached_property
     def _reduced(self) -> dict[str, Any]:
         """The requested reductions, from one pass over the blocks of
-        :func:`_row_blocks`: rows ``[start, stop)`` against columns ``[start, N)``.
+        :func:`_distance_blocks`, or the same spans gathered from the matrix:
+        rows ``[start, stop)`` against columns ``[start, N)``.
 
         A block's square holds its own pairs twice; the columns past it meet
         no later block's rows, so their sums over each cluster's rows add into
@@ -564,11 +547,10 @@ class ClusterStats:
         ends = starts + self.sizes
         spans = list(_row_blocks(n))
         if self._matrix is None:
-            points = self.points[order]
-            columns = np.ascontiguousarray(points.T)
-            blocks = (_distance_rows(columns[:, start:], points[start:stop]) for start, stop in spans)
+            blocks = _distance_blocks(self.points[order])
         else:
-            blocks = (self._matrix[order[start:stop]].take(order[start:], axis=1) for start, stop in spans)
+            matrix = self._matrix
+            blocks = ((start, stop, matrix[order[start:stop]].take(order[start:], axis=1)) for start, stop in spans)
         wanted = self._reductions
         summed, extremes = not wanted.isdisjoint(("rows", "within", "tails")), "extremes" in wanted
         rows = np.zeros((n, k)) if "rows" in wanted else None
@@ -581,7 +563,7 @@ class ClusterStats:
         tails = _Tails(m, min(3 * m + block, n_pairs)) if "tails" in wanted and m else None
         upper = index[:side] > index[:side, None]  # the pairs of a block's square
         with np.errstate(over="ignore"):  # an overflowed distance or sum is infinite, for the scorers' guard
-            for (start, stop), distances in zip(spans, blocks):
+            for start, stop, distances in blocks:
                 square = stop - start
                 c0, c1 = labels[start], labels[stop - 1] + 1  # the clusters of the block's rows
                 segments = starts[c0:] - start  # each cluster's first column, relative to start
@@ -795,7 +777,10 @@ def _pair_order_tree(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     Edelsbrunner & Mücke's Simulation of Simplicity (1990), so the tree is the
     one spanning tree minimal under it. The keys are distances, not squares:
     two squares can round to one distance. Each step is one call of
-    :func:`_squares`, square-rooted in place.
+    :func:`_squares`, square-rooted in place. Run only after
+    :func:`_minimum_spanning_tree` has finished on the same points, so a
+    finite spanning tree exists: every cut has a finite edge, and no step's
+    least key is infinite.
     """
     n, d = points.shape
     table = np.empty((d + 3, n - 1))  # coordinates, key, id and nearest tree point
@@ -804,7 +789,7 @@ def _pair_order_tree(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     rows = points[:, :, None]  # each point as a d x 1 column
     edges = np.empty((3, n - 1))  # each edge's key, id and nearest tree point
     current = 0
-    with np.errstate(over="ignore"):  # an overflowed edge is infinite, and raises below
+    with np.errstate(over="ignore"):  # an overflowed edge is infinite, and never the least key
         for m in range(n - 1, 0, -1):
             key, near = keys[:m], nears[:m]
             lengths = _squares(columns[:, :m], rows[current])
@@ -814,8 +799,6 @@ def _pair_order_tree(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
             np.copyto(key, lengths, where=closer)
             np.copyto(near, current, where=closer)
             j = int(key.argmin())
-            if key[j] == math.inf:  # every remaining edge overflowed
-                raise ValueError("single linkage: a point distance overflowed to inf; the coordinates are too large")
             tied = key == key[j]
             if np.count_nonzero(tied) > 1:
                 ties = np.flatnonzero(tied)

@@ -83,7 +83,7 @@ class SiCurve:
     samples: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        samples = tuple((float(d), float(v)) for d, v in self.samples)
+        samples = _pairs(self.samples)
         if not samples:
             raise ValueError("curve has no samples")
         table = np.fromiter(chain.from_iterable(samples), float, 2 * len(samples)).reshape(-1, 2)
@@ -117,6 +117,24 @@ class SiCurve:
         values = self.values
         level = min(range(len(values)), key=values.__getitem__)
         return level + 1, values[level]
+
+
+def _pairs(samples: object) -> tuple[tuple[float, float], ...]:
+    """Float (distance, value) pairs, cast at once; walked one by one only if that fails, to name the first bad one."""
+    try:
+        samples = tuple(samples)
+        return tuple((float(d), float(v)) for d, v in samples)
+    except (TypeError, ValueError, OverflowError):
+        if not isinstance(samples, tuple):  # not iterable
+            raise ValueError(f"curve samples must be a sequence of (distance, value) pairs, got {samples!r}") from None
+    pairs = []
+    for i, sample in enumerate(samples, start=1):
+        try:
+            d, v = sample
+            pairs.append((float(d), float(v)))
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"sample {i} must be a (distance, value) pair of real numbers, got {sample!r}") from None
+    return tuple(pairs)
 
 
 def si_curve(dataset: Dataset, dendrogram: Dendrogram) -> SiCurve:

@@ -85,6 +85,16 @@ class TestSynth:
         assert code == 1
         assert "unknown dataset id" in err
 
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys):
+        # a directory cannot be made under a regular file
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run_cli(capsys, "synth", "X2S", "--out", str(blocker / "sub"))
+        assert code == 2
+        assert out == ""
+        assert f"cannot write to {blocker / 'sub'}" in err
+        assert list(tmp_path.iterdir()) == [blocker]
+
 
 class TestCompute:
     def test_round_trips_library_values(self, x2s_files, capsys):

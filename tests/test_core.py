@@ -27,7 +27,7 @@ from cluster_simplicity import (
     SYNTHETIC_DATASET_IDS,
 )
 from cluster_simplicity import core
-from cluster_simplicity.core import ClusterStats, _Tails, _distance_rows, _row_blocks, _squared_rows, _squares
+from cluster_simplicity.core import ClusterStats, _Tails, _distance_blocks, _row_blocks, _squares
 
 import oracles
 
@@ -329,16 +329,25 @@ class TestRadii:
         # still summed one at a time, in order
         for d in (3, 8, 33, 64):
             pts = np.random.default_rng(37).normal(size=(40, d))
-            expected = _distance_rows(np.ascontiguousarray(pts.T), pts)
-            columns, rows = np.array(pts.T), np.asfortranarray(pts)
+            fortran = np.asfortranarray(pts)
+            assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+            [(start, stop, full)] = _distance_blocks(pts)  # 40 points are one block
+            assert (start, stop) == (0, 40)
+            assert [(s, e, b.tobytes()) for s, e, b in _distance_blocks(fortran)] == [(0, 40, full.tobytes())], d
+            # the kernel on Fortran-ordered columns, against a stack of rows of either order and
+            # against each row as Prim's d x 1 column
+            columns = np.array(pts.T)
             assert columns.flags.f_contiguous and not columns.flags.c_contiguous
-            assert np.array_equal(_distance_rows(columns, rows), expected), d
+            for rows in (fortran[:, :, None], pts[:, :, None]):
+                assert np.sqrt(_squares(columns, rows)).tobytes() == full.tobytes(), d
+                assert all(np.sqrt(_squares(columns, rows[i])).tobytes() == full[i].tobytes() for i in range(40)), d
 
     def test_many_blocks_match_the_full_matrix(self):
         # 300 points span three blocks of the distance pass. Whatever the block,
-        # a distance comes out the same, at every d: from the matrix, from a
-        # one-row call, from a one-column call, from the kernel's one d x 1 row
-        # and from the pass, so that single linkage's distances agree exactly.
+        # a distance comes out the same, at every d: from the matrix, from each
+        # block of the pass, from a one-row call, from a one-column call and
+        # from the kernel's one d x 1 row, so that single linkage's distances
+        # agree exactly. At d >= 33 a block takes several kernel calls.
         assert len(list(_row_blocks(300))) >= 3
         part = Partition(np.zeros(300, dtype=int))
         for d in (1, 2, 3, 8, 33, 64):
@@ -346,17 +355,19 @@ class TestRadii:
             columns = np.ascontiguousarray(pts.T)
             full = pairwise_distances(pts)
             assert np.array_equal(full, full.T), d
-            assert all(np.array_equal(full[i], _distance_rows(columns, pts[i : i + 1])[0]) for i in range(300)), d
-            assert np.array_equal(full[:, -1:], _distance_rows(columns[:, -1:], pts)), d
+            spans = []
+            for start, stop, block in _distance_blocks(pts):
+                assert block.tobytes() == full[start:stop, start:].tobytes(), (d, start)
+                spans.append((start, stop))
+            assert spans == list(_row_blocks(300)), d
+            rows = pts[:, :, None]  # each point as a d x 1 column, stacked as a block's rows are
+            assert all(np.sqrt(_squares(columns, rows[i : i + 1]))[0].tobytes() == full[i].tobytes() for i in range(300)), d
+            # the unit-width path: a stack of every point against the last one
+            assert np.sqrt(_squares(columns[:, -1:], rows)).tobytes() == full[:, -1:].tobytes(), d
             # the call each Prim step makes: one d x 1 row against the first w points
-            rows = pts[:, :, None]
             for w in (1, 2, 300):
                 roots = [np.sqrt(_squares(columns[:, :w], rows[i])) for i in range(300)]
                 assert all(r.tobytes() == full[i, :w].tobytes() for i, r in enumerate(roots)), (d, w)
-            # the distances are the squares' roots bit for bit, also on the one-column path
-            for w in (300, 1):
-                roots = np.sqrt(_squared_rows(columns[:, -w:], pts))
-                assert _distance_rows(columns[:, -w:], pts).tobytes() == roots.tobytes(), (d, w)
             stats = ClusterStats(part, points=pts, reductions=["within", "extremes"])
             assert stats.reduced("extremes")[0] == full.max(), d
             from_matrix = ClusterStats(part, distances=full, reductions=["within"])

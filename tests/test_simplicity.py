@@ -275,8 +275,18 @@ class TestSiCurve:
             (((1.0, 3.0), (-1.0, 2.0)), r"sample 2 must be finite with nonnegative distance, got \(-1.0, 2.0\)"),
             # the first failing sample is reported, not the first non-finite one
             (((1.0, 3.0), (0.5, 2.0), (math.nan, 1.0)), "nondecreasing: sample 2 has 0.5 after 1.0"),
+            # a sample that is not a pair of real numbers is named, the first one of them
+            ((1.0,), r"sample 1 must be a \(distance, value\) pair of real numbers, got 1.0$"),
+            (((0.0, None),), r"sample 1 must be a \(distance, value\) pair of real numbers, got \(0.0, None\)"),
+            (((0.0, 1.0), (1.0, 1 + 2j)), r"sample 2 must be .* real numbers, got \(1.0, \(1\+2j\)\)"),
+            (((0.0, 1.0, 2.0),), r"sample 1 must be .* real numbers, got \(0.0, 1.0, 2.0\)"),
+            (((0.0, 1.0), (1.0, 10**400), (2.0, "x")), "sample 2 must be a .* pair of real numbers"),
+            (5, "curve samples must be a sequence of .* pairs, got 5"),
         ],
-        ids=["empty", "infinite-value", "nan-distance", "negative-and-decreasing", "decreasing-before-nan"],
+        ids=[
+            "empty", "infinite-value", "nan-distance", "negative-and-decreasing", "decreasing-before-nan",
+            "bare-number", "none", "complex", "triple", "int-past-float", "not-iterable",
+        ],
     )
     def test_rejects_empty_and_non_finite_samples(self, samples, message):
         with pytest.raises(ValueError, match=message):
