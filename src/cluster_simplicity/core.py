@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
@@ -412,6 +413,26 @@ def pairwise_distances(points: object) -> np.ndarray:
 # or gathered from a matrix, and 2^16 differences (512 KB) in one kernel call.
 _DISTANCES, _BLOCK = 2**13, 2**16
 
+# numpy's default ufunc buffer, in elements, and the one the kernel runs under.
+_UFUNC_BUFFER, _KERNEL_BUFFER = 2**13, 16
+
+
+@contextmanager
+def _kernel_buffer() -> Iterator[None]:
+    """numpy's ufunc buffer set to ``_KERNEL_BUFFER`` elements, and the
+    previous size restored on exit, also on an exception. Under the default
+    size numpy copies the kernel's broadcast d x 1 row operand through the
+    buffer whenever an inner loop is shorter than it: one 8 x 8 x 1000
+    subtract takes 58 us, against 18 us under 16 floats. No elementwise
+    result and none of the kernel's row-by-row sums depend on the size, but
+    the blocks of numpy's pairwise summation do, so it is set only around
+    kernel calls and Prim's loops, never around a caller's sums."""
+    previous = np.setbufsize(_KERNEL_BUFFER)
+    try:
+        yield
+    finally:
+        np.setbufsize(previous)
+
 
 def _row_blocks(n: int) -> Iterator[tuple[int, int]]:
     """Row spans ``[start, stop)`` of an upper-triangle pass over ``n`` rows.
@@ -434,17 +455,22 @@ def _distance_blocks(points: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]
     Holds the points as one d x N copy, fills each block with :func:`_squares`
     calls of at most ``_BLOCK`` differences (one row at least; one call at
     d <= 8) and square-roots it in place, so a distance has the bits of both
-    spanning-tree passes. A block is allocated before its difference arrays,
-    or glibc's heap grows and shrinks each block (five times the page faults
-    of a ``compute`` on 1000 x 8 points). Callers enter ``np.errstate``: one
-    entered here would stay set in the caller between blocks."""
+    spanning-tree passes. The calls run under :func:`_kernel_buffer`, left
+    before the block is yielded, so the caller's sums keep numpy's buffer;
+    a block whose kernel work fits in one default buffer skips it, since
+    setting and restoring the size costs more there than it saves. A block
+    is allocated before its difference arrays, or glibc's heap grows and
+    shrinks each block (five times the page faults of a ``compute`` on
+    1000 x 8 points). Callers enter ``np.errstate``: one entered here would
+    stay set in the caller between blocks."""
     n, d = points.shape
     columns = np.ascontiguousarray(points.T)
     for start, stop in _row_blocks(n):
         step = max(1, _BLOCK // (d * (n - start)))
         block, right, rows = np.empty((stop - start, n - start)), columns[:, start:], points[start:stop, :, None]
-        for first in range(0, stop - start, step):
-            block[first : first + step] = _squares(right, rows[first : first + step])
+        with _kernel_buffer() if block.size * d > _UFUNC_BUFFER else nullcontext():
+            for first in range(0, stop - start, step):
+                block[first : first + step] = _squares(right, rows[first : first + step])
         yield start, stop, np.sqrt(block, out=block)
 
 
@@ -752,7 +778,7 @@ def _minimum_spanning_tree(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.zeros(n, dtype=np.intp)  # point 0 starts the tree
     squares = np.empty(n - 1)
     current = 0
-    with np.errstate(over="ignore"):  # an overflowed edge is infinite, and raises below
+    with np.errstate(over="ignore"), _kernel_buffer():  # an overflowed edge is infinite, and raises below
         for m in range(n - 1, 0, -1):
             outside = keys[:m]
             np.minimum(outside, _squares(columns[:, :m], rows[current]), out=outside)
@@ -789,7 +815,7 @@ def _pair_order_tree(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     rows = points[:, :, None]  # each point as a d x 1 column
     edges = np.empty((3, n - 1))  # each edge's key, id and nearest tree point
     current = 0
-    with np.errstate(over="ignore"):  # an overflowed edge is infinite, and never the least key
+    with np.errstate(over="ignore"), _kernel_buffer():  # an overflowed edge is infinite, and never the least key
         for m in range(n - 1, 0, -1):
             key, near = keys[:m], nears[:m]
             lengths = _squares(columns[:, :m], rows[current])

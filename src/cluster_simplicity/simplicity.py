@@ -119,22 +119,32 @@ class SiCurve:
         return level + 1, values[level]
 
 
+# float() parses these, where Dataset and DistanceMatrix reject them as not real numbers
+_TEXT = (str, bytes, bytearray)
+
+
 def _pairs(samples: object) -> tuple[tuple[float, float], ...]:
-    """Float (distance, value) pairs, cast at once; walked one by one only if that fails, to name the first bad one."""
+    """Float (distance, value) pairs, cast at once; walked one by one only if
+    that fails or a sample or entry is text, to name the first bad one."""
     try:
         samples = tuple(samples)
-        return tuple((float(d), float(v)) for d, v in samples)
+        pairs = tuple((float(d), float(v)) for d, v in samples)
     except (TypeError, ValueError, OverflowError):
         if not isinstance(samples, tuple):  # not iterable
             raise ValueError(f"curve samples must be a sequence of (distance, value) pairs, got {samples!r}") from None
-    pairs = []
+    else:  # no text equals its float: only a cast that changed an entry, or a sample that is no tuple, looks further
+        if pairs == samples or not any(issubclass(t, _TEXT) for t in set(map(type, chain(samples, *samples)))):
+            return pairs
+    walked = []
     for i, sample in enumerate(samples, start=1):
         try:
             d, v = sample
-            pairs.append((float(d), float(v)))
+            if isinstance(sample, _TEXT) or isinstance(d, _TEXT) or isinstance(v, _TEXT):
+                raise TypeError
+            walked.append((float(d), float(v)))
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"sample {i} must be a (distance, value) pair of real numbers, got {sample!r}") from None
-    return tuple(pairs)
+    return tuple(walked)
 
 
 def si_curve(dataset: Dataset, dendrogram: Dendrogram) -> SiCurve:
