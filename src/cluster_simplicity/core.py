@@ -768,7 +768,9 @@ def _minimum_spanning_tree(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     is computed once: O(N^2 d) time, O(N d) memory. sqrt is correctly rounded
     and monotone, so the tree is minimal for the distances too, and the keys'
     square roots, taken once, have the distance pass's bits. Among equal keys
-    the first column joins.
+    the first column joins. The loop runs under :func:`_kernel_buffer`: its
+    other ufuncs (``minimum``, ``argmin``, the comparison, ``sqrt``) are
+    exact whatever numpy's buffer size.
     """
     n, d = points.shape
     table = np.empty((d + 2, n - 1))
@@ -806,7 +808,9 @@ def _pair_order_tree(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     :func:`_squares`, square-rooted in place. Run only after
     :func:`_minimum_spanning_tree` has finished on the same points, so a
     finite spanning tree exists: every cut has a finite edge, and no step's
-    least key is infinite.
+    least key is infinite. The loop runs under :func:`_kernel_buffer`, as
+    :func:`_minimum_spanning_tree`'s does: its comparisons, masked copies,
+    ``argmin`` and ``lexsort`` are exact whatever numpy's buffer size.
     """
     n, d = points.shape
     table = np.empty((d + 3, n - 1))  # coordinates, key, id and nearest tree point

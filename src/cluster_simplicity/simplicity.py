@@ -132,14 +132,14 @@ def _pairs(samples: object) -> tuple[tuple[float, float], ...]:
     except (TypeError, ValueError, OverflowError):
         if not isinstance(samples, tuple):  # not iterable
             raise ValueError(f"curve samples must be a sequence of (distance, value) pairs, got {samples!r}") from None
-    else:  # no text equals its float: only a cast that changed an entry, or a sample that is no tuple, looks further
+    else:  # text never equals its float, so only samples the cast changed are searched for it
         if pairs == samples or not any(issubclass(t, _TEXT) for t in set(map(type, chain(samples, *samples)))):
             return pairs
     walked = []
     for i, sample in enumerate(samples, start=1):
         try:
             d, v = sample
-            if isinstance(sample, _TEXT) or isinstance(d, _TEXT) or isinstance(v, _TEXT):
+            if any(isinstance(x, _TEXT) for x in (sample, d, v)):
                 raise TypeError
             walked.append((float(d), float(v)))
         except (TypeError, ValueError, OverflowError):

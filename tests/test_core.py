@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cluster_simplicity import (
+    PARTITION_INDEX_IDS,
     Dataset,
     Dendrogram,
     DistanceMatrix,
@@ -17,6 +18,7 @@ from cluster_simplicity import (
     UNDEFINED,
     Undefined,
     dendrogram_from_merges,
+    evaluate_many,
     is_defined,
     pairwise_distances,
     radius_centroid,
@@ -375,6 +377,32 @@ class TestRadii:
             assert np.array_equal(own, from_matrix.reduced("within")[0]), d
             pair_sum = full[np.triu_indices(300, k=1)].sum()
             assert within == pytest.approx(pair_sum, rel=1e-15) and total == pytest.approx(pair_sum, rel=1e-15), d
+
+    def test_the_kernel_buffer_keeps_the_bits(self):
+        # the kernel runs under a 16-float ufunc buffer; under numpy's default
+        # 8192 it gives the same bits, at every d and at widths from one point
+        # to past the default buffer: for Prim's d x 1 row against a slice of
+        # its table and for a pass block's stack of rows against its columns
+        rng = np.random.default_rng(43)
+        for d in (1, 2, 3, 8, 33, 64):
+            pts = rng.normal(size=(8193, d)) * 2.0 ** rng.integers(-20, 20, size=(8193, 1))
+            table = np.empty((d + 2, 8193))  # coordinates, then Prim's key and id rows
+            table[:d] = pts.T
+            columns, rows = np.ascontiguousarray(pts.T), pts[:, :, None]
+
+            def calls():
+                for w in (1, 2, 300, 8193):
+                    yield from (_squares(table[:d, :w], rows[i]) for i in (0, 4096, 8192))
+                    yield _squares(columns[:, 8193 - w :], rows[:3])
+
+            previous = np.setbufsize(8192)
+            try:
+                default = [squares.tobytes() for squares in calls()]
+            finally:
+                np.setbufsize(previous)
+            with core._kernel_buffer():
+                assert np.getbufsize() == 16
+                assert [squares.tobytes() for squares in calls()] == default, d
 
     @given(point_sets(min_points=2))
     @settings(max_examples=60, deadline=None)
@@ -919,6 +947,65 @@ class TestSingleLinkage:
             for level in range(n):
                 expected = _grouping(cuts[:, level])
                 assert _grouping(dg.partition_at(level + 1).labels) == expected
+
+
+class TestKernelBuffer:
+    """The kernel's 16-float ufunc buffer is scoped: every call leaves the
+    caller's buffer size as it found it, on return and on an exception."""
+
+    @pytest.fixture(autouse=True)
+    def caller_buffer(self):
+        previous = np.setbufsize(4096)  # not numpy's default, so a reset to the default shows
+        yield
+        np.setbufsize(previous)
+
+    @pytest.fixture
+    def kernel_buffers(self, monkeypatch):
+        """The buffer size of every kernel call, in call order."""
+        sizes, kernel = [], core._squares
+
+        def recorded(columns, rows):
+            sizes.append(np.getbufsize())
+            return kernel(columns, rows)
+
+        monkeypatch.setattr(core, "_squares", recorded)
+        return sizes
+
+    def test_pass_and_scoring_restore_the_buffer(self, kernel_buffers):
+        pts = np.random.default_rng(7).normal(size=(300, 8))
+        pairwise_distances(pts[:, :1])  # at d = 1 no block's kernel work passes one default buffer
+        assert np.getbufsize() == 4096 and set(kernel_buffers) == {4096}
+        pairwise_distances(pts)  # at d = 8 every block's does
+        assert np.getbufsize() == 4096 and set(kernel_buffers[-len(list(_row_blocks(300))) :]) == {16}
+        labels = Partition(np.arange(300) % 7)
+        assert all(map(is_defined, evaluate_many(PARTITION_INDEX_IDS, Dataset(pts), labels)))
+        assert np.getbufsize() == 4096
+
+    def test_both_prim_passes_restore_the_buffer(self, kernel_buffers):
+        single_linkage(Dataset(np.random.default_rng(7).normal(size=(200, 3))))  # untied: one Prim pass
+        assert np.getbufsize() == 4096 and set(kernel_buffers) == {16} and len(kernel_buffers) >= 199
+        untied = len(kernel_buffers)
+        grid = Dataset([[float(x), float(y)] for x in range(55) for y in range(55)])
+        single_linkage(grid)  # every edge ties: the pair-order pass runs too
+        assert np.getbufsize() == 4096 and set(kernel_buffers) == {16} and len(kernel_buffers) - untied >= 2 * 3024
+
+    def test_a_pass_closed_after_its_first_block_restores_the_buffer(self):
+        blocks = _distance_blocks(np.random.default_rng(7).normal(size=(1000, 8)))
+        next(blocks)
+        assert np.getbufsize() == 4096  # left before the block is yielded
+        blocks.close()
+        assert np.getbufsize() == 4096
+
+    def test_an_overflow_restores_the_buffer(self):
+        points = np.array([[x * 1e160, y * 1e160] for x in range(20) for y in range(20)])
+        with pytest.raises(ValueError, match="overflowed to inf"):
+            single_linkage(Dataset(points))
+        assert np.getbufsize() == 4096
+        # on numpy 2 leaving Prim's errstate restores the size too; outside one, the scope must
+        with pytest.raises(KeyError):
+            with core._kernel_buffer():
+                raise KeyError
+        assert np.getbufsize() == 4096
 
 
 class TestDendrogramFromMerges:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -261,6 +262,13 @@ class TestSiCurve:
         assert SiCurve(((0.0, 3.0), (1.0, 2.3), (2.0, 3.0))).minimum() == (2, 2.3)
         assert SiCurve(((0.0, 2.0), (5.0, 2.0))).minimum() == (1, 2.0)
 
+    def test_casts_real_numbers_of_any_type(self):
+        # lists, ints, numpy floats and a Fraction that no float equals, as pairs of floats
+        samples = [[0, 3], (np.float64(0.5), Fraction(1, 3)), iter((1, np.float32(2)))]
+        curve = SiCurve(samples)
+        assert curve.samples == ((0.0, 3.0), (0.5, 1 / 3), (1.0, 2.0))
+        assert all(type(x) is float for sample in curve.samples for x in sample)
+
     def test_rejects_decreasing_distances(self):
         with pytest.raises(ValueError, match="nondecreasing"):
             SiCurve(((1.0, 3.0), (0.5, 2.0)))
@@ -282,10 +290,16 @@ class TestSiCurve:
             (((0.0, 1.0, 2.0),), r"sample 1 must be .* real numbers, got \(0.0, 1.0, 2.0\)"),
             (((0.0, 1.0), (1.0, 10**400), (2.0, "x")), "sample 2 must be a .* pair of real numbers"),
             (5, "curve samples must be a sequence of .* pairs, got 5"),
+            # float() would parse text, which Dataset and DistanceMatrix reject as not real numbers
+            (((" 1e0 ", b"2"),), r"sample 1 must be .* real numbers, got \(' 1e0 ', b'2'\)"),
+            (((0.0, 1.0), (1.0, bytearray(b"2"))), r"sample 2 must be .* real numbers, got \(1.0, bytearray"),
+            (((0.0, 1.0), "12"), r"sample 2 must be .* real numbers, got '12'"),
+            ((b"12",), r"sample 1 must be .* real numbers, got b'12'"),
         ],
         ids=[
             "empty", "infinite-value", "nan-distance", "negative-and-decreasing", "decreasing-before-nan",
             "bare-number", "none", "complex", "triple", "int-past-float", "not-iterable",
+            "text", "bytearray", "text-sample", "bytes-sample",
         ],
     )
     def test_rejects_empty_and_non_finite_samples(self, samples, message):
