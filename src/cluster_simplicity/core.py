@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
@@ -468,10 +468,19 @@ def _distance_blocks(points: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]
     for start, stop in _row_blocks(n):
         step = max(1, _BLOCK // (d * (n - start)))
         block, right, rows = np.empty((stop - start, n - start)), columns[:, start:], points[start:stop, :, None]
-        with _kernel_buffer() if block.size * d > _UFUNC_BUFFER else nullcontext():
-            for first in range(0, stop - start, step):
-                block[first : first + step] = _squares(right, rows[first : first + step])
+        if block.size * d > _UFUNC_BUFFER:
+            with _kernel_buffer():
+                _fill(block, right, rows, step)
+        else:  # not a nullcontext: one per block slowed the many small passes of an audit by about 1.6%
+            _fill(block, right, rows, step)
         yield start, stop, np.sqrt(block, out=block)
+
+
+def _fill(block: np.ndarray, columns: np.ndarray, rows: np.ndarray, step: int) -> None:
+    """Squared distances from each of the b x d x 1 ``rows`` to the d x w
+    ``columns`` into the b x w ``block``, ``step`` rows per :func:`_squares` call."""
+    for first in range(0, len(block), step):
+        block[first : first + step] = _squares(columns, rows[first : first + step])
 
 
 def _squares(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
