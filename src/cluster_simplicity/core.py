@@ -426,7 +426,8 @@ def _kernel_buffer() -> Iterator[None]:
     subtract takes 58 us, against 18 us under 16 floats. No elementwise
     result and none of the kernel's row-by-row sums depend on the size, but
     the blocks of numpy's pairwise summation do, so it is set only around
-    kernel calls and Prim's loops, never around a caller's sums."""
+    kernel calls and Prim's loops, never around a caller's sums. numpy keeps
+    the size per thread (1.x) or per context (2.x), so no other thread sees it."""
     previous = np.setbufsize(_KERNEL_BUFFER)
     try:
         yield
@@ -456,7 +457,7 @@ def _distance_blocks(points: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]
     calls of at most ``_BLOCK`` differences (one row at least; one call at
     d <= 8) and square-roots it in place, so a distance has the bits of both
     spanning-tree passes. The calls run under :func:`_kernel_buffer`, left
-    before the block is yielded, so the caller's sums keep numpy's buffer;
+    before the block is yielded, so the caller's sums keep its buffer;
     a block whose kernel work fits in one default buffer skips it, since
     setting and restoring the size costs more there than it saves. A block
     is allocated before its difference arrays, or glibc's heap grows and
