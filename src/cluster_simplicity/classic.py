@@ -51,8 +51,6 @@ def _ch(stats: ClusterStats) -> IndexValue:
         return UNDEFINED
     centroids, squared, _ = stats.clusters
     within = float(squared.sum())
-    if math.isinf(within):  # overflowed: a finite between term would give a ratio of 0
-        return math.nan
     if within == 0.0:
         return UNDEFINED
     between = float(np.dot(stats.sizes, ((centroids - stats.whole[0]) ** 2).sum(axis=1)))
@@ -69,9 +67,7 @@ def _silhouette(stats: ClusterStats) -> IndexValue:
     """
     if stats.k == 1:
         return UNDEFINED
-    own, _, total = stats.reduced("within")
-    if math.isinf(total):  # overflowed: an infinite mean could hide the least one from b
-        return math.nan
+    own = stats.reduced("within")[0]
     own_size = stats.sizes[stats.sorted_labels]
     a = own / np.maximum(own_size - 1, 1)
     b = stats.reduced("rows").min(axis=1)
@@ -87,14 +83,14 @@ def _sf(stats: ClusterStats) -> IndexValue:
     Combines size-weighted centroid-to-grand-centroid distances (between) with
     per-cluster mean member-to-centroid distances (within) through a double
     exponential, yielding a value in [0, 1]: exactly 0 once ``exp(gap)``
-    underflows, at a gap below about -745. No zero-denominator path.
+    underflows, at a gap below about -745. The gap is in raw units, not
+    scale-free: taken in the rescaled units of the statistics, it is scaled
+    back by 2^``exponent`` (infinite past the largest float). No
+    zero-denominator path.
     """
     centroids, _, radii = stats.clusters
     between = float(np.dot(stats.sizes, np.linalg.norm(centroids - stats.whole[0], axis=1))) / (stats.n * stats.k)
-    within = float(radii.sum())
-    if math.isinf(between) or math.isinf(within):  # overflowed: the score would saturate at 1 or 0
-        return math.nan
-    gap = between - within
+    gap = np.ldexp(between - float(radii.sum()), stats.exponent)
     if gap > 700.0:  # exp(exp(gap)) overflows; the score saturates at 1
         return 1.0
     return -math.expm1(-math.exp(gap))  # not 1 - exp(...), which rounds a tiny score to 0
@@ -109,8 +105,6 @@ def _dunn(stats: ClusterStats) -> IndexValue:
     if stats.k == 1:
         return UNDEFINED
     max_diameter, min_separation = stats.reduced("extremes")
-    if math.isinf(max_diameter):  # overflowed: a finite separation would give a ratio of 0
-        return math.nan
     if max_diameter == 0.0:
         return UNDEFINED
     return min_separation / max_diameter
@@ -128,11 +122,8 @@ def _db(stats: ClusterStats) -> IndexValue:
     if k == 1:
         return UNDEFINED
     worst = np.zeros(k)  # each cluster's largest ratio; every ratio is >= 0
-    # unchecked: overflowed centroids give NaN for the finiteness guard, and an
-    # overflowed square an infinite gap (under :func:`_score`'s errstate)
     for start, stop, gaps in _distance_blocks(centroids):
         sums = radii[start:stop, None] + radii[start:]
-        sums[np.isposinf(gaps) & (sums > 0)] = np.nan  # an infinite gap would give a ratio of 0
         np.fill_diagonal(gaps, np.inf)  # a cluster is not compared with itself
         if not gaps.all():
             return UNDEFINED
@@ -156,10 +147,6 @@ def _cindex(stats: ClusterStats) -> IndexValue:
     if not 0 < stats.n_within < stats.n * (stats.n - 1) // 2:  # k = N, k = 1 or N = 1: S_max = S_min
         return UNDEFINED
     smallest_sum, largest_sum = stats.reduced("tails")
-    # overflowed, to infinity or, past P / 2, to the NaN of infinity less an infinite tail:
-    # S_max = S_min could not be told from S_max > S_min
-    if not math.isfinite(largest_sum):
-        return math.nan
     if largest_sum == smallest_sum:
         return UNDEFINED
     max_within, min_between = stats.reduced("extremes")
@@ -265,16 +252,18 @@ def _check_partition_ids(index_ids: Iterable[str]) -> tuple[str, ...]:
 def _score(index_ids: Sequence[str], partition: Partition, **source: np.ndarray) -> list[IndexValue]:
     """The scoring step of every public scorer: checked ``index_ids`` on one
     ClusterStats of ``source`` (``points=`` or ``distances=``) with only the
-    reductions they read. A NaN or infinite value raises ValueError naming it:
-    a scorer returns NaN where an overflowed quantity would be absorbed into
-    a finite value, so numpy's overflow warnings are not shown."""
+    reductions they read. The statistics are rescaled, so no quantity an
+    index reads over- or underflows; only an index value itself can pass the
+    largest float, as an SI or a ratio of two quantities can. Such a value,
+    infinite, raises ValueError naming its index, and numpy's overflow
+    warning is not shown."""
     reductions = frozenset().union(*(_INDICES[index_id][2] for index_id in index_ids))
     stats = ClusterStats(partition, reductions=reductions, **source)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         values = [_INDICES[index_id][1](stats) for index_id in index_ids]
     for index_id, value in zip(index_ids, values):
         if is_defined(value) and not math.isfinite(value):
-            raise ValueError(f"index {index_id!r}: the arithmetic overflowed to {value}; the inputs are too large")
+            raise ValueError(f"index {index_id!r}: the arithmetic overflowed to {value}; the index passes the largest float")
     return values
 
 
@@ -285,8 +274,8 @@ def evaluate_many(index_ids: Iterable[str], dataset: Dataset, partition: Partiti
     dendrograms: see :func:`cluster_simplicity.simplicity.si_hierarchical`).
     The indices share one set of cluster statistics, whose one streamed
     distance pass makes only the reductions the requested ids read, so the
-    points' distance matrix is never built. A value that overflows to NaN or
-    infinity raises ValueError naming its index.
+    points' distance matrix is never built. A value that passes the largest
+    float raises ValueError naming its index.
     """
     return _score(_check_partition_ids(index_ids), partition, points=dataset.points)
 

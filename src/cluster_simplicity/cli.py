@@ -227,7 +227,7 @@ def _cmd_compute(args: argparse.Namespace, parser: _Parser) -> dict:
     partition = _read_labels(args.labels, dataset.n_points)
     try:
         values = evaluate_many(args.index, dataset, partition)
-    except ValueError as exc:  # an index overflowed on these coordinates
+    except ValueError as exc:  # an index value passed the largest float
         raise InputError(f"{args.data}: {exc}") from exc
     return {
         "command": "compute",
@@ -257,7 +257,7 @@ def _cmd_hierarchical(args: argparse.Namespace, parser: _Parser) -> dict:
     if args.linkage == "auto":
         try:
             dendrogram = single_linkage(dataset)
-        except ValueError as exc:  # a point distance overflowed on these coordinates
+        except ValueError as exc:  # a merge height passed the largest float
             raise InputError(f"{args.data}: {exc}") from exc
     else:
         table = _read_linkage(args.linkage, dataset.n_points)
@@ -267,7 +267,7 @@ def _cmd_hierarchical(args: argparse.Namespace, parser: _Parser) -> dict:
             raise InputError(f"{args.linkage}: {exc}") from exc
     try:
         curve = si_curve(dataset, dendrogram)
-    except ValueError as exc:  # a radius overflowed on these coordinates
+    except ValueError as exc:  # a level's index passed the largest float
         raise InputError(f"{args.data}: {exc}") from exc
     min_level, min_value = curve.minimum()
     return {

@@ -56,19 +56,39 @@ def is_defined(value: IndexValue) -> bool:
     return not isinstance(value, Undefined)
 
 
+# Text: float() parses str and bytes, and numpy reads a bytearray as its byte codes
+_TEXT = (str, bytes, bytearray)
+
+
 def _real(values: object, what: str) -> np.ndarray:
     try:
         arr = np.asarray(values)
-    except ValueError:  # numpy's "inhomogeneous shape" for ragged nesting
-        raise ValueError(f"{what} must have rows of equal length") from None
+    except ValueError:  # numpy's "inhomogeneous shape" for ragged nesting, as of a bytearray entry among numbers
+        fault = "be real numbers" if _holds_text(values, 3) else "have rows of equal length"
+        raise ValueError(f"{what} must {fault}") from None
+    # numpy reads a bytearray as an axis of byte codes, so text lies no deeper than the array's axes
+    if not isinstance(values, np.ndarray) and _holds_text(values, min(arr.ndim, 3)):
+        raise ValueError(f"{what} must be real numbers")
     if arr.dtype.kind in "biufO":  # a float cast would keep a complex number's real part, and parse strings
-        if arr.dtype.kind == "O" and any(v is None or isinstance(v, (str, bytes)) for v in arr.flat):
+        if arr.dtype.kind == "O" and any(v is None or isinstance(v, _TEXT) for v in arr.flat):
             raise ValueError(f"{what} must be real numbers")  # the cast would parse text and make None NaN
         try:
             return np.asarray(arr, dtype=float)
         except (TypeError, ValueError):  # a complex number or another non-real object in an object array
             pass
     raise ValueError(f"{what} must be real numbers")
+
+
+def _holds_text(values: object, levels: int) -> bool:
+    """Whether text is among ``values``, its items, their items and so on,
+    down to ``levels`` levels, where only lists and tuples have items."""
+    level = [values]
+    for depth in range(levels):
+        if depth:
+            level = [item for value in level if isinstance(value, (list, tuple)) for item in value]
+        if any(issubclass(kind, _TEXT) for kind in set(map(type, level))):
+            return True
+    return False
 
 
 def _as_points(points: object) -> np.ndarray:
@@ -330,15 +350,33 @@ def _merge_fault(pair: list[float], distance: float, previous: float, limit: int
 def radius_centroid(points: object) -> float:
     """Mean distance from the centroid to each member.
 
-    Zero for a singleton or a set of coincident points. ValueError when the
-    arithmetic overflows on these points.
+    Zero for a singleton or a set of coincident points. Computed on the
+    points rescaled by :func:`_scaled` and scaled back, so no intermediate
+    over- or underflows; ValueError when the radius itself passes the
+    largest float.
     """
-    points = _as_points(points)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is non-finite, and raises below
-        radius = _radius(points)
-    if not math.isfinite(radius):
-        raise ValueError(f"radius_centroid: the arithmetic overflowed to {radius}; the inputs are too large")
-    return radius
+    exponent, points = _scaled(_as_points(points))
+    try:
+        return math.ldexp(_radius(points), exponent)
+    except OverflowError:
+        raise ValueError("radius_centroid: the radius overflowed to inf; the inputs are too large") from None
+
+
+def _scaled(values: np.ndarray) -> tuple[int, np.ndarray]:
+    """``(e, values * 2**-e)``, exactly: the one place the float range is
+    decided. ``e`` is 0, and the values are returned as they are, while their
+    largest magnitude lies in [2^-400, 2^400) or is 0, so in-range inputs
+    keep their bits; otherwise ``e`` is its binary exponent, and the largest
+    magnitude of the result lies in [0.5, 1). Multiplying by a power of two
+    commutes with every rounding short of the subnormals, so a distance, a
+    radius or a sum taken on the rescaled values is the raw one times 2^-e
+    (a square times 2^-2e), and a ratio of two is the raw ratio, bit for bit.
+    Only a value below 2^-1021 times the largest one loses bits."""
+    exponent = math.frexp(max(values.max(), -values.min()))[1]
+    # the exponent of a largest magnitude in [2^-400, 2^400): the squares of such values and of
+    # their differences, summed over any count of them, stay far below 2^1024, and the square
+    # of that magnitude far above 2^-1022
+    return (0, values) if -400 < exponent <= 400 else (exponent, np.ldexp(values, -exponent))
 
 
 def _radius(points: np.ndarray) -> float:
@@ -379,17 +417,16 @@ def _round_once(firsts: np.ndarray, sums: np.ndarray, means: np.ndarray, sizes: 
     division's remainder ``sums - means * sizes``, from ``means`` split into
     halves of 26 significant bits whose products with a size below 2^25 are
     exact (Veltkamp's split, Dekker 1971), and the error of ``firsts +
-    means`` by TwoSum (Knuth). Where a part overflowed (a mean past 1.3e300
-    overflows the split), the twice rounded value stands."""
+    means`` by TwoSum (Knuth). The callers' values are rescaled by
+    :func:`_scaled`, so no part of the split overflows."""
     centroids = firsts + means
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = means * 134217729.0  # 2^27 + 1
-        high = scaled - (scaled - means)
-        low = means - high
-        remainders = (sums - high * sizes) - low * sizes
-        back = centroids - firsts
-        dropped = (firsts - (centroids - back)) + (means - back) + remainders / sizes
-    return centroids + np.where(np.isfinite(dropped), dropped, 0.0)
+    scaled = means * 134217729.0  # 2^27 + 1
+    high = scaled - (scaled - means)
+    low = means - high
+    remainders = (sums - high * sizes) - low * sizes
+    back = centroids - firsts
+    dropped = (firsts - (centroids - back)) + (means - back) + remainders / sizes
+    return centroids + dropped
 
 
 def pairwise_distances(points: object) -> np.ndarray:
@@ -398,14 +435,18 @@ def pairwise_distances(points: object) -> np.ndarray:
     Each pair is computed once, in the blocks of :func:`_distance_blocks`:
     the part right of a block's own square is mirrored below it. The squares
     of ``p_j - p_i`` are exactly those of ``p_i - p_j``, so the matrix is
-    exactly symmetric.
+    exactly symmetric. The pass runs on the points rescaled by
+    :func:`_scaled`, and a rescaled matrix is scaled back: a distance past
+    the largest float is infinite.
     """
-    points = _as_points(points)
+    exponent, points = _scaled(_as_points(points))
     dm = np.empty((len(points), len(points)))
-    with np.errstate(over="ignore"):  # an overflowed square is an infinite distance
-        for start, stop, block in _distance_blocks(points):
-            dm[start:stop, start:] = block
-            dm[stop:, start:stop] = block[:, stop - start :].T
+    for start, stop, block in _distance_blocks(points):
+        dm[start:stop, start:] = block
+        dm[stop:, start:stop] = block[:, stop - start :].T
+    if exponent:
+        with np.errstate(over="ignore"):
+            np.ldexp(dm, exponent, out=dm)
     return dm
 
 
@@ -462,8 +503,8 @@ def _distance_blocks(points: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]
     setting and restoring the size costs more there than it saves. A block
     is allocated before its difference arrays, or glibc's heap grows and
     shrinks each block (five times the page faults of a ``compute`` on
-    1000 x 8 points). Callers enter ``np.errstate``: one entered here would
-    stay set in the caller between blocks."""
+    1000 x 8 points). The points are rescaled by :func:`_scaled`, so no
+    square or sum overflows."""
     n, d = points.shape
     columns = np.ascontiguousarray(points.T)
     for start, stop in _row_blocks(n):
@@ -493,8 +534,8 @@ def _squares(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
     the inputs' order, squared in place and summed over the coordinate axis,
     outside the rows of w: numpy adds a row of w at a time, so each sum runs
     in coordinate order whatever the caller. ``(p_j - p_i)^2`` is
-    ``(p_i - p_j)^2``. Callers enter ``np.errstate(over="ignore")`` once,
-    outside their loop."""
+    ``(p_i - p_j)^2``. Every caller passes points rescaled by
+    :func:`_scaled`, so no square overflows."""
     if columns.shape[1] == 1:  # numpy would drop the unit axis, make the coordinates its inner loop and sum them pairwise
         return _squares(np.repeat(columns, 2, axis=1), rows)[..., :1]
     diff = np.subtract(columns, rows, order="C")
@@ -506,8 +547,11 @@ class ClusterStats:
     """Per-cluster statistics of one partition, shared by every partition index.
 
     Built from the ``points`` the partition labels or from their ``distances``
-    matrix; ValueError if the partition labels another number of items. Each
-    quantity is computed when first read and belongs to this object alone.
+    matrix; ValueError if the partition labels another number of items. Both
+    are held rescaled by :func:`_scaled`, so no quantity over- or underflows:
+    every quantity is in units of 2^``exponent`` raw units, and a ratio of
+    two of them is the raw ratio, bit for bit. Each quantity is computed
+    when first read and belongs to this object alone.
 
     Distance quantities come from one streamed pass over the upper triangle of
     the pair distances (:func:`_distance_blocks` for points), run when the
@@ -530,7 +574,8 @@ class ClusterStats:
         self.n = (points if distances is None else distances).shape[0]
         if partition.n_items != self.n:
             raise ValueError(f"partition labels {partition.n_items} items, dataset has {self.n}")
-        self.points = points
+        self.exponent, scaled = _scaled(points if distances is None else distances)
+        self.points, self._matrix = (scaled, None) if distances is None else (None, scaled)
         self.labels = partition.labels
         self.sizes = partition.cluster_sizes()
         self.k = len(self.sizes)
@@ -538,7 +583,6 @@ class ClusterStats:
         self.n_within = int((self.sizes * (self.sizes - 1)).sum()) // 2  # within-cluster pairs
         self._starts = np.cumsum(self.sizes) - self.sizes
         self._order = np.argsort(self.labels, kind="stable")  # point indices in label order
-        self._matrix = distances
         self._reductions = frozenset(reductions)
 
     @cached_property
@@ -598,35 +642,34 @@ class ClusterStats:
         block = max((stop - start) * (n - start) for start, stop in spans)
         tails = _Tails(m, min(3 * m + block, n_pairs)) if "tails" in wanted and m else None
         upper = index[:side] > index[:side, None]  # the pairs of a block's square
-        with np.errstate(over="ignore"):  # an overflowed distance or sum is infinite, for the scorers' guard
-            for start, stop, distances in blocks:
-                square = stop - start
-                c0, c1 = labels[start], labels[stop - 1] + 1  # the clusters of the block's rows
-                segments = starts[c0:] - start  # each cluster's first column, relative to start
-                segments[0] = 0  # the block may start inside cluster c0
-                near, end = segments[: c1 - c0], ends[c1 - 1] - start  # where the rows' clusters start and end
-                mine = index[:square], labels[start:stop] - c0  # each row's own cluster among them
-                far = distances[:, square:]
-                if summed:
-                    own[start:stop] += np.add.reduceat(distances[:, :end], near, axis=1)[mine]
-                    if rows is not None:
-                        rows[start:stop, c0:] += np.add.reduceat(distances, segments, axis=1)
-                    if far.size:  # the last block has no far columns
-                        bounds = [*near.tolist(), square]
-                        for c, first, last in zip(range(c0, c1), bounds, bounds[1:]):
-                            sums = np.add.reduce(far[first:last], axis=0)  # over the rows of cluster c
-                            if rows is not None:
-                                rows[stop:, c] += sums
-                            pair_sums.append(float(sums.sum()))
-                        own[stop : start + end] += sums[: end - square]  # the last cluster may go on past the square
-                    pair_sums.append(float(distances[:, :square].sum()) / 2)
-                if extremes:
-                    highs = np.maximum.reduceat(distances[:, :end], near, axis=1)
-                    lows = np.minimum.reduceat(distances, segments[: c1 - c0 + 1], axis=1)  # and all later columns
-                    lows[mine] = math.inf
-                    largest, smallest = max(largest, highs[mine].max()), min(smallest, lows.min())
-                if tails is not None:
-                    tails.add(distances, upper[:square, :square])
+        for start, stop, distances in blocks:
+            square = stop - start
+            c0, c1 = labels[start], labels[stop - 1] + 1  # the clusters of the block's rows
+            segments = starts[c0:] - start  # each cluster's first column, relative to start
+            segments[0] = 0  # the block may start inside cluster c0
+            near, end = segments[: c1 - c0], ends[c1 - 1] - start  # where the rows' clusters start and end
+            mine = index[:square], labels[start:stop] - c0  # each row's own cluster among them
+            far = distances[:, square:]
+            if summed:
+                own[start:stop] += np.add.reduceat(distances[:, :end], near, axis=1)[mine]
+                if rows is not None:
+                    rows[start:stop, c0:] += np.add.reduceat(distances, segments, axis=1)
+                if far.size:  # the last block has no far columns
+                    bounds = [*near.tolist(), square]
+                    for c, first, last in zip(range(c0, c1), bounds, bounds[1:]):
+                        sums = np.add.reduce(far[first:last], axis=0)  # over the rows of cluster c
+                        if rows is not None:
+                            rows[stop:, c] += sums
+                        pair_sums.append(float(sums.sum()))
+                    own[stop : start + end] += sums[: end - square]  # the last cluster may go on past the square
+                pair_sums.append(float(distances[:, :square].sum()) / 2)
+            if extremes:
+                highs = np.maximum.reduceat(distances[:, :end], near, axis=1)
+                lows = np.minimum.reduceat(distances, segments[: c1 - c0 + 1], axis=1)  # and all later columns
+                lows[mine] = math.inf
+                largest, smallest = max(largest, highs[mine].max()), min(smallest, lows.min())
+            if tails is not None:
+                tails.add(distances, upper[:square, :square])
         if rows is not None:  # sums to means, with no other cluster at a point's own
             rows /= self.sizes
             rows[index, labels] = math.inf
@@ -790,13 +833,11 @@ def _minimum_spanning_tree(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.zeros(n, dtype=np.intp)  # point 0 starts the tree
     squares = np.empty(n - 1)
     current = 0
-    with np.errstate(over="ignore"), _kernel_buffer():  # an overflowed edge is infinite, and raises below
+    with _kernel_buffer():
         for m in range(n - 1, 0, -1):
             outside = keys[:m]
             np.minimum(outside, _squares(columns[:, :m], rows[current]), out=outside)
             j = int(outside.argmin())
-            if outside[j] == math.inf:  # every remaining edge overflowed
-                raise ValueError("single linkage: a point distance overflowed to inf; the coordinates are too large")
             current = order[n - m] = int(ids[j])
             squares[n - 1 - m] = outside[j]
             table[:, j] = table[:, m - 1]
@@ -815,12 +856,11 @@ def _pair_order_tree(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     Edelsbrunner & Mücke's Simulation of Simplicity (1990), so the tree is the
     one spanning tree minimal under it. The keys are distances, not squares:
     two squares can round to one distance. Each step is one call of
-    :func:`_squares`, square-rooted in place. Run only after
-    :func:`_minimum_spanning_tree` has finished on the same points, so a
-    finite spanning tree exists: every cut has a finite edge, and no step's
-    least key is infinite. The loop runs under :func:`_kernel_buffer`, as
-    :func:`_minimum_spanning_tree`'s does: its comparisons, masked copies,
-    ``argmin`` and ``lexsort`` are exact whatever numpy's buffer size.
+    :func:`_squares`, square-rooted in place; the points are rescaled by
+    :func:`_scaled`, so no key is infinite. The loop runs under
+    :func:`_kernel_buffer`, as :func:`_minimum_spanning_tree`'s does: its
+    comparisons, masked copies, ``argmin`` and ``lexsort`` are exact
+    whatever numpy's buffer size.
     """
     n, d = points.shape
     table = np.empty((d + 3, n - 1))  # coordinates, key, id and nearest tree point
@@ -829,7 +869,7 @@ def _pair_order_tree(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     rows = points[:, :, None]  # each point as a d x 1 column
     edges = np.empty((3, n - 1))  # each edge's key, id and nearest tree point
     current = 0
-    with np.errstate(over="ignore"), _kernel_buffer():  # an overflowed edge is infinite, and never the least key
+    with _kernel_buffer():
         for m in range(n - 1, 0, -1):
             key, near = keys[:m], nears[:m]
             lengths = _squares(columns[:, :m], rows[current])
@@ -869,11 +909,13 @@ def single_linkage(dataset: Dataset) -> Dendrogram:
     after the first joined at most h from the tree, so each joiner's edge may
     link it to the point that joined just before it. When a length repeats,
     :func:`_pair_order_tree` finds the one tree minimal under the pair order.
+    Both run on the points rescaled by :func:`_scaled`, and the heights are
+    scaled back; ValueError when a height passes the largest float.
     """
     n = dataset.n_points
     if n < 2:
         raise ValueError("single linkage needs at least 2 points")
-    points = dataset.points
+    exponent, points = _scaled(dataset.points)
     joined, lengths = _minimum_spanning_tree(points)
     ends = joined[:-1], joined[1:]
     if (np.diff(np.sort(lengths)) == 0).any():  # a repeated length: the pair order picks the tree
@@ -889,4 +931,8 @@ def single_linkage(dataset: Dataset) -> Dendrogram:
             parent[b] = b = parent[parent[b]]
         merges.extend(sorted((label[a], label[b])))
         parent[b], label[a] = a, new_id
-    return Dendrogram(n, np.frombuffer(merges, dtype=np.int64).reshape(n - 1, 2), lengths[order])
+    with np.errstate(over="ignore"):  # a height past the largest float is infinite, and raises below
+        heights = np.ldexp(lengths[order], exponent)  # the largest last
+    if heights[-1] == math.inf:
+        raise ValueError("single linkage: a merge height overflowed to inf; the coordinates are too large")
+    return Dendrogram(n, np.frombuffer(merges, dtype=np.int64).reshape(n - 1, 2), heights)

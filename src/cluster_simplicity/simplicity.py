@@ -30,7 +30,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import UNDEFINED, ClusterStats, Dataset, Dendrogram, IndexValue, _BLOCK, _centroid_stats, _radius
+from .core import UNDEFINED, ClusterStats, Dataset, Dendrogram, IndexValue, _BLOCK, _TEXT, _centroid_stats, _radius, _scaled
 
 
 def _si_from_exponents(sizes: np.ndarray, exponents: np.ndarray) -> float:
@@ -48,12 +48,11 @@ def _si_centroid(stats: ClusterStats) -> float:
 
     Each cluster's size enters with exponent ``cluster_radius /
     dataset_radius``, where a radius is the mean member-to-centroid distance.
-    A finite value >= 1; where the dataset radius or the index itself
-    overflows, the scoring step raises ValueError naming the index.
+    The radii are in the statistics' rescaled units, and their ratios are the
+    raw ones. A finite value >= 1; where the index itself passes the largest
+    float, the scoring step raises ValueError naming the index.
     """
     dataset_radius = stats.whole[2][0]
-    if math.isinf(dataset_radius):  # overflowed: every exponent would be 0
-        return math.nan
     exponents = stats.clusters[2] / dataset_radius if dataset_radius != 0.0 else np.zeros(stats.k)
     return _si_from_exponents(stats.sizes, exponents)
 
@@ -62,8 +61,6 @@ def _si_distance(stats: ClusterStats) -> float:
     n, sizes = stats.n, stats.sizes
     _, sums, total = stats.reduced("within")
     whole_mean = total / (n * (n - 1) // 2) if n > 1 else 0.0
-    if math.isinf(whole_mean):  # overflowed: every exponent would be 0
-        return math.nan
     cluster_means = sums / np.maximum(sizes * (sizes - 1) // 2, 1)  # 0 for a singleton
     exponents = cluster_means / whole_mean if whole_mean != 0.0 else np.zeros(stats.k)
     return _si_from_exponents(sizes, exponents)
@@ -119,10 +116,6 @@ class SiCurve:
         return level + 1, values[level]
 
 
-# float() parses these, where Dataset and DistanceMatrix reject them as not real numbers
-_TEXT = (str, bytes, bytearray)
-
-
 def _pairs(samples: object) -> tuple[tuple[float, float], ...]:
     """Float (distance, value) pairs, cast at once; walked one by one only if
     that fails or a sample or entry is text, to name the first bad one."""
@@ -154,19 +147,17 @@ def si_curve(dataset: Dataset, dendrogram: Dendrogram) -> SiCurve:
     ln(size) is the last level's plus the merged cluster's term less its two
     parts'. The merged clusters' terms come from :func:`_merged_terms` and
     the running sum from :func:`_running_sums`, which is compensated, so it
-    carries no more rounding than a fresh sum. No Partition is built.
-    ValueError when the arithmetic overflows on these points.
+    carries no more rounding than a fresh sum. No Partition is built. The
+    radii are taken on the points rescaled by :func:`_scaled`, whose ratios
+    are the raw ones. ValueError when a level's index passes the largest float.
     """
     n = dendrogram.n_points
     if n != dataset.n_points:
         raise ValueError(f"dendrogram covers {n} points, dataset has {dataset.n_points}")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is non-finite, and raises below
-        dataset_radius = _radius(dataset.points)
-        # with a zero dataset radius every exponent is zero
-        merged = _merged_terms(dataset.points, dendrogram, dataset_radius) if dataset_radius != 0.0 else np.zeros(n - 1)
-    overflowed = [dataset_radius] if not math.isfinite(dataset_radius) else merged[~np.isfinite(merged)].tolist()
-    if overflowed:
-        raise ValueError(f"si_curve: the arithmetic overflowed to {overflowed[0]}; the inputs are too large")
+    points = _scaled(dataset.points)[1]
+    dataset_radius = _radius(points)
+    # with a zero dataset radius every exponent is zero
+    merged = _merged_terms(points, dendrogram, dataset_radius) if dataset_radius != 0.0 else np.zeros(n - 1)
     # each level adds its merged cluster's term and takes away its parts'; a point's term is 0
     term = np.concatenate((np.zeros(n), merged))
     sums = _running_sums(np.column_stack((merged, -term[dendrogram.merges])).ravel())[2::3]
@@ -175,7 +166,7 @@ def si_curve(dataset: Dataset, dendrogram: Dendrogram) -> SiCurve:
         for k, distance, total in zip(range(n - 1, 0, -1), dendrogram.distances.tolist(), sums.tolist()):
             samples.append((distance, k * math.exp(total / k)))
     except OverflowError:  # a level's index itself passes the largest float
-        raise ValueError("si_curve: the arithmetic overflowed to inf; the inputs are too large") from None
+        raise ValueError("si_curve: the arithmetic overflowed to inf; a level's index passes the largest float") from None
     return SiCurve(tuple(samples))
 
 

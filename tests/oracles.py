@@ -25,12 +25,20 @@ def centroid_radius(points):
 
 def centroid_radius_exact(points):
     """Mean member-to-centroid distance from an exact Fraction centroid and
-    exact squared offsets: the only roundings are one math.sqrt per member,
-    the correctly rounded sum of the distances and the division by the count."""
+    exact squared offsets: the only roundings are the square root of each
+    member's squared offset, the correctly rounded sum of the distances and
+    the division by the count."""
     exact = [[Fraction(x) for x in p] for p in points]
     n = len(exact)
     centre = [sum(column) / n for column in zip(*exact)]
-    return math.fsum(math.sqrt(sum((x - c) ** 2 for x, c in zip(p, centre))) for p in exact) / n
+    return math.fsum(_sqrt(sum((x - c) ** 2 for x, c in zip(p, centre))) for p in exact) / n
+
+
+def _sqrt(square):
+    """math.sqrt of the Fraction ``square`` taken at a scale of 4^k near 1, so
+    a square far below the smallest float does not round to 0 first."""
+    k = (square.denominator.bit_length() - square.numerator.bit_length()) // 2 if square else 0
+    return math.ldexp(math.sqrt(square * Fraction(4) ** k), -k)
 
 
 def mean_pairwise(points):

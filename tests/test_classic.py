@@ -628,66 +628,73 @@ class TestEvaluateRegistry:
         assert _peak(*_blobs(5, 3000, 1500), ["silhouette"]) < 40e6
 
     @pytest.mark.parametrize("index_id", ["si_centroid", "si_distance", "ch", "silhouette", "sf", "db"])
-    def test_overflow_raises_naming_index(self, index_id):
-        # every public route raises: the registry and the named function on coordinates
-        # out to +-1e308, whose centroid offsets and squares overflow to NaN, and
-        # si_distance on a matrix of 1e308 distances, whose sums overflow to infinity
+    def test_points_out_to_the_largest_float_keep_their_value(self, index_id):
+        # every public route scores: the registry and the named function on coordinates
+        # out to +-1e308, whose centroid offsets and squares would overflow unscaled, and
+        # si_distance on a matrix of 1e308 distances, whose sums would. Each gives the
+        # value of the copy scaled by 2^-1023, exactly; sf, whose gap is -1.25e307 in
+        # raw units, gives 0
         part = Partition(np.array([0, 0, 1, 1]))
         if index_id == "si_distance":
-            distances = DistanceMatrix(1e308 * (1 - np.eye(4)))
-            routes = [lambda: si_distance(distances, part)]
+            distances = 1e308 * (1 - np.eye(4))
+            routes = [lambda: si_distance(DistanceMatrix(distances), part)]
+            expected = si_distance(DistanceMatrix(distances * 2.0**-1023), part)
         else:
-            data = Dataset(np.array([[-1e308], [-5e307], [5e307], [1e308]]))
-            routes = [lambda: evaluate_many([index_id], data, part), lambda: PUBLIC_FUNCTIONS[index_id](data, part)]
+            points = np.array([[-1e308], [-5e307], [5e307], [1e308]])
+            data = Dataset(points)
+            routes = [lambda: evaluate_many([index_id], data, part)[0], lambda: PUBLIC_FUNCTIONS[index_id](data, part)]
+            expected = 0.0 if index_id == "sf" else evaluate(index_id, Dataset(points * 2.0**-1023), part)
         for route in routes:
-            with pytest.raises(ValueError, match=f"index '{index_id}': the arithmetic overflowed"):
-                route()
+            assert route() == expected
 
     @pytest.mark.parametrize("index_id", PARTITION_INDEX_IDS)
-    def test_no_silently_wrong_value_near_overflow(self, index_id):
-        # a 3 x 1 rectangle, scored one id at a time: at 1e153 every scale-free index
-        # keeps its unit-scale value; from 1e154 the diagonal's squared difference
-        # overflows, which once gave si_centroid = si_distance = 2, db = 0, sf = 1 and
-        # cindex UNDEFINED with no error. No RuntimeWarning comes first (pytest's filter)
+    def test_the_whole_float_range_keeps_the_unit_scale_value(self, index_id):
+        # a 3 x 1 rectangle, scored one id at a time: below about 1e-160 the squared
+        # differences once underflowed (si_centroid = si_distance = 2, cindex UNDEFINED),
+        # and from 1e154 they overflowed, which raised. Every scale-free index keeps its
+        # unit-scale value; sf is not scale-free and keeps its raw-unit value, from a gap
+        # of -0.25 times the scale. No RuntimeWarning comes first (pytest's filter)
         square = np.array([[0.0, 0.0], [0.0, 1.0], [3.0, 0.0], [3.0, 1.0]])
         part = Partition(np.array([0, 0, 1, 1]))
-        if index_id != "sf":  # sf is not scale-invariant: 0 once the gap passes -745
-            assert evaluate(index_id, Dataset(square * 1e153), part) == pytest.approx(
-                evaluate(index_id, Dataset(square), part), rel=1e-12, abs=1e-12
-            )
-        for scale in (1e154, 1e155, 1e160, 1e200, 1e300):
-            with pytest.raises(ValueError, match=f"index '{index_id}': the arithmetic overflowed"):
-                evaluate(index_id, Dataset(square * scale), part)
+        unit = evaluate(index_id, Dataset(square), part)
+        for scale in (1e-300, 1e-170, 2.0**-600, 1e153, 1e154, 1e155, 1e160, 1e200, 2.0**600, 1e300):
+            value = evaluate(index_id, Dataset(square * scale), part)
+            if index_id == "sf":
+                assert value == pytest.approx(-math.expm1(-math.exp(-0.25 * scale)), rel=1e-12), scale
+            else:
+                assert value == pytest.approx(unit, rel=1e-12, abs=1e-12), scale
+        if index_id == "sf":
+            assert evaluate(index_id, Dataset(square * 1e-170), part) == pytest.approx(0.6321, abs=1e-4)
+            assert evaluate(index_id, Dataset(square * 1e154), part) == 0.0
 
     @pytest.mark.parametrize(
-        "broken, points, labels",
+        "index_id, points, labels, value",
         [
-            # the within sum of squares overflows, the between term (1e306) does not;
-            # ch once read 0.0 (true 0.0025)
-            ("ch", [[-2e154, 0], [2e154, 0], [1e153, 0], [1e153, 0]], [0, 0, 1, 1]),
-            # the largest diameter overflows, the least separation (1e154) does not;
-            # dunn once read 0.0 (true 0.5)
-            ("dunn", [[0, 0], [2e154, 0], [3e154, 0], [4e154, 0]], [0, 0, 1, 1]),
-            # one member's distance to its centroid overflows, the between term does not;
-            # sf once read 0.0 (true 1.0: the gap is about +2.8e153)
-            ("sf", [[0]] * 99 + [[2e154]] + [[1.3e154]] * 100, [0] * 100 + [1] * 100),
-            # the first point's mean distance to cluster 1 (true 6e153) overflows, that to
-            # cluster 2 (8e153) does not; silhouette once took b from cluster 2 and read
-            # 0.2393 (true 0.2333)
-            ("silhouette", [[0], [1e153], [2e153], [2e153], [1.4e154], [8e153], [8e153]], [0, 0, 1, 1, 1, 2, 2]),
-            # 8 of the 10 pair distances overflow; with w = 6 of P = 10 within pairs the tails are
-            # the infinite total less the other tail, NaN, and cindex once read 0.0 (true 0.125)
-            ("cindex", [[-1e154], [-1e154], [1e154], [1e154], [2.5e154]], [0, 0, 0, 0, 1]),
+            # the within sum of squares would overflow, the between term (1e306) not;
+            # ch once read 0.0
+            ("ch", [[-2e154, 0], [2e154, 0], [1e153, 0], [1e153, 0]], [0, 0, 1, 1], 0.0025),
+            # the largest diameter would overflow, the least separation (1e154) not;
+            # dunn once read 0.0
+            ("dunn", [[0, 0], [2e154, 0], [3e154, 0], [4e154, 0]], [0, 0, 1, 1], 0.5),
+            # one member's distance to its centroid would overflow, the between term not;
+            # sf once read 0.0 (the gap is about +2.8e153)
+            ("sf", [[0]] * 99 + [[2e154]] + [[1.3e154]] * 100, [0] * 100 + [1] * 100, 1.0),
+            # the first point's mean distance to cluster 1 (6e153) would overflow, that to
+            # cluster 2 (8e153) not; silhouette once took b from cluster 2 and read 0.2393
+            ("silhouette", [[0], [1e153], [2e153], [2e153], [1.4e154], [8e153], [8e153]], [0, 0, 1, 1, 1, 2, 2], 0.2333),
+            # 8 of the 10 pair distances would overflow; with w = 6 of P = 10 within pairs
+            # the tails were the infinite total less the other tail, and cindex once read 0.0
+            ("cindex", [[-1e154], [-1e154], [1e154], [1e154], [2.5e154]], [0, 0, 0, 0, 1], 0.125),
         ],
         ids=["ch", "dunn", "sf", "silhouette", "cindex"],
     )
-    def test_no_silently_wrong_value_when_some_squares_overflow(self, broken, points, labels):
-        # only some squared differences overflow; the index that once absorbed one raises
+    def test_true_value_where_some_squares_would_overflow(self, index_id, points, labels, value):
+        # only some squared differences pass the largest float at these scales; on the
+        # rescaled points none does, and the index that once absorbed one is right
         data, part = Dataset(np.array(points, dtype=float)), Partition(np.array(labels))
-        with pytest.raises(ValueError, match=f"index '{broken}': the arithmetic overflowed"):
-            evaluate(broken, data, part)
-        for index_id in PARTITION_INDEX_IDS:
-            _assert_raises_or_keeps_value(index_id, data.points, part)
+        assert evaluate(index_id, data, part) == pytest.approx(value, abs=5e-5)
+        for other in PARTITION_INDEX_IDS:
+            _assert_raises_or_keeps_value(other, data.points, part)
 
     def test_overflow_raises_or_keeps_the_scaled_down_value(self):
         # points in [-1, 1]^d times 2^512: a squared difference overflows exactly when
@@ -710,14 +717,13 @@ class TestEvaluateRegistry:
         with pytest.raises(ValueError, match=f"index '{index_id}': the arithmetic overflowed to inf"):
             evaluate(index_id, Dataset(points), part)
 
-    def test_cindex_of_overflowed_distances_is_not_undefined(self):
-        # every pair distance overflows, so S_max = S_min = inf; the copy scaled by
-        # 1e-308 scores 1.0, so UNDEFINED would be a wrong value
+    def test_cindex_of_distances_past_the_largest_float(self):
+        # every pair distance passes the largest float unscaled, which once gave
+        # S_max = S_min = inf; the rescaled points score 1.0, as the copy scaled by 1e-308
         points = np.array([[1e308, -1e308], [-1e308, 1e308], [1e308, 1e308], [-1e308, -1e308]])
         part = Partition(np.array([0, 0, 1, 1]))
         assert c_index(Dataset(points * 1e-308), part) == 1.0
-        with pytest.raises(ValueError, match="index 'cindex': the arithmetic overflowed"):
-            c_index(Dataset(points), part)
+        assert c_index(Dataset(points), part) == 1.0
 
     def test_unknown_id(self):
         with pytest.raises(UnknownIndexError, match="unknown index"):

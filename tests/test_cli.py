@@ -252,30 +252,33 @@ class TestCompute:
         assert code == 2
         assert "label 1 has no members" in err
 
-    def test_overflow_is_input_error_naming_index(self, tmp_path, capsys):
+    def test_coordinates_out_to_the_largest_float_score(self, tmp_path, capsys):
+        # unscaled, the centroid offsets and squares would overflow; the rescaled points
+        # give the values of the copy scaled by 2^-1023, exactly
         points = tmp_path / "huge.csv"
         points.write_text("-1e308\n-5e307\n5e307\n1e308\n")
         labels = tmp_path / "labels.csv"
         labels.write_text("0\n0\n1\n1\n")
-        code, out, err = run_cli(
+        report = run_json(
             capsys, "compute", "--data", str(points), "--labels", str(labels),
             "--index", "ch", "--index", "si_distance",
         )
-        assert code == 2
-        assert "NaN" not in out
-        assert f"{points}: index 'ch': the arithmetic overflowed" in err
+        copy = Dataset(np.array([[-1e308], [-5e307], [5e307], [1e308]]) * 2.0**-1023)
+        part = Partition(np.array([0, 0, 1, 1]))
+        assert [r["value"] for r in report["results"]] == [evaluate("ch", copy, part), evaluate("si_distance", copy, part)]
 
-    def test_overflow_near_1e154_is_input_error_naming_index(self, tmp_path, capsys):
-        # the diagonal's squared difference overflows: once a silent 2.0, with a RuntimeWarning
+    def test_coordinates_near_1e154_score(self, tmp_path, capsys):
+        # the diagonal's squared difference would overflow: once a silent 2.0, with a
+        # RuntimeWarning, then an input error; now the unit-scale value
         points = tmp_path / "huge.csv"
         points.write_text("0,0\n0,1e154\n3e154,0\n3e154,1e154\n")
         labels = tmp_path / "labels.csv"
         labels.write_text("0\n0\n1\n1\n")
-        code, out, err = run_cli(
+        report = run_json(
             capsys, "compute", "--data", str(points), "--labels", str(labels), "--index", "si_centroid",
         )
-        assert (code, out) == (2, "")
-        assert f"{points}: index 'si_centroid': the arithmetic overflowed" in err
+        unit = evaluate("si_centroid", Dataset([[0.0, 0.0], [0.0, 1.0], [3.0, 0.0], [3.0, 1.0]]), Partition([0, 0, 1, 1]))
+        assert report["results"][0]["value"] == pytest.approx(unit, rel=1e-12)
 
     def test_index_past_the_largest_float_is_input_error(self, tmp_path, capsys):
         # SI = 2 exp(N ln 2 / 4) at N = 4200: once an uncaught OverflowError
@@ -426,27 +429,36 @@ class TestHierarchical:
         assert code == 2
         assert "at least 2 points" in err
 
-    def test_overflowing_distances_are_input_error(self, tmp_path, capsys):
+    def test_distances_past_the_square_root_of_the_largest_float_score(self, tmp_path, capsys):
+        # the squared differences would overflow unscaled; the curve is the unit rectangle's
         data = tmp_path / "huge.csv"
         data.write_text("0,0\n0,1e160\n3e160,0\n3e160,1e160\n")
+        report = run_json(capsys, "hierarchical", "--data", str(data))
+        rectangle = Dataset([[0.0, 0.0], [0.0, 1.0], [3.0, 0.0], [3.0, 1.0]])
+        unit = si_curve(rectangle, single_linkage(rectangle))
+        assert [s["si"] for s in report["curve"]] == pytest.approx(unit.values, rel=1e-12)
+        assert [s["distance"] for s in report["curve"]] == pytest.approx([d * 1e160 for d in unit.distances], rel=1e-12)
+
+    def test_a_height_past_the_largest_float_is_input_error(self, tmp_path, capsys):
+        data = tmp_path / "huge.csv"
+        data.write_text("1.7e308,1.7e308\n-1.7e308,-1.7e308\n")
         code, out, err = run_cli(capsys, "hierarchical", "--data", str(data))
         assert code == 2
         assert out == ""
-        assert f"error: {data}: single linkage: a point distance overflowed to inf" in err
+        assert f"error: {data}: single linkage: a merge height overflowed to inf" in err
 
-    def test_overflowing_radii_are_input_error(self, tmp_path, capsys):
-        # the distances fit, but the squared centroid offsets of si_curve overflow
+    def test_radii_past_the_square_root_of_the_largest_float_score(self, tmp_path, capsys):
+        # the distances fit, but the squared centroid offsets of si_curve would overflow
+        # unscaled, which was an input error; the curve is (4, 3.2274, 2.4901, 4)
         data = tmp_path / "huge.csv"
         data.write_text("0,0\n0,1e200\n3e200,0\n3e200,1e200\n")
         linkage = tmp_path / "merges.txt"
         linkage.write_text("0 1 1e200\n2 3 1e200\n4 5 3e200\n")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, out, err = run_cli(capsys, "hierarchical", "--data", str(data), "--linkage", str(linkage))
+            report = run_json(capsys, "hierarchical", "--data", str(data), "--linkage", str(linkage))
         assert caught == []
-        assert code == 2
-        assert out == ""
-        assert f"error: {data}: si_curve: the arithmetic overflowed to inf; the inputs are too large" in err
+        assert [s["si"] for s in report["curve"]] == pytest.approx([4.0, 3.2274, 2.4901, 4.0], abs=1e-4)
 
     def test_huge_merge_distances_give_valid_json(self, tmp_path, capsys):
         # the trapezoid area and (N - 1) * span both overflow; their ratio does not

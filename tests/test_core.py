@@ -68,11 +68,15 @@ def shifted_clusters(draw):
     """Points and labels of up to 5 clusters of 1-6 members in 1-4 dimensions:
     unit-box coordinates scaled by a spread of 2^-30 to 2^30 and shifted by up
     to 1e6 spreads per coordinate. About half the clusters are one point
-    repeated, so their members coincide whatever the shift."""
+    repeated, so their members coincide whatever the shift. A nonzero
+    unit-box coordinate is at least 2^-400 in magnitude: where coordinates
+    span more, an offset below 2^-537 beside a coordinate near 1 squares to
+    0, the limit the README states."""
     dim = draw(st.integers(1, 4))
     spread = 2.0 ** draw(st.integers(-30, 30))
     shift = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=dim, max_size=dim))) * spread
-    point = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)
+    unit = st.floats(-1.0, 1.0).filter(lambda x: x == 0 or abs(x) >= 2.0**-400)
+    point = st.lists(unit, min_size=dim, max_size=dim)
     rows, labels = [], []
     for label in range(draw(st.integers(1, 5))):
         size = draw(st.integers(1, 6))
@@ -253,6 +257,13 @@ class TestEuclideanDistance:
         with pytest.raises(ValueError, match="points must have rows of equal length"):
             pairwise_distances([(0.0, 1.0), (0.0, 1.0, 2.0)])
 
+    def test_a_distance_past_the_largest_float_is_infinite(self):
+        # the pair is 4.8e308 apart, past the largest float; the rescaled pass is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dm = pairwise_distances([[1.7e308, 1.7e308], [-1.7e308, -1.7e308]])
+        assert dm.tolist() == [[0.0, math.inf], [math.inf, 0.0]]
+
 
 class TestCentroid:
     def test_singleton(self):
@@ -294,15 +305,21 @@ class TestRadii:
             radius_centroid(np.empty((0, 3)))
 
     @pytest.mark.parametrize(
-        "pts, value", [([[1e308, 1e308], [-1e308, -1e308]], "nan"), ([[1e300, 0.0], [-1e300, 0.0]], "inf")]
+        "pts, value", [([[1e308, 1e308], [-1e308, -1e308]], 1e308 * SQRT2), ([[1e300, 0.0], [-1e300, 0.0]], 1e300)]
     )
-    def test_overflow_raises_without_a_warning(self, pts, value):
-        # the first pair's offsets overflow and inf - inf is nan; the second's squares overflow to inf
+    def test_radius_near_the_largest_float_without_a_warning(self, pts, value):
+        # unscaled, the first pair's offsets would overflow to nan, the second's squares to inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            message = f"radius_centroid: the arithmetic overflowed to {value}; the inputs are too large"
+            assert radius_centroid(pts) == pytest.approx(value, rel=1e-15)
+
+    def test_overflow_raises_without_a_warning(self):
+        # the radius itself, |(1.7e308, 1.7e308)|, passes the largest float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = "radius_centroid: the radius overflowed to inf; the inputs are too large"
             with pytest.raises(ValueError, match=message):
-                radius_centroid(pts)
+                radius_centroid([[1.7e308, 1.7e308], [-1.7e308, -1.7e308]])
 
     @given(point_sets())
     @settings(max_examples=60, deadline=None)
@@ -415,7 +432,8 @@ class TestRadii:
         # offsets from each cluster's first member: within 1e-14 of the exact
         # radius at any spread and shift, and exactly 0 for coincident members
         pts, labels = case
-        radii = ClusterStats(Partition(labels), points=pts).clusters[2]
+        stats = ClusterStats(Partition(labels), points=pts)
+        radii = np.ldexp(stats.clusters[2], stats.exponent)  # in raw units
         clusters = [pts[labels == label] for label in range(len(radii))]
         for radius, members in [*zip(radii, clusters), (radius_centroid(pts), pts)]:
             exact = oracles.centroid_radius_exact(members.tolist())
@@ -424,10 +442,12 @@ class TestRadii:
     @given(shifted_clusters())
     @settings(max_examples=60, deadline=None)
     def test_one_cluster_radius_is_radius_centroid(self, case):
-        # one slice of one routine: the same bits from ClusterStats and radius_centroid
+        # one slice of one routine: the same bits from ClusterStats and radius_centroid,
+        # whose statistics are in units of 2^exponent
         pts, _ = case
         stats = ClusterStats(Partition(np.zeros(len(pts), dtype=int)), points=pts)
-        assert stats.clusters[2][0] == radius_centroid(pts) == stats.whole[2][0]
+        cluster, whole = math.ldexp(stats.clusters[2][0], stats.exponent), math.ldexp(stats.whole[2][0], stats.exponent)
+        assert cluster == radius_centroid(pts) == whole
 
 
 class TestWithinClusterSums:
@@ -765,6 +785,17 @@ class TestContainers:
             Dendrogram(2, [[0, None]], [1.0])
         with pytest.raises(ValueError, match="merge distances must be real numbers"):
             Dendrogram(2, [[0, 1]], np.array(["1.0"], dtype=object))
+        # numpy reads a bytearray as its byte codes: [bytearray(b"12")] was the point (49, 50),
+        # and a bytearray entry made the rows look ragged
+        for points in ([bytearray(b"12")], [[bytearray(b"1"), 2.0]], [[0.0, 1.0], (bytearray(b"1"), 2.0)], bytearray(b"12")):
+            with pytest.raises(ValueError, match="points must be real numbers"):
+                Dataset(points)
+        with pytest.raises(ValueError, match="points must be real numbers"):
+            Dataset(np.array([[bytearray(b"1"), 2.0]], dtype=object))
+        with pytest.raises(ValueError, match="distance matrix entries must be real numbers"):
+            DistanceMatrix([bytearray(b"\x00\x01"), bytearray(b"\x01\x00")])
+        with pytest.raises(ValueError, match="merges must be real numbers"):
+            dendrogram_from_merges(2, [bytearray(b"\x00\x01\x01")])
 
     def test_numbers_in_object_arrays_accepted(self):
         points = np.array([[1, 2.5], [np.float32(0.5), np.int64(3)], [Fraction(1, 4), True]], dtype=object)
@@ -915,11 +946,19 @@ class TestSingleLinkage:
             single_linkage(Dataset([[0.0]]))
 
     @pytest.mark.parametrize("scale", [1e154, 1e160])
-    def test_overflowing_distances_raise(self, scale):
-        # the squared differences overflow, so some spanning-tree edge is infinite
-        points = np.array([[0.0, 0.0], [0.0, 1.0], [3.0, 0.0], [3.0, 1.0]]) * scale
-        with pytest.raises(ValueError, match="overflowed to inf"):
-            single_linkage(Dataset(points))
+    def test_distances_past_the_square_root_of_the_largest_float(self, scale):
+        # the squared differences would overflow unscaled, which once made a spanning-tree
+        # edge infinite; the tree is the unit rectangle's, its heights scaled
+        rectangle = np.array([[0.0, 0.0], [0.0, 1.0], [3.0, 0.0], [3.0, 1.0]])
+        unit, dg = single_linkage(Dataset(rectangle)), single_linkage(Dataset(rectangle * scale))
+        assert dg.merges.tolist() == unit.merges.tolist()
+        assert dg.distances.tolist() == pytest.approx((unit.distances * scale).tolist(), rel=1e-15)
+
+    def test_a_height_past_the_largest_float_raises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="single linkage: a merge height overflowed to inf"):
+                single_linkage(Dataset([[1.7e308, 1.7e308], [-1.7e308, -1.7e308]]))
 
     @given(point_sets(min_points=2, max_points=12))
     @settings(max_examples=40, deadline=None)
@@ -997,11 +1036,14 @@ class TestKernelBuffer:
         assert np.getbufsize() == 4096
 
     def test_an_overflow_restores_the_buffer(self):
-        points = np.array([[x * 1e160, y * 1e160] for x in range(20) for y in range(20)])
-        with pytest.raises(ValueError, match="overflowed to inf"):
-            single_linkage(Dataset(points))
+        grid = np.array([[x, y] for x in range(20) for y in range(20)], dtype=float)
+        heights = single_linkage(Dataset(grid * 2.0**532)).distances  # 1.4e160: rescaled, through both Prim passes
+        assert heights.tolist() == np.ldexp(single_linkage(Dataset(grid)).distances, 532).tolist()
         assert np.getbufsize() == 4096
-        # on numpy 2 leaving Prim's errstate restores the size too; outside one, the scope must
+        with pytest.raises(ValueError, match="overflowed to inf"):  # raised once the passes are left
+            single_linkage(Dataset([[1.7e308, 1.7e308], [-1.7e308, -1.7e308]]))
+        assert np.getbufsize() == 4096
+        # no overflow raises inside a scope any more: an exception inside one must restore the size
         with pytest.raises(KeyError):
             with core._kernel_buffer():
                 raise KeyError
@@ -1118,8 +1160,14 @@ class TestDendrogramValidation:
             ([[0, 1], [2, 3]], [1.0, 2 + 1j], "merge distances must be real numbers"),
             ([[0, 1], [2, 3]], ["1", "2"], "merge distances must be real numbers"),
             ([[0, 1], [2]], [1.0, 2.0], "merges must have rows of equal length"),
+            ([[0, 1], bytearray(b"\x02\x03")], [1.0, 2.0], "merges must be real numbers"),
+            ([[0, 1], [2, 3]], bytearray(b"\x01\x02"), "merge distances must be real numbers"),
+            ([[0, 1], [2, 3]], [1.0, bytearray(b"2")], "merge distances must be real numbers"),
         ],
-        ids=["string-ids", "complex-ids", "complex-distances", "string-distances", "ragged-merges"],
+        ids=[
+            "string-ids", "complex-ids", "complex-distances", "string-distances", "ragged-merges",
+            "bytearray-ids", "bytearray-distances", "bytearray-distance",
+        ],
     )
     def test_rejects_non_real_fields_by_name(self, merges, distances, message):
         with pytest.raises(ValueError, match=message):

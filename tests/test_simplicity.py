@@ -13,8 +13,10 @@ from cluster_simplicity import (
     Partition,
     SiCurve,
     UNDEFINED,
+    PARTITION_INDEX_IDS,
     calinski_harabasz,
     dendrogram_from_merges,
+    evaluate_many,
     is_defined,
     pairwise_distances,
     radius_centroid,
@@ -317,6 +319,17 @@ class TestSiCurve:
         with pytest.raises(ValueError, match="si_curve: the arithmetic overflowed to inf"):
             si_curve(Dataset(points), dendrogram)
 
+    def test_the_whole_float_range_keeps_the_curve(self):
+        # below about 1e-160 the squared offsets once underflowed, giving (4, 3, 2, 1),
+        # and from 1e154 they overflowed, which raised
+        rectangle = np.array([[0.0, 0.0], [0.0, 1.0], [3.0, 0.0], [3.0, 1.0]])
+        unit = si_curve(Dataset(rectangle), single_linkage(Dataset(rectangle)))
+        assert unit.values == pytest.approx((4.0, 3.2274, 2.4901, 4.0), abs=1e-4)
+        for scale in (1e-300, 1e-170, 2.0**-600, 1e154, 1e160, 2.0**600, 1e300):
+            data = Dataset(rectangle * scale)
+            curve = si_curve(data, single_linkage(data))
+            assert curve.values == pytest.approx(unit.values, rel=1e-12), scale
+
     def test_rejects_mismatched_dataset(self):
         data = Dataset([[0.0], [1.0], [3.0]])
         other = Dataset([[0.0], [1.0]])
@@ -430,3 +443,57 @@ class TestSiHierarchical:
         else:
             assert is_defined(value)
             assert value == pytest.approx(oracles.si_hierarchical_oracle(curve.samples), rel=1e-9)
+
+
+# the partition ids whose value no rescaling changes: sf's gap is in raw units
+SCALE_FREE_IDS = [index_id for index_id in PARTITION_INDEX_IDS if index_id != "sf"]
+
+RECTANGLE = (np.array([[0.0, 0.0], [0.0, 1.0], [3.0, 0.0], [3.0, 1.0]]), np.array([0, 0, 1, 1]))
+# the 55 x 55 grid, whose spanning-tree edges all tie, in 25 blocks of 11 x 11
+GRID = (
+    np.array([[x, y] for x in range(55) for y in range(55)], dtype=float),
+    np.array([x // 11 * 5 + y // 11 for x in range(55) for y in range(55)]),
+)
+
+
+@st.composite
+def labelled_fine_points(draw):
+    """2-12 points in 1-3 dimensions drawn from a pool of rows, so duplicates
+    are common, with coordinates on a grid of 2^-10 out to +-1024, and labels.
+    Every nonzero coordinate times 2^j, for j in [-1000, 1000], is a normal
+    float, and no square, sum or mean of them under- or overflows."""
+    dim = draw(st.integers(1, 3))
+    coord = st.integers(-(2**20), 2**20).map(lambda v: v / 2**10)
+    pool = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=12))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=12))
+    n = len(picks)
+    k = draw(st.integers(1, n))
+    extra = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    return np.array([pool[i] for i in picks]), np.array(draw(st.permutations(list(range(k)) + extra)))
+
+
+def _bits(values):
+    return [value.hex() if is_defined(value) else value for value in values]
+
+
+class TestPowerOfTwoScales:
+    """Points times 2^j score as the unit-scale points do, bit for bit, over the
+    whole float range: every entry point rescales by an exact power of two."""
+
+    @given(labelled_fine_points(), st.integers(-1000, 1000))
+    @example(RECTANGLE, -565)  # about 1e-170
+    @example(RECTANGLE, 532)  # about 1e160
+    @example(GRID, -600)
+    @example(GRID, 600)
+    @settings(max_examples=60, deadline=None)
+    def test_scores_trees_and_curves_keep_their_bits(self, case, j):
+        pts, labels = case
+        scaled = np.ldexp(pts, j)
+        nonzero = np.abs(scaled[pts != 0])
+        assert np.all((nonzero >= 2.0**-1022) & (nonzero < math.inf))  # normal floats, exactly 2^j times
+        unit_data, data, part = Dataset(pts), Dataset(scaled), Partition(labels)
+        assert _bits(evaluate_many(SCALE_FREE_IDS, data, part)) == _bits(evaluate_many(SCALE_FREE_IDS, unit_data, part))
+        unit_tree, tree = single_linkage(unit_data), single_linkage(data)
+        assert tree.merges.tolist() == unit_tree.merges.tolist()
+        assert tree.distances.tolist() == np.ldexp(unit_tree.distances, j).tolist()
+        assert _bits(si_curve(data, tree).values) == _bits(si_curve(unit_data, unit_tree).values)
