@@ -366,17 +366,18 @@ def _scaled(values: np.ndarray) -> tuple[int, np.ndarray]:
     """``(e, values * 2**-e)``, exactly: the one place the float range is
     decided. ``e`` is 0, and the values are returned as they are, while their
     largest magnitude lies in [2^-400, 2^400) or is 0, so in-range inputs
-    keep their bits; otherwise ``e`` is its binary exponent, and the largest
-    magnitude of the result lies in [0.5, 1). Multiplying by a power of two
-    commutes with every rounding short of the subnormals, so a distance, a
-    radius or a sum taken on the rescaled values is the raw one times 2^-e
+    keep their bits; otherwise ``e`` is chosen so that the largest magnitude
+    of the result lies in [2^399, 2^400), the top of that band, which leaves
+    the most room below it for small differences. Multiplying by a power of
+    two commutes with every rounding short of the subnormals, so a distance,
+    a radius or a sum taken on the rescaled values is the raw one times 2^-e
     (a square times 2^-2e), and a ratio of two is the raw ratio, bit for bit.
-    Only a value below 2^-1021 times the largest one loses bits."""
+    Only a value below 2^-1421 times the largest one loses bits."""
     exponent = math.frexp(max(values.max(), -values.min()))[1]
     # the exponent of a largest magnitude in [2^-400, 2^400): the squares of such values and of
     # their differences, summed over any count of them, stay far below 2^1024, and the square
     # of that magnitude far above 2^-1022
-    return (0, values) if -400 < exponent <= 400 else (exponent, np.ldexp(values, -exponent))
+    return (0, values) if -400 < exponent <= 400 else (exponent - 400, np.ldexp(values, 400 - exponent))
 
 
 def _radius(points: np.ndarray) -> float:

@@ -539,19 +539,15 @@ class TestRatioFormInvariance:
                     assert values_equal(value, reference), (index_id, b)
 
 
-def _assert_raises_or_keeps_value(index_id, points, part):
-    """Scoring ``points`` raises the ValueError naming the index, or gives the value
-    of the copy scaled by 2^-512, which is exact: a scale-free index keeps it, and
-    sf, whose gap scales too, saturates to 1 or 0 on the side of the copy's gap
-    (SF_COINCIDENT is its value at a gap of 0)."""
+def _assert_keeps_value(index_id, points, part):
+    """Scoring ``points`` gives the value of the copy scaled by 2^-512, which is
+    exact: a scale-free index keeps it, and sf, whose gap scales too, saturates
+    to 1 or 0 on the side of the copy's gap (SF_COINCIDENT is its value at a gap
+    of 0)."""
     expected = evaluate(index_id, Dataset(points * 2.0**-512), part)
     if index_id == "sf" and expected != SF_COINCIDENT:  # the copy's gap is positive or negative, not 0
         expected = 1.0 if expected > SF_COINCIDENT else 0.0
-    try:
-        value = evaluate(index_id, Dataset(points), part)
-    except ValueError as exc:
-        assert f"index '{index_id}': the arithmetic overflowed" in str(exc)
-        return
+    value = evaluate(index_id, Dataset(points), part)
     assert values_equal(value, expected), (index_id, value, expected)
 
 
@@ -694,18 +690,19 @@ class TestEvaluateRegistry:
         data, part = Dataset(np.array(points, dtype=float)), Partition(np.array(labels))
         assert evaluate(index_id, data, part) == pytest.approx(value, abs=5e-5)
         for other in PARTITION_INDEX_IDS:
-            _assert_raises_or_keeps_value(other, data.points, part)
+            _assert_keeps_value(other, data.points, part)
 
-    def test_overflow_raises_or_keeps_the_scaled_down_value(self):
-        # points in [-1, 1]^d times 2^512: a squared difference overflows exactly when
-        # the unit-scale difference passes 1, so some do and some do not
+    def test_squares_past_the_largest_float_keep_the_scaled_down_value(self):
+        # points in [-1, 1]^d times 2^512: unscaled, a squared difference would overflow
+        # exactly when the unit-scale difference passes 1, so some would and some not;
+        # the rescaled points give every index the value of the copy at unit scale
         rng = np.random.default_rng(7)
         for _ in range(150):
             n = int(rng.integers(3, 9))
             unit = rng.uniform(-1.0, 1.0, size=(n, int(rng.integers(1, 3))))
             part = Partition(np.concatenate([[0, 1], rng.integers(0, 3, size=n - 2)]))
             for index_id in PARTITION_INDEX_IDS:
-                _assert_raises_or_keeps_value(index_id, unit * 2.0**512, part)
+                _assert_keeps_value(index_id, unit * 2.0**512, part)
 
     @pytest.mark.parametrize("index_id", ["si_centroid", "si_distance"])
     def test_simplicity_index_past_the_largest_float_raises_naming_index(self, index_id):
