@@ -44,7 +44,8 @@ def _ch(stats: ClusterStats) -> IndexValue:
     """Variance-ratio criterion: between-cluster over within-cluster dispersion.
 
     UNDEFINED for k = 1, k = N, or zero within-cluster dispersion (a
-    denominator factor, k - 1, N - k or the dispersion, vanishes).
+    denominator factor, k - 1, N - k or the dispersion, vanishes). Infinite
+    where the dispersion is nonzero but its mean over N - k underflows to 0.
     """
     n, k = stats.n, stats.k
     if k == 1 or k == n:
@@ -54,7 +55,10 @@ def _ch(stats: ClusterStats) -> IndexValue:
     if within == 0.0:
         return UNDEFINED
     between = float(np.dot(stats.sizes, ((centroids - stats.whole[0]) ** 2).sum(axis=1)))
-    return (between / (k - 1)) / (within / (n - k))
+    spread = within / (n - k)
+    if spread == 0.0:  # the true ratio passes the largest float
+        return math.inf
+    return (between / (k - 1)) / spread
 
 
 def _silhouette(stats: ClusterStats) -> IndexValue:

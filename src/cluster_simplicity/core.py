@@ -451,9 +451,9 @@ def pairwise_distances(points: object) -> np.ndarray:
     return dm
 
 
-# At most 2^13 distances (64 KB) in one block of the distance pass, computed
+# At most 2^14 distances (128 KB) in one block of the distance pass, computed
 # or gathered from a matrix, and 2^16 differences (512 KB) in one kernel call.
-_DISTANCES, _BLOCK = 2**13, 2**16
+_DISTANCES, _BLOCK = 2**14, 2**16
 
 # numpy's default ufunc buffer, in elements, and the one the kernel runs under.
 _UFUNC_BUFFER, _KERNEL_BUFFER = 2**13, 16
@@ -481,8 +481,8 @@ def _row_blocks(n: int) -> Iterator[tuple[int, int]]:
     """Row spans ``[start, stop)`` of an upper-triangle pass over ``n`` rows.
 
     A block's rows meet only the columns ``[start, n)``, so its height comes
-    from its remaining width: at most ``_DISTANCES`` distances, and one row
-    at least. Later blocks are taller."""
+    from its remaining width: at most ``_DISTANCES`` (2^14) distances, and one
+    row at least. Later blocks are taller."""
     start = 0
     while start < n:
         stop = min(n, start + max(1, _DISTANCES // (n - start)))
@@ -497,11 +497,14 @@ def _distance_blocks(points: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]
 
     Holds the points as one d x N copy, fills each block with :func:`_squares`
     calls of at most ``_BLOCK`` differences (one row at least; one call at
-    d <= 8) and square-roots it in place, so a distance has the bits of both
-    spanning-tree passes. The calls run under :func:`_kernel_buffer`, left
-    before the block is yielded, so the caller's sums keep its buffer;
-    a block whose kernel work fits in one default buffer skips it, since
-    setting and restoring the size costs more there than it saves. A block
+    d <= 4, since a block holds at most 2^14 distances) and square-roots it in
+    place, so a distance has the bits of both spanning-tree passes, each
+    summed over its coordinates in order. The calls run under
+    :func:`_kernel_buffer`, left before the block is yielded, so the caller's
+    sums keep its buffer; a block whose kernel work fits in one default buffer
+    skips it, since setting and restoring the size costs more there than it
+    saves (at d = 1 only a block of at most 8192 distances: a whole pass over
+    at most 90 points, or a pass's last block). A block
     is allocated before its difference arrays, or glibc's heap grows and
     shrinks each block (five times the page faults of a ``compute`` on
     1000 x 8 points). The points are rescaled by :func:`_scaled`, so no
@@ -532,16 +535,20 @@ def _squares(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
     in the d x w ``columns``: w entries, or b x w.
 
     The one distance kernel. The differences are laid out in C order whatever
-    the inputs' order, squared in place and summed over the coordinate axis,
-    outside the rows of w: numpy adds a row of w at a time, so each sum runs
-    in coordinate order whatever the caller. ``(p_j - p_i)^2`` is
-    ``(p_i - p_j)^2``. Every caller passes points rescaled by
-    :func:`_scaled`, so no square overflows."""
-    if columns.shape[1] == 1:  # numpy would drop the unit axis, make the coordinates its inner loop and sum them pairwise
+    the inputs' order, then squared and summed over the coordinate axis in one
+    ``np.einsum`` pass, at its default ``optimize=False``, which never takes a
+    BLAS route: its inner loop runs along the rows of w and multiply-adds one
+    coordinate's row at a time into the output, so each sum runs in coordinate
+    order, ``((x_0^2 + x_1^2) + x_2^2) + ...``, whatever the caller. A numpy
+    build whose einsum fuses that multiply-add (NEON on aarch64) rounds each
+    step once, so its bits may differ from the unfused formula's, but every
+    caller still gets the same ones. ``(p_j - p_i)^2`` is ``(p_i - p_j)^2``.
+    Every caller passes points rescaled by :func:`_scaled`, so no square
+    overflows."""
+    if columns.shape[1] == 1:  # einsum would make the coordinates its inner loop and sum them with partial sums
         return _squares(np.repeat(columns, 2, axis=1), rows)[..., :1]
     diff = np.subtract(columns, rows, order="C")
-    diff *= diff
-    return np.add.reduce(diff, axis=-2)
+    return np.einsum("...dw,...dw->...w", diff, diff)
 
 
 class ClusterStats:
@@ -557,10 +564,13 @@ class ClusterStats:
     Distance quantities come from one streamed pass over the upper triangle of
     the pair distances (:func:`_distance_blocks` for points), run when the
     first of them is read: rows and columns in label order, so that each
-    cluster is one contiguous slice, and each pair computed once. It makes
+    cluster is one contiguous slice, and each pair computed once, by the one
+    kernel :func:`_squares`, whose einsum step sums a distance's squared
+    differences in coordinate order (once-rounded steps where numpy fuses the
+    multiply-add). It makes
     only the ``reductions`` named at construction, read by :meth:`reduced`;
     reading another one raises KeyError. No N x N matrix is formed: the pass holds O(b N) floats for
-    blocks of b rows, the row means N k, the within sums N, the extremes two
+    blocks of b rows and at most 2^14 distances, the row means N k, the within sums N, the extremes two
     floats, and the tails O(min(w, P - w)) for w within-cluster pairs of P.
     """
 

@@ -135,9 +135,9 @@ class TestDaviesBouldin:
 
     @pytest.mark.parametrize("k, dim", [(2, 1), (150, 3), (400, 8), (1500, 2)])
     def test_blocks_of_rows_match_the_full_gap_matrix(self, k, dim):
-        # the upper triangle's blocks (12 at k = 400, 149 at k = 1500) give each
+        # the upper triangle's blocks (6 at k = 400, 73 at k = 1500) give each
         # worst ratio of the full matrix, bit for bit
-        assert len(list(_row_blocks(k))) == {2: 1, 150: 3, 400: 12, 1500: 149}[k]
+        assert len(list(_row_blocks(k))) == {2: 1, 150: 2, 400: 6, 1500: 73}[k]
         data, part = _blobs(k, 3 * k, k, dim)
         centroids, _, radii = ClusterStats(part, points=data.points).clusters
         gaps = pairwise_distances(centroids)
@@ -713,6 +713,14 @@ class TestEvaluateRegistry:
         part = Partition(np.array([0, 0] + [1] * 4198))
         with pytest.raises(ValueError, match=f"index '{index_id}': the arithmetic overflowed to inf"):
             evaluate(index_id, Dataset(points), part)
+
+    def test_ch_past_the_largest_float_raises_naming_index(self):
+        # the within dispersion (2^-1073, the points are in range) over N - k = 8 underflows to 0, so the
+        # true ratio passes the largest float; it once raised a bare ZeroDivisionError
+        points = np.array([[0.0], [2.0**-536]] + [[1.0]] * 8)
+        part = Partition(np.array([0, 0] + [1] * 8))
+        with pytest.raises(ValueError, match="index 'ch': the arithmetic overflowed to inf"):
+            evaluate_many(["ch"], Dataset(points), part)
 
     def test_cindex_of_distances_past_the_largest_float(self):
         # every pair distance passes the largest float unscaled, which once gave

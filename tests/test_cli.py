@@ -292,6 +292,16 @@ class TestCompute:
         assert (code, out) == (2, "")
         assert f"{points}: index 'si_centroid': the arithmetic overflowed to inf" in err
 
+    def test_ch_past_the_largest_float_is_input_error(self, tmp_path, capsys):
+        # the within dispersion's mean underflows to 0: once a ZeroDivisionError traceback and exit 1
+        points = tmp_path / "tight.csv"
+        points.write_text(f"0\n{2.0**-536!r}\n" + "1\n" * 8)
+        labels = tmp_path / "labels.csv"
+        labels.write_text("0\n0\n" + "1\n" * 8)
+        code, out, err = run_cli(capsys, "compute", "--data", str(points), "--labels", str(labels), "--index", "ch")
+        assert (code, out) == (2, "")
+        assert f"{points}: index 'ch': the arithmetic overflowed to inf" in err
+
     def test_bad_label_names_row(self, x2s_files, tmp_path, capsys):
         points_path, _ = x2s_files
         labels = tmp_path / "bad_labels.csv"

@@ -400,6 +400,33 @@ class TestRadii:
             pair_sum = full[np.triu_indices(300, k=1)].sum()
             assert within == pytest.approx(pair_sum, rel=1e-15) and total == pytest.approx(pair_sum, rel=1e-15), d
 
+    def test_the_kernel_sums_in_coordinate_order(self):
+        # each squared distance is ((x0^2 + x1^2) + x2^2) + ..., rounded at every step, for a
+        # d x 1 column and for stacks of them, at widths from one point up. At w = 1 einsum
+        # would make the coordinates its inner loop and sum them pairwise; the unit-width
+        # guard keeps them in order. A numpy whose einsum fuses the multiply-add (NEON on
+        # aarch64) rounds each step once: there every mismatch must be that fused sum
+        rng = np.random.default_rng(59)
+        fused = 0
+        for d in (1, 2, 3, 8, 33, 64):
+            for w in (1, 2, 3, 300):
+                columns = rng.normal(size=(d, w)) * 2.0 ** rng.integers(-8, 9, size=(d, 1))
+                rows = rng.normal(size=(100, d, 1))
+                diff = columns - rows
+                ordered = diff[:, 0] ** 2
+                for coordinate in range(1, d):
+                    ordered = ordered + diff[:, coordinate] ** 2
+                calls = [(_squares(columns, rows), ordered, diff)]
+                calls += [(_squares(columns, rows[i]), ordered[i], diff[i]) for i in range(0, 100, 9)]
+                for squares, expected, differences in calls:
+                    assert squares.shape == expected.shape, (d, w)
+                    coordinates = np.moveaxis(differences, -2, -1)  # each distance's d differences, in order
+                    for at in zip(*np.nonzero(squares != expected)):
+                        assert squares[at] == _fused_sum_of_squares(coordinates[at]), (d, w, at)
+                        fused += 1
+        if fused:
+            pytest.skip(f"this numpy's einsum fuses its multiply-add: {fused} sums were rounded once a step")
+
     def test_the_kernel_buffer_keeps_the_bits(self):
         # the kernel runs under a 16-float ufunc buffer; under numpy's default
         # 8192 it gives the same bits, at every d and at widths from one point
@@ -465,6 +492,14 @@ class TestRadii:
         stats = ClusterStats(Partition(np.zeros(len(pts), dtype=int)), points=pts)
         cluster, whole = math.ldexp(stats.clusters[2][0], stats.exponent), math.ldexp(stats.whole[2][0], stats.exponent)
         assert cluster == radius_centroid(pts) == whole
+
+
+def _fused_sum_of_squares(differences: np.ndarray) -> float:
+    """round(acc + x^2) over ``differences`` in order, each step exact before its one rounding."""
+    acc = 0.0
+    for x in differences.tolist():
+        acc = float(Fraction(acc) + Fraction(x) ** 2)
+    return acc
 
 
 class TestWithinClusterSums:
@@ -572,18 +607,18 @@ class TestDistancePass:
         self._assert_matches_brute_force(pts, labels)
 
     def test_a_later_block_larger_than_the_first(self):
-        # 586 points: the first block is 13 rows of 7527 pairs, the fourth 15
-        # rows of 545 columns and 8055 pairs. Halving the coordinates at each
+        # 607 points: the first block is 26 rows of 15431 pairs, the second 28
+        # rows of 581 columns and 15862 pairs. Halving the coordinates at each
         # block makes its distances the smallest yet, so the tails' buffer takes
-        # a whole block at once, and one singleton makes m = 585 small. In 64-D
+        # a whole block at once, and one singleton makes m = 606 small. In 64-D
         # the kernel takes a block's rows 1 to 12 at a time.
         rng = np.random.default_rng(17)
-        spans = list(_row_blocks(586))
+        spans = list(_row_blocks(607))
         block_of_row = np.repeat(np.arange(len(spans)), [stop - start for start, stop in spans])
-        pts = rng.integers(-2, 3, (586, 64)) / 2.0 * 2.0 ** -block_of_row[:, None]
-        upper = [(stop - start) * (586 - start) - (stop - start) * (stop - start + 1) // 2 for start, stop in spans]
+        pts = rng.integers(-2, 3, (607, 64)) / 2.0 * 2.0 ** -block_of_row[:, None]
+        upper = [(stop - start) * (607 - start) - (stop - start) * (stop - start + 1) // 2 for start, stop in spans]
         assert max(upper) > upper[0] + 400
-        self._assert_matches_brute_force(pts, np.array([0] + [1] * 585))
+        self._assert_matches_brute_force(pts, np.array([0] + [1] * 606))
 
 
 class TestTailsOfAStream:
@@ -1029,8 +1064,12 @@ class TestKernelBuffer:
 
     def test_pass_and_scoring_restore_the_buffer(self, kernel_buffers):
         pts = np.random.default_rng(7).normal(size=(300, 8))
-        pairwise_distances(pts[:, :1])  # at d = 1 no block's kernel work passes one default buffer
-        assert np.getbufsize() == 4096 and set(kernel_buffers) == {4096}
+        pairwise_distances(pts[:90, :1])  # 90 x 1: one block of 8100 distances, within one default buffer
+        assert np.getbufsize() == 4096 and kernel_buffers == [4096]
+        pairwise_distances(pts[:, :1])  # 300 x 1: one kernel call a block, under the kernel's buffer past one default
+        spans = list(_row_blocks(300))
+        assert kernel_buffers[1:] == [16 if (stop - start) * (300 - start) > 8192 else 4096 for start, stop in spans]
+        assert np.getbufsize() == 4096 and 16 in kernel_buffers
         pairwise_distances(pts)  # at d = 8 every block's does
         assert np.getbufsize() == 4096 and set(kernel_buffers[-len(list(_row_blocks(300))) :]) == {16}
         labels = Partition(np.arange(300) % 7)
