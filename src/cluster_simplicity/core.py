@@ -565,9 +565,9 @@ class ClusterStats:
     the pair distances (:func:`_distance_blocks` for points), run when the
     first of them is read: rows and columns in label order, so that each
     cluster is one contiguous slice, and each pair computed once, by the one
-    kernel :func:`_squares`, whose einsum step sums a distance's squared
-    differences in coordinate order (once-rounded steps where numpy fuses the
-    multiply-add). It makes
+    kernel :func:`_squares`, which sums a distance's squared differences in
+    coordinate order (once-rounded steps where numpy fuses the multiply-add).
+    It makes
     only the ``reductions`` named at construction, read by :meth:`reduced`;
     reading another one raises KeyError. No N x N matrix is formed: the pass holds O(b N) floats for
     blocks of b rows and at most 2^14 distances, the row means N k, the within sums N, the extremes two

@@ -403,7 +403,7 @@ class TestRadii:
     def test_the_kernel_sums_in_coordinate_order(self):
         # each squared distance is ((x0^2 + x1^2) + x2^2) + ..., rounded at every step, for a
         # d x 1 column and for stacks of them, at widths from one point up. At w = 1 einsum
-        # would make the coordinates its inner loop and sum them pairwise; the unit-width
+        # would make the coordinates its inner loop and sum them with partial sums; the unit-width
         # guard keeps them in order. A numpy whose einsum fuses the multiply-add (NEON on
         # aarch64) rounds each step once: there every mismatch must be that fused sum
         rng = np.random.default_rng(59)
