@@ -74,9 +74,17 @@ def _real(values: object, what: str) -> np.ndarray:
             raise ValueError(f"{what} must be real numbers")  # the cast would parse text and make None NaN
         try:
             return np.asarray(arr, dtype=float)
-        except (TypeError, ValueError):  # a complex number or another non-real object in an object array
+        except (TypeError, ValueError, OverflowError):  # a complex number, an int past 2^1024, another non-real
             pass
     raise ValueError(f"{what} must be real numbers")
+
+
+def _scalar(value: object, what: str) -> float:
+    """``value`` as a float, cast by :func:`_real`; ValueError naming ``what`` unless it is one real number."""
+    arr = _real(value, what)
+    if arr.ndim:
+        raise ValueError(f"{what} must be a single real number, got shape {arr.shape}")
+    return float(arr)
 
 
 def _holds_text(values: object, levels: int) -> bool:
@@ -357,7 +365,7 @@ def radius_centroid(points: object) -> float:
     """
     exponent, points = _scaled(_as_points(points))
     try:
-        return math.ldexp(_radius(points), exponent)
+        return math.ldexp(_whole(points)[2][0], exponent)
     except OverflowError:
         raise ValueError("radius_centroid: the radius overflowed to inf; the inputs are too large") from None
 
@@ -380,10 +388,37 @@ def _scaled(values: np.ndarray) -> tuple[int, np.ndarray]:
     return (0, values) if -400 < exponent <= 400 else (exponent - 400, np.ldexp(values, 400 - exponent))
 
 
-def _radius(points: np.ndarray) -> float:
-    """:func:`radius_centroid` without the input checks: the points as one slice of :func:`_centroid_stats`."""
-    whole = _centroid_stats(points, np.zeros(1, dtype=np.intp), np.array([points.shape[0]]), round_once=False)
-    return float(whole[2][0])
+def _whole(points: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`_centroid_stats` of the points as one slice; its centroid is never compared, so not rounded once."""
+    return _centroid_stats(points, np.zeros(1, dtype=np.intp), np.array([points.shape[0]]), round_once=False)
+
+
+def _merge_radii(points: np.ndarray, dendrogram: Dendrogram) -> tuple[np.ndarray, np.ndarray, float]:
+    """The size and radius of the cluster each merge makes, in merge order, and the radius of all the
+    ``points``, on the points rescaled by :func:`_scaled`, so each ratio of two radii is the raw one.
+    In the dendrogram's leaf layout every cluster is one slice of the points. Consecutive merges are
+    gathered in chunks of at most ``_BLOCK`` coordinates, one merge at least, and a chunk's radii are
+    one :func:`_centroid_stats` call: O(chunk) memory and O(sum of the merged sizes) work. Where the
+    dataset radius is 0, which leaves no ratio, the points coincide up to rounding: no pass, radii 0."""
+    points = _scaled(points)[1]
+    n, d = points.shape
+    order, start, size = dendrogram._layout
+    starts, sizes = start[n:], size[n:]
+    radius, radii = _whole(points)[2][0], np.zeros(n - 1)
+    if radius == 0.0:
+        return sizes, radii, radius
+    leaves, ends = points[order], np.cumsum(sizes)  # ends: each merge's end in the gathered members
+    budget = max(1, _BLOCK // d)  # gathered rows in one chunk
+    first = 0
+    while first < n - 1:
+        base = ends[first] - sizes[first]
+        last = max(first + 1, int(np.searchsorted(ends, base + budget, side="right")))
+        chunk_sizes = sizes[first:last]
+        offsets = ends[first:last] - chunk_sizes - base  # each segment's start in the chunk
+        members = leaves[np.arange(ends[last - 1] - base) + np.repeat(starts[first:last] - offsets, chunk_sizes)]
+        radii[first:last] = _centroid_stats(members, offsets, chunk_sizes, round_once=False)[2]
+        first = last
+    return sizes, radii, radius
 
 
 def _centroid_stats(
@@ -604,12 +639,8 @@ class ClusterStats:
 
     @cached_property
     def whole(self) -> tuple[np.ndarray, ...]:
-        """:func:`_centroid_stats` of the whole dataset as one slice: a 1 x d
-        centroid, each point's squared offset, and the radius as a 1-array.
-        The dataset centroid is only subtracted from cluster centroids, in
-        sums of squares and norms, never tested for equality with one, so it
-        is not rounded once."""
-        return _centroid_stats(self.points, np.zeros(1, dtype=np.intp), np.array([self.n]), round_once=False)
+        """:func:`_whole` of the points: the dataset centroid, each point's squared offset, the radius."""
+        return _whole(self.points)
 
     def reduced(self, name: str) -> Any:
         """The distance reduction ``name`` named at construction, in label
@@ -732,7 +763,7 @@ class _Tails:
 
 def scale_dataset(dataset: Dataset, factor: float) -> Dataset:
     """Multiply every coordinate by ``factor`` (finite and nonzero; 0 would collapse the data)."""
-    factor = float(factor)
+    factor = _scalar(factor, "scale factor")
     if factor == 0 or not math.isfinite(factor):
         raise ValueError(f"scale factor must be finite and nonzero, got {factor}")
     with np.errstate(over="ignore"):  # an overflowed coordinate is infinite, which Dataset rejects
@@ -741,7 +772,7 @@ def scale_dataset(dataset: Dataset, factor: float) -> Dataset:
 
 def shift_dataset(dataset: Dataset, offset: float) -> Dataset:
     """Add the finite ``offset`` to every coordinate of every point."""
-    offset = float(offset)
+    offset = _scalar(offset, "shift offset")
     if not math.isfinite(offset):
         raise ValueError(f"shift offset must be finite, got {offset}")
     with np.errstate(over="ignore"):  # an overflowed coordinate is infinite, which Dataset rejects

@@ -3,10 +3,10 @@
 A partition is simple when it has few clusters, tight clusters, and small
 clusters. The index multiplies the three ingredients into
 
-    SI = k * (prod_n  size_n ** (radius_n / dataset_radius)) ** (1/k)
+    SI = k * (prod_n  size_n ** (radius_n / R)) ** (1/k)
 
 where ``k`` is the number of clusters, ``size_n`` the member count of cluster
-``n`` and ``radius_n`` its radius. Lower is better; the best possible value is
+``n``, ``radius_n`` its radius and ``R`` the radius of the whole dataset. Lower is better; the best possible value is
 1 (a single cluster of coincident points) and both extreme partitions of N
 distinct points (all singletons, or one all-inclusive cluster) score N, the
 reference for the most complex state. When the dataset radius is zero every
@@ -30,31 +30,34 @@ from itertools import chain
 
 import numpy as np
 
-from .core import UNDEFINED, ClusterStats, Dataset, Dendrogram, IndexValue, _BLOCK, _TEXT, _centroid_stats, _radius, _scaled
+from .core import UNDEFINED, ClusterStats, Dataset, Dendrogram, IndexValue, _TEXT, _merge_radii
 
 
-def _si_from_exponents(sizes: np.ndarray, exponents: np.ndarray) -> float:
-    # product computed in log space: k * exp(mean(exponent * ln size))
-    k = len(sizes)
-    log_sum = float(np.dot(exponents, np.log(sizes)))
+def _exponents(radii: np.ndarray, reference: float) -> np.ndarray:
+    """Each cluster's exponent: its radius over the dataset's, all zero when the dataset radius is zero."""
+    return radii / reference if reference != 0.0 else np.zeros(len(radii))
+
+
+def _si(k: int, log_sum: float) -> float:
+    """The index of ``k`` clusters from their sum of exponent * ln(size): k * exp(log_sum / k), and
+    infinite where it passes the largest float, for the caller to raise on."""
     try:
         return k * math.exp(log_sum / k)
-    except OverflowError:  # the index itself passes the largest float: infinite, for the scoring step's guard
+    except OverflowError:
         return math.inf
 
 
 def _si_centroid(stats: ClusterStats) -> float:
     """Simplicity index of a partition, centroid-radius form.
 
-    Each cluster's size enters with exponent ``cluster_radius /
-    dataset_radius``, where a radius is the mean member-to-centroid distance.
+    Each cluster's size enters with exponent ``radius_n / R``, its radius
+    over the dataset's, where a radius is the mean member-to-centroid distance.
     The radii are in the statistics' rescaled units, and their ratios are the
     raw ones. A finite value >= 1; where the index itself passes the largest
     float, the scoring step raises ValueError naming the index.
     """
-    dataset_radius = stats.whole[2][0]
-    exponents = stats.clusters[2] / dataset_radius if dataset_radius != 0.0 else np.zeros(stats.k)
-    return _si_from_exponents(stats.sizes, exponents)
+    exponents = _exponents(stats.clusters[2], stats.whole[2][0])
+    return _si(stats.k, float(np.dot(exponents, np.log(stats.sizes))))
 
 
 def _si_distance(stats: ClusterStats) -> float:
@@ -62,8 +65,7 @@ def _si_distance(stats: ClusterStats) -> float:
     _, sums, total = stats.reduced("within")
     whole_mean = total / (n * (n - 1) // 2) if n > 1 else 0.0
     cluster_means = sums / np.maximum(sizes * (sizes - 1) // 2, 1)  # 0 for a singleton
-    exponents = cluster_means / whole_mean if whole_mean != 0.0 else np.zeros(stats.k)
-    return _si_from_exponents(sizes, exponents)
+    return _si(stats.k, float(np.dot(_exponents(cluster_means, whole_mean), np.log(sizes))))
 
 
 @dataclass(frozen=True)
@@ -145,29 +147,24 @@ def si_curve(dataset: Dataset, dendrogram: Dendrogram) -> SiCurve:
 
     A merge changes only two clusters, so each level's sum of exponent *
     ln(size) is the last level's plus the merged cluster's term less its two
-    parts'. The merged clusters' terms come from :func:`_merged_terms` and
-    the running sum from :func:`_running_sums`, which is compensated, so it
-    carries no more rounding than a fresh sum. No Partition is built. The
-    radii are taken on the points rescaled by :func:`_scaled`, whose ratios
-    are the raw ones. ValueError when a level's index passes the largest float.
+    parts'. The merged clusters' sizes and radii come from one
+    :func:`~.core._merge_radii` pass and the running sum from
+    :func:`_running_sums`, which is compensated, so it carries no more
+    rounding than a fresh sum. No Partition is built. ValueError when a
+    level's index passes the largest float.
     """
     n = dendrogram.n_points
     if n != dataset.n_points:
         raise ValueError(f"dendrogram covers {n} points, dataset has {dataset.n_points}")
-    points = _scaled(dataset.points)[1]
-    dataset_radius = _radius(points)
-    # with a zero dataset radius every exponent is zero
-    merged = _merged_terms(points, dendrogram, dataset_radius) if dataset_radius != 0.0 else np.zeros(n - 1)
+    sizes, radii, reference = _merge_radii(dataset.points, dendrogram)
+    merged = _exponents(radii, reference) * np.log(sizes)
     # each level adds its merged cluster's term and takes away its parts'; a point's term is 0
     term = np.concatenate((np.zeros(n), merged))
     sums = _running_sums(np.column_stack((merged, -term[dendrogram.merges])).ravel())[2::3]
-    samples = [(0.0, float(n))]
-    try:
-        for k, distance, total in zip(range(n - 1, 0, -1), dendrogram.distances.tolist(), sums.tolist()):
-            samples.append((distance, k * math.exp(total / k)))
-    except OverflowError:  # a level's index itself passes the largest float
-        raise ValueError("si_curve: the arithmetic overflowed to inf; a level's index passes the largest float") from None
-    return SiCurve(tuple(samples))
+    values = list(map(_si, range(n - 1, 0, -1), sums.tolist()))
+    if not all(map(math.isfinite, values)):
+        raise ValueError("si_curve: the arithmetic overflowed to inf; a level's index passes the largest float")
+    return SiCurve(((0.0, float(n)), *zip(dendrogram.distances.tolist(), values)))
 
 
 def _running_sums(steps: np.ndarray) -> np.ndarray:
@@ -181,35 +178,6 @@ def _running_sums(steps: np.ndarray) -> np.ndarray:
     before = np.concatenate(([0.0], totals))[:-1]
     errors = np.where(np.abs(before) >= np.abs(steps), (before - totals) + steps, (steps - totals) + before)
     return totals + np.cumsum(errors)
-
-
-def _merged_terms(points: np.ndarray, dendrogram: Dendrogram, dataset_radius: float) -> np.ndarray:
-    """``radius / dataset_radius * ln(size)`` of the cluster each merge makes, in merge order.
-
-    In the dendrogram's leaf layout every cluster is one contiguous slice of
-    the points. Consecutive merges are taken in chunks whose gathered members
-    hold at most ``_BLOCK`` coordinates, one merge at least; a chunk's radii
-    are one :func:`_centroid_stats` call, whose slices are its merged
-    clusters. Memory is O(chunk), and the work O(sum of the merged sizes).
-    """
-    n, d = points.shape
-    order, start, size = dendrogram._layout
-    points = points[order]
-    starts, sizes = start[n:], size[n:]
-    ends = np.cumsum(sizes)  # each merge's end in the merges' gathered members
-    terms = np.empty(n - 1)
-    budget = max(1, _BLOCK // d)  # gathered rows in one chunk
-    first = 0
-    while first < n - 1:
-        base = ends[first] - sizes[first]
-        last = max(first + 1, int(np.searchsorted(ends, base + budget, side="right")))
-        chunk_sizes = sizes[first:last]
-        offsets = ends[first:last] - chunk_sizes - base  # each segment's start in the chunk
-        members = points[np.arange(ends[last - 1] - base) + np.repeat(starts[first:last] - offsets, chunk_sizes)]
-        radii = _centroid_stats(members, offsets, chunk_sizes, round_once=False)[2]
-        terms[first:last] = radii / dataset_radius * np.log(chunk_sizes)
-        first = last
-    return terms
 
 
 def si_hierarchical(curve: SiCurve) -> IndexValue:

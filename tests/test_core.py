@@ -493,6 +493,22 @@ class TestRadii:
         cluster, whole = math.ldexp(stats.clusters[2][0], stats.exponent), math.ldexp(stats.whole[2][0], stats.exponent)
         assert cluster == radius_centroid(pts) == whole
 
+    @pytest.mark.parametrize("block", [1, 40, core._BLOCK])
+    def test_merge_radii_are_the_merged_clusters_radii(self, block, monkeypatch):
+        # each merge's cluster is one slice of the leaf order; gathered in chunks of any
+        # size, its radius has the bits of radius_centroid on that slice
+        monkeypatch.setattr(core, "_BLOCK", block)
+        pts = np.random.default_rng(3).normal(size=(40, 3))
+        tree = single_linkage(Dataset(pts))
+        sizes, radii, radius = core._merge_radii(pts, tree)
+        order, start, size = tree._layout
+        clusters = [pts[order][start[c] : start[c] + size[c]] for c in range(40, 79)]
+        assert sizes.tolist() == [len(members) for members in clusters]
+        assert radii.tolist() == [radius_centroid(members) for members in clusters]
+        assert radius == radius_centroid(pts)
+        sizes, radii, radius = core._merge_radii(np.full((5, 2), 0.1), single_linkage(Dataset(np.full((5, 2), 0.1))))
+        assert (sizes.tolist(), radii.tolist(), radius) == ([2, 3, 4, 5], [0.0] * 4, 0.0)
+
 
 def _fused_sum_of_squares(differences: np.ndarray) -> float:
     """round(acc + x^2) over ``differences`` in order, each step exact before its one rounding."""
@@ -722,6 +738,25 @@ class TestTransforms:
         with pytest.raises(ValueError, match=f"shift offset must be finite, got {offset}"):
             shift_dataset(data, offset)
 
+    @pytest.mark.parametrize(
+        "value",
+        ["2", b"2", " 1e0 ", None, 1 + 2j, 10**400, np.array([2.0]), [1.0, 2.0]],
+        ids=["str", "bytes", "padded-str", "none", "complex", "int-past-float", "one-element-array", "list"],
+    )
+    def test_scalar_must_be_one_real_number(self, value):
+        # float() parsed text and read a 1-element array; None, complex and 10**400 raised TypeError or OverflowError
+        data, _ = synthetic_dataset("X1S")
+        with pytest.raises(ValueError, match="scale factor must be"):
+            scale_dataset(data, value)
+        with pytest.raises(ValueError, match="shift offset must be"):
+            shift_dataset(data, value)
+
+    def test_scalar_of_any_real_type_accepted(self):
+        data, _ = synthetic_dataset("X1S")
+        for value in (2, np.float32(2.0), np.array(2.0), Fraction(2), Decimal(2), True + True):
+            assert np.array_equal(scale_dataset(data, value).points, data.points * 2.0)
+            assert np.array_equal(shift_dataset(data, value).points, data.points + 2.0)
+
     def test_overflowing_transform_rejected_without_warning(self):
         # a finite factor or offset whose result overflows gives infinite coordinates
         data, _ = synthetic_dataset("X9L")
@@ -848,6 +883,23 @@ class TestContainers:
             DistanceMatrix([bytearray(b"\x00\x01"), bytearray(b"\x01\x00")])
         with pytest.raises(ValueError, match="merges must be real numbers"):
             dendrogram_from_merges(2, [bytearray(b"\x00\x01\x01")])
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Dataset([[1.0, 10**400]]), "points"),
+            (lambda: DistanceMatrix([[0, 10**400], [10**400, 0]]), "distance matrix entries"),
+            (lambda: dendrogram_from_merges(2, [(0, 1, 10**400)]), "merges"),
+            (lambda: Dendrogram(2, [[0, 1]], [10**400]), "merge distances"),
+            (lambda: radius_centroid([[0.0], [10**400]]), "points"),
+            (lambda: pairwise_distances([[0.0], [10**400]]), "points"),
+        ],
+        ids=["dataset", "distance-matrix", "merge-table", "merge-distance", "radius", "pairwise"],
+    )
+    def test_int_past_the_float_range_rejected(self, build, message):
+        # the float cast raises OverflowError, not ValueError, for an int past 2^1024
+        with pytest.raises(ValueError, match=f"{message} must be real numbers"):
+            build()
 
     def test_numbers_in_object_arrays_accepted(self):
         points = np.array([[1, 2.5], [np.float32(0.5), np.int64(3)], [Fraction(1, 4), True]], dtype=object)

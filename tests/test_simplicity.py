@@ -29,7 +29,7 @@ from cluster_simplicity import (
     single_linkage,
     synthetic_dataset,
 )
-from cluster_simplicity import simplicity
+from cluster_simplicity import core, simplicity
 
 import oracles
 
@@ -308,10 +308,11 @@ class TestSiCurve:
         with pytest.raises(ValueError, match=message):
             SiCurve(samples)
 
-    def test_index_past_the_largest_float_raises(self):
-        # 4198 coincident points, then the pair +-1: at the two-cluster level the pair's
-        # exponent is N / 2, and SI = 2 exp(N ln 2 / 4) passes the largest float
-        n = 4200
+    @pytest.mark.parametrize("n", [4094, 4200])
+    def test_index_past_the_largest_float_raises(self, n):
+        # N - 2 coincident points, then the pair +-1: at the two-cluster level the pair's
+        # exponent is N / 2, and SI = 2 exp(N ln 2 / 4) passes the largest float; at
+        # N = 4094 the exp itself is finite, about 1.28e308, and only its double overflows
         points = np.zeros((n, 1))
         points[:2, 0] = (1.0, -1.0)
         chain = [(2, 3, 0.0), *((n + i, 4 + i, 0.0) for i in range(n - 4))]
@@ -346,12 +347,21 @@ class TestSiCurve:
         assert curve.values[-1] == pytest.approx(n, rel=1e-9)
 
 
+class TestSiFinalStep:
+    def test_infinite_where_the_product_passes_the_largest_float(self):
+        # exp(709.5) is about 1.35e308, finite, and twice it is not
+        assert math.isfinite(math.exp(1419 / 2))
+        assert simplicity._si(2, 1419.0) == math.inf
+        assert simplicity._si(2, 1e6) == math.inf
+        assert simplicity._si(2, 1418.0) == 2 * math.exp(709.0)
+
+
 class TestSiCurveChunks:
     """A chunk of merges gathers at most ``_BLOCK`` coordinates, one merge at least."""
 
     @pytest.fixture(params=[1, 40], ids=["one-merge", "few-merges"], autouse=True)
     def budget(self, request, monkeypatch):
-        monkeypatch.setattr(simplicity, "_BLOCK", request.param)
+        monkeypatch.setattr(core, "_BLOCK", request.param)
 
     def test_single_linkage_tree(self):
         _assert_curve_matches_oracle(*_single_linkage_tree())
