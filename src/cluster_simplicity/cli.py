@@ -63,14 +63,15 @@ def _render(value: IndexValue) -> float | str:
 
 
 def _data_lines(path: str, what: str) -> list[tuple[int, str]]:
-    """The non-blank lines of the ``what`` file at ``path``, with their 1-based
+    r"""The non-blank lines of the ``what`` file at ``path``, with their 1-based
     line numbers; InputError if the file cannot be read or is not UTF-8.
-    A leading byte-order mark is dropped."""
+    A leading byte-order mark is dropped; lines end at ``\n`` alone, which
+    ``read_text`` makes of ``\r\n`` and ``\r``, so a form feed stays in its row."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc
-    return [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    return [(lineno, line) for lineno, line in enumerate(text.split("\n"), start=1) if line.strip()]
 
 
 # Fields cast to float at once by :func:`_cast_rows`: a chunk's split rows
@@ -81,20 +82,19 @@ _CAST_FIELDS = 2**11
 def _cast_rows(
     path: str,
     lines: list[tuple[int, str]],
-    split: Callable[[str], list[str] | str],
+    split: Callable[[str], list[str]],
     width: int,
-    fault: Callable[[str, list[str] | str, int], str | None],
+    fault: Callable[[str, list[str], int], str | None],
 ) -> np.ndarray:
     """The ``len(lines) x width`` float table of the fields that ``split``
-    makes of each line (at width 1 it may return the line itself as the
-    field), cast ``max(1, _CAST_FIELDS // width)`` rows at a time into one
-    preallocated array; numpy parses each field with ``float()`` (which
-    ignores surrounding whitespace).
+    makes of each line, cast ``max(1, _CAST_FIELDS // width)`` rows at a
+    time into one preallocated array; numpy parses each field with
+    ``float()`` (which ignores surrounding whitespace).
 
-    Only when a chunk does not cast to exactly its rows x ``width`` are the
-    rows walked from the first: ``fault(line, fields, width)`` gives what is
-    wrong with a row, or None, and the first fault raises InputError naming
-    the row's file line."""
+    Only when a chunk does not cast to exactly its rows x ``width`` are its
+    rows walked: ``fault(line, fields, width)`` gives what is wrong with a
+    row, or None, and the first fault raises InputError naming the row's
+    file line. The chunks before it cast, so none of their rows is faulty."""
     table = np.empty((len(lines), width))
     step = max(1, _CAST_FIELDS // width)
     for start in range(0, len(lines), step):
@@ -105,7 +105,7 @@ def _cast_rows(
             cast = np.array([split(line) for _, line in lines[start : start + step]], dtype=float)
             rows[...] = cast.reshape(rows.shape)
         except ValueError:
-            for lineno, line in lines:
+            for lineno, line in lines[start : start + step]:
                 message = fault(line, split(line), width)
                 if message:
                     raise InputError(f"{path}: row {lineno}: {message}") from None
@@ -156,18 +156,21 @@ def _read_points(path: str) -> Dataset:
 
 
 def _read_labels(path: str, n_points: int) -> Partition:
-    """The labels file's rows as a Partition, cast by :func:`_cast_rows` with
-    each whole line as its one field.
+    """The labels file's rows as a Partition, every whole line cast in one
+    call (a row is its one field, so chunks would bound no memory).
 
     Read as floats, so that the integral floats np.savetxt writes are
     accepted. The first row that is not an integer (1.5, nan, inf or text)
     is named."""
     lines = _data_lines(path, "labels")
-    labels = _cast_rows(path, lines, _label_fields, 1, _label_fault)[:, 0]
+    try:
+        labels = np.array([line for _, line in lines], dtype=float)
+    except ValueError:  # a row of text: read row by row, text as NaN, so the first bad row is named below
+        labels = np.array([_label_or_nan(line) for _, line in lines])
     bad = np.flatnonzero(~np.isfinite(labels) | (np.trunc(labels) != labels))
     if bad.size:
         lineno, line = lines[bad[0]]
-        raise InputError(f"{path}: row {lineno}: {_label_fault(line, line, 1)}")
+        raise InputError(f"{path}: row {lineno}: not an integer label: {line.strip()!r}")
     if len(labels) != n_points:
         raise InputError(f"{path}: {len(labels)} labels for {n_points} points")
     try:
@@ -176,17 +179,11 @@ def _read_labels(path: str, n_points: int) -> Partition:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _label_fault(line: str, fields: str, width: int) -> str | None:
+def _label_or_nan(line: str) -> float:
     try:
-        if float(line).is_integer():
-            return None
+        return float(line)
     except ValueError:
-        pass
-    return f"not an integer label: {line.strip()!r}"
-
-
-def _label_fields(line: str) -> str:
-    return line  # a chunk of bare strings casts about 3x faster than one of one-field lists
+        return np.nan
 
 
 def _read_linkage(path: str, n_points: int) -> np.ndarray:

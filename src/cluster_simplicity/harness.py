@@ -35,14 +35,14 @@ _VARIANTS = {
 }
 
 
-def values_equal(value: IndexValue, reference: IndexValue, rel_tol: float = RELATIVE_TOLERANCE) -> bool:
+def values_equal(value: IndexValue, reference: IndexValue) -> bool:
     """Equality with UNDEFINED equal only to UNDEFINED.
 
-    Finite values compare within ``rel_tol * max(1, |reference|)``.
+    Finite values compare within ``RELATIVE_TOLERANCE * max(1, |reference|)``.
     """
     if not is_defined(value) or not is_defined(reference):
         return not is_defined(value) and not is_defined(reference)
-    return abs(value - reference) <= rel_tol * max(1.0, abs(reference))
+    return abs(value - reference) <= RELATIVE_TOLERANCE * max(1.0, abs(reference))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import cluster_simplicity
 from cluster_simplicity import (
     Dataset,
     Partition,
+    cli,
     evaluate,
     si_curve,
     si_hierarchical,
@@ -580,6 +581,56 @@ class TestReaders:
         assert (code, out) == (2, "")
         assert err == f"error: {tmp_path / name}: {message}\n"
 
+    # each reader on a path, as a plain array
+    READ = {
+        "points": lambda path: _read_points(path).points,
+        "labels": lambda path: _read_labels(path, 3).labels,
+        "linkage": lambda path: _read_linkage(path, 3),
+    }
+
+    @pytest.mark.parametrize("separator", ["\f", "\x1c", "\u2028"], ids=["form feed", "file separator", "line separator"])
+    @pytest.mark.parametrize(
+        "name, first, message",
+        [
+            ("points", "0,0{}1,1", "not a numeric CSV row: {!r}"),
+            ("labels", "0{}1", "not an integer label: {!r}"),
+            ("linkage", "0 1 1.0{}2 3 2.0", "expected 'left right distance', got {!r}"),
+        ],
+        ids=["points", "labels", "linkage"],
+    )
+    def test_only_a_newline_ends_a_row(self, name, first, message, separator, tmp_path):
+        # the first line joins two rows with a character that str.splitlines would
+        # also break at; the line is one row, and so a bad one, named whole
+        first = first.format(separator)
+        path = tmp_path / name
+        path.write_text(first + "\n" + self.FILES[name].split("\n", 1)[1], encoding="utf-8")
+        with pytest.raises(InputError) as raised:
+            self.READ[name](str(path))
+        assert str(raised.value) == f"{path}: row 1: {message.format(first)}"
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["CRLF", "CR"])
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            *FILES.items(),
+            ("points", "0,0\n\nx,1\n"),
+            ("labels", "0\n\n\nzero\n"),
+            ("linkage", "\n0 1 1.0\n2 3 x\n"),
+        ],
+        ids=["points", "labels", "linkage", "bad points", "bad labels", "bad linkage"],
+    )
+    def test_other_line_ends_read_as_newlines(self, name, text, newline, tmp_path):
+        # the same rows, or the same row named by the same line number
+        def outcome(path):
+            try:
+                return self.READ[name](str(path)).tolist()
+            except InputError as exc:
+                return str(exc).replace(str(path), "")
+
+        (tmp_path / "lf").write_bytes(text.encode())
+        (tmp_path / "other").write_bytes(text.replace("\n", newline).encode())
+        assert outcome(tmp_path / "other") == outcome(tmp_path / "lf")
+
     @pytest.mark.parametrize(
         "bad, message",
         [("24 25 1e", "malformed linkage row '24 25 1e'"), ("24 25", "expected 'left right distance', got '24 25'")],
@@ -641,6 +692,31 @@ class TestReaders:
         with pytest.raises(InputError) as raised:
             self.read(name, path, 3 * chunk)
         assert str(raised.value) == f"{path}: row {2 * chunk + 13}: {message}"
+
+    @pytest.mark.parametrize("name", ["points", "linkage"])
+    def test_only_the_failing_chunk_is_walked(self, name, monkeypatch, tmp_path):
+        # the file of test_bad_row_in_a_later_chunk_names_its_file_line: the rows of
+        # the first two chunks cast, so only the third chunk's rows are checked one by one
+        fault_name = f"_{name}_fault"
+        fault = getattr(cli, fault_name)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return fault(*args)
+
+        monkeypatch.setattr(cli, fault_name, counted)
+        chunk = self.CHUNK[name]
+        rows = [self.ROW[name].format(i=i) for i in range(3 * chunk)]
+        rows[2 * chunk + 10] = "x"
+        rows[3:3] = ["", "  "]
+        path = tmp_path / name
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(InputError) as raised:
+            self.read(name, path, 3 * chunk)
+        message = "not a numeric CSV row: 'x'" if name == "points" else "expected 'left right distance', got 'x'"
+        assert str(raised.value) == f"{path}: row {2 * chunk + 13}: {message}"
+        assert len(calls) <= chunk
 
     @pytest.mark.parametrize("name", ["points", "linkage"])
     def test_later_chunk_of_one_field_rows_is_rejected(self, name, tmp_path):
