@@ -207,6 +207,8 @@ class DistanceMatrix:
         entries = _real(self.entries, "distance matrix entries")
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"distance matrix must be square, got shape {entries.shape}")
+        if entries.size == 0:
+            raise ValueError("distance matrix is empty")
         if not np.all(np.isfinite(entries)):
             raise ValueError("distance matrix contains non-finite entries")
         if np.any(entries < 0):
@@ -398,16 +400,14 @@ def _merge_radii(points: np.ndarray, dendrogram: Dendrogram) -> tuple[np.ndarray
     ``points``, on the points rescaled by :func:`_scaled`, so each ratio of two radii is the raw one.
     In the dendrogram's leaf layout every cluster is one slice of the points. Consecutive merges are
     gathered in chunks of at most ``_BLOCK`` coordinates, one merge at least, and a chunk's radii are
-    one :func:`_centroid_stats` call: O(chunk) memory and O(sum of the merged sizes) work. Where the
-    dataset radius is 0, which leaves no ratio, the points coincide up to rounding: no pass, radii 0."""
+    one :func:`_centroid_stats` call: O(chunk) memory and O(sum of the merged sizes) work. The last
+    merge makes the cluster of all the points, so the dataset radius is its radius, bit for bit, and
+    the top merge's ratio is exactly 1. Coincident points give every radius 0; one point, radius 0."""
     points = _scaled(points)[1]
     n, d = points.shape
     order, start, size = dendrogram._layout
     starts, sizes = start[n:], size[n:]
-    radius, radii = _whole(points)[2][0], np.zeros(n - 1)
-    if radius == 0.0:
-        return sizes, radii, radius
-    leaves, ends = points[order], np.cumsum(sizes)  # ends: each merge's end in the gathered members
+    leaves, ends, radii = points[order], np.cumsum(sizes), np.empty(n - 1)  # ends: merge ends in the gathered members
     budget = max(1, _BLOCK // d)  # gathered rows in one chunk
     first = 0
     while first < n - 1:
@@ -418,7 +418,7 @@ def _merge_radii(points: np.ndarray, dendrogram: Dendrogram) -> tuple[np.ndarray
         members = leaves[np.arange(ends[last - 1] - base) + np.repeat(starts[first:last] - offsets, chunk_sizes)]
         radii[first:last] = _centroid_stats(members, offsets, chunk_sizes, round_once=False)[2]
         first = last
-    return sizes, radii, radius
+    return sizes, radii, radii[-1] if n > 1 else 0.0
 
 
 def _centroid_stats(
@@ -590,22 +590,23 @@ class ClusterStats:
     """Per-cluster statistics of one partition, shared by every partition index.
 
     Built from the ``points`` the partition labels or from their ``distances``
-    matrix; ValueError if the partition labels another number of items. Both
-    are held rescaled by :func:`_scaled`, so no quantity over- or underflows:
-    every quantity is in units of 2^``exponent`` raw units, and a ratio of
-    two of them is the raw ratio, bit for bit. Each quantity is computed
-    when first read and belongs to this object alone.
+    matrix; ValueError if the partition labels another number of items. Both are
+    held rescaled by :func:`_scaled`, so no quantity over- or underflows: every
+    quantity is in units of 2^``exponent`` raw units, and a ratio of two of them
+    is the raw ratio, bit for bit. The points are gathered once, in label order,
+    into ``points``, each cluster one slice; every quantity reads that copy, so
+    a relisting that keeps each cluster's member order keeps every bit. Each
+    quantity is computed when first read and belongs to this object alone.
 
     Distance quantities come from one streamed pass over the upper triangle of
     the pair distances (:func:`_distance_blocks` for points), run when the
-    first of them is read: rows and columns in label order, so that each
-    cluster is one contiguous slice, and each pair computed once, by the one
-    kernel :func:`_squares`, which sums a distance's squared differences in
-    coordinate order (once-rounded steps where numpy fuses the multiply-add).
-    It makes
-    only the ``reductions`` named at construction, read by :meth:`reduced`;
-    reading another one raises KeyError. No N x N matrix is formed: the pass holds O(b N) floats for
-    blocks of b rows and at most 2^14 distances, the row means N k, the within sums N, the extremes two
+    first of them is read: rows and columns in label order, each pair computed
+    once, by the one kernel :func:`_squares`, which sums a distance's squared
+    differences in coordinate order (once-rounded steps where numpy fuses the
+    multiply-add). It makes only the ``reductions`` named at construction,
+    read by :meth:`reduced`; reading another one raises KeyError. No N x N
+    matrix is formed: the pass holds O(b N) floats for blocks of b rows and at
+    most 2^14 distances, the row means N k, the within sums N, the extremes two
     floats, and the tails O(min(w, P - w)) for w within-cluster pairs of P.
     """
 
@@ -621,21 +622,19 @@ class ClusterStats:
         if partition.n_items != self.n:
             raise ValueError(f"partition labels {partition.n_items} items, dataset has {self.n}")
         self.exponent, scaled = _scaled(points if distances is None else distances)
-        self.points, self._matrix = (scaled, None) if distances is None else (None, scaled)
-        self.labels = partition.labels
+        self._order = np.argsort(partition.labels, kind="stable")  # point indices in label order
+        self.points, self._matrix = (scaled[self._order], None) if distances is None else (None, scaled)
         self.sizes = partition.cluster_sizes()
         self.k = len(self.sizes)
         self.sorted_labels = np.repeat(np.arange(self.k), self.sizes)
         self.n_within = int((self.sizes * (self.sizes - 1)).sum()) // 2  # within-cluster pairs
         self._starts = np.cumsum(self.sizes) - self.sizes
-        self._order = np.argsort(self.labels, kind="stable")  # point indices in label order
         self._reductions = frozenset(reductions)
 
     @cached_property
     def clusters(self) -> tuple[np.ndarray, ...]:
-        """:func:`_centroid_stats` of the points in label order, each cluster
-        one slice: k x d centroids, the members' squared offsets, k radii."""
-        return _centroid_stats(self.points[self._order], self._starts, self.sizes)
+        """:func:`_centroid_stats` of the clusters' slices: k x d centroids, the squared offsets, k radii."""
+        return _centroid_stats(self.points, self._starts, self.sizes)
 
     @cached_property
     def whole(self) -> tuple[np.ndarray, ...]:
@@ -665,13 +664,13 @@ class ClusterStats:
         The within sums add up the own-cluster sums, and the row sums become
         means at the end. The tails take the entries right of the square's diagonal.
         """
-        n, k, starts, labels, order = self.n, self.k, self._starts, self.sorted_labels, self._order
+        n, k, starts, labels = self.n, self.k, self._starts, self.sorted_labels
         ends = starts + self.sizes
         spans = list(_row_blocks(n))
         if self._matrix is None:
-            blocks = _distance_blocks(self.points[order])
+            blocks = _distance_blocks(self.points)
         else:
-            matrix = self._matrix
+            matrix, order = self._matrix, self._order
             blocks = ((start, stop, matrix[order[start:stop]].take(order[start:], axis=1)) for start, stop in spans)
         wanted = self._reductions
         summed, extremes = not wanted.isdisjoint(("rows", "within", "tails")), "extremes" in wanted

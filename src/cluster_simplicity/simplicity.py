@@ -73,8 +73,8 @@ class SiCurve:
     """Simplicity index sampled along a dendrogram's merge distances.
 
     One ``(distance, si_value)`` sample per level, in level order, with
-    nondecreasing distances. For a dataset of N distinct points the first and
-    last samples equal N up to rounding: the last is exp(ln N), which is
+    nondecreasing distances. For a dataset of N distinct points the first
+    sample is N and the last, whose exponent is exactly 1, is exp(ln N):
     3.0000000000000004 for the points 0, 1, 3 and 399.9999999999999 on a
     20 x 20 integer grid.
     """
@@ -147,11 +147,11 @@ def si_curve(dataset: Dataset, dendrogram: Dendrogram) -> SiCurve:
 
     A merge changes only two clusters, so each level's sum of exponent *
     ln(size) is the last level's plus the merged cluster's term less its two
-    parts'. The merged clusters' sizes and radii come from one
-    :func:`~.core._merge_radii` pass and the running sum from
-    :func:`_running_sums`, which is compensated, so it carries no more
-    rounding than a fresh sum. No Partition is built. ValueError when a
-    level's index passes the largest float.
+    parts'. The merged clusters' sizes and radii, and the dataset radius,
+    which is the top merge's, come from one :func:`~.core._merge_radii` pass
+    and the running sum from :func:`_running_sums`, which is compensated, so
+    it carries no more rounding than a fresh sum. No Partition is built.
+    ValueError when a level's index passes the largest float.
     """
     n = dendrogram.n_points
     if n != dataset.n_points:

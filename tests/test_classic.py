@@ -523,6 +523,38 @@ class TestAgainstScikitLearn:
             )
 
 
+@st.composite
+def relisted_partition(draw):
+    """2-12 points in 1-3 dimensions on an integer grid scaled and shifted off
+    it, their labels, and a relisting of the points: the clusters interleaved
+    anew, each cluster's members kept in their relative order."""
+    n, dim = draw(st.integers(2, 12)), draw(st.integers(1, 3))
+    grid = draw(arrays(np.int64, (n, dim), elements=st.integers(-20, 20)))
+    scale, shift = draw(st.floats(1e-3, 1e3)), draw(st.floats(-1e4, 1e4))
+    k = draw(st.integers(1, n))
+    extra = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    labels = np.array(draw(st.permutations(list(range(k)) + extra)))
+    interleaved = np.array(draw(st.permutations(labels.tolist())))  # the relisting's labels
+    relisted = np.empty(n, dtype=np.intp)
+    # the t-th slot of cluster c takes its t-th member: both are listed in stable label order
+    relisted[np.argsort(interleaved, kind="stable")] = np.argsort(labels, kind="stable")
+    return grid * scale + shift, labels, relisted
+
+
+class TestRelisting:
+    @given(relisted_partition())
+    @settings(max_examples=100, deadline=None)
+    def test_interleaving_the_clusters_keeps_every_bit(self, case):
+        # every statistic reads the points in label order, which the relisting keeps
+        pts, labels, relisted = case
+
+        def bits(points, part):
+            values = evaluate_many(PARTITION_INDEX_IDS, Dataset(points), part)
+            return {index_id: v.hex() if is_defined(v) else v for index_id, v in zip(PARTITION_INDEX_IDS, values)}
+
+        assert bits(pts[relisted], Partition(labels[relisted])) == bits(pts, Partition(labels))
+
+
 class TestRatioFormInvariance:
     def test_scale_and_shift_on_random_data(self):
         rng = np.random.default_rng(527)

@@ -508,6 +508,8 @@ class TestRadii:
         assert radius == radius_centroid(pts)
         sizes, radii, radius = core._merge_radii(np.full((5, 2), 0.1), single_linkage(Dataset(np.full((5, 2), 0.1))))
         assert (sizes.tolist(), radii.tolist(), radius) == ([2, 3, 4, 5], [0.0] * 4, 0.0)
+        sizes, radii, radius = core._merge_radii(np.ones((1, 2)), dendrogram_from_merges(1, []))
+        assert (sizes.tolist(), radii.tolist(), radius) == ([], [], 0.0)
 
 
 def _fused_sum_of_squares(differences: np.ndarray) -> float:
@@ -917,6 +919,8 @@ class TestContainers:
             DistanceMatrix([[0.0, 1.0]])
         with pytest.raises(ValueError, match="distance matrix contains non-finite entries"):
             DistanceMatrix([[0.0, np.inf], [np.inf, 0.0]])
+        with pytest.raises(ValueError, match="distance matrix is empty"):
+            DistanceMatrix(np.zeros((0, 0)))
 
     def test_distance_matrix_from_dataset(self):
         data, _ = synthetic_dataset("X2S")

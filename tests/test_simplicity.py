@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cluster_simplicity import (
     Dataset,
@@ -218,6 +219,24 @@ def _average_linkage_tree():
     return Dataset(points), dendrogram_from_merges(len(points), linkage[:, :3])
 
 
+@st.composite
+def shifted_points_with_tree(draw):
+    """2-12 points in 1-3 dimensions, two of them distinct at least, on an
+    integer grid scaled and shifted off it, and a random valid merge order
+    over them: each merge joins two clusters not merged yet, at distance 1, 2, ..."""
+    n, dim = draw(st.integers(2, 12)), draw(st.integers(1, 3))
+    grid = draw(arrays(np.int64, (n, dim), elements=st.integers(-20, 20)))
+    assume((grid != grid[0]).any())
+    scale, shift = draw(st.floats(1e-3, 1e3)), draw(st.floats(-1e4, 1e4))
+    live, merges = list(range(n)), []
+    for row in range(1, n):
+        left = live.pop(draw(st.integers(0, len(live) - 1)))
+        right = live.pop(draw(st.integers(0, len(live) - 1)))
+        merges.append((left, right, float(row)))
+        live.append(n + row - 1)
+    return grid * scale + shift, dendrogram_from_merges(n, merges)
+
+
 class TestSiCurve:
     def test_line_dataset(self):
         data = Dataset([[0.0], [1.0], [3.0]])
@@ -345,6 +364,15 @@ class TestSiCurve:
         n = float(data.n_points)
         assert curve.values[0] == pytest.approx(n, rel=1e-9)
         assert curve.values[-1] == pytest.approx(n, rel=1e-9)
+
+    @given(shifted_points_with_tree())
+    @settings(max_examples=100, deadline=None)
+    def test_top_merge_has_exponent_one(self, case):
+        # the dataset radius is the top merge's own radius, so the last sample is exp(ln N), bit for bit
+        pts, tree = case
+        radii, radius = core._merge_radii(pts, tree)[1:]
+        assert radius == radii[-1]
+        assert si_curve(Dataset(pts), tree).values[-1] == simplicity._si(1, float(np.log(len(pts))))
 
 
 class TestSiFinalStep:
