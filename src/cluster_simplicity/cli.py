@@ -28,15 +28,16 @@ import json
 import sys
 from collections.abc import Callable
 from pathlib import Path
+from typing import TypeVar
 
 import numpy as np
 
 from .classic import PARTITION_INDEX_IDS, UnknownIndexError, _check_partition_ids, evaluate_many
 from .core import (
     Dataset,
-    Dendrogram,
     IndexValue,
     Partition,
+    dendrogram_from_merges,
     is_defined,
     single_linkage,
     synthetic_dataset,
@@ -44,6 +45,9 @@ from .core import (
 )
 from .harness import PropertyFlags, _join_flags, audit_all
 from .simplicity import si_curve, si_hierarchical
+
+
+_T = TypeVar("_T")
 
 
 class InputError(Exception):
@@ -60,6 +64,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _render(value: IndexValue) -> float | str:
     return value if is_defined(value) else "undefined"
+
+
+def _checked(path: str, build: Callable[..., _T], *args: object) -> _T:
+    """``build(*args)``, which builds or scores the inputs read from ``path``;
+    a ValueError it raises becomes an InputError naming the path."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _data_lines(path: str, what: str) -> list[tuple[int, str]]:
@@ -149,10 +162,7 @@ def _read_points(path: str) -> Dataset:
     if not lines:
         raise InputError(f"{path}: no data rows")
     points = _cast_rows(path, lines, _csv_fields, len(_csv_fields(lines[0][1])), _points_fault)
-    try:
-        return Dataset(points)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    return _checked(path, Dataset, points)
 
 
 def _read_labels(path: str, n_points: int) -> Partition:
@@ -173,10 +183,7 @@ def _read_labels(path: str, n_points: int) -> Partition:
         raise InputError(f"{path}: row {lineno}: not an integer label: {line.strip()!r}")
     if len(labels) != n_points:
         raise InputError(f"{path}: {len(labels)} labels for {n_points} points")
-    try:
-        return Partition(labels)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    return _checked(path, Partition, labels)
 
 
 def _label_or_nan(line: str) -> float:
@@ -191,7 +198,7 @@ def _read_linkage(path: str, n_points: int) -> np.ndarray:
     :func:`_cast_rows`; the first row that has other than three fields, or
     a field that does not parse, is named.
 
-    Ids are read as floats: Dendrogram rejects a non-integral id by row."""
+    Ids are read as floats: dendrogram_from_merges rejects a non-integral id by row."""
     lines = _data_lines(path, "linkage")
     table = _cast_rows(path, lines, _linkage_fields, 3, _linkage_fault)
     if len(lines) != n_points - 1:
@@ -222,10 +229,7 @@ def _cmd_compute(args: argparse.Namespace, parser: _Parser) -> dict:
     _check_index_ids(args.index, parser)
     dataset = _read_points(args.data)
     partition = _read_labels(args.labels, dataset.n_points)
-    try:
-        values = evaluate_many(args.index, dataset, partition)
-    except ValueError as exc:  # an index value passed the largest float
-        raise InputError(f"{args.data}: {exc}") from exc
+    values = _checked(args.data, evaluate_many, args.index, dataset, partition)  # an index may pass the largest float
     return {
         "command": "compute",
         "data": args.data,
@@ -252,20 +256,11 @@ def _cmd_hierarchical(args: argparse.Namespace, parser: _Parser) -> dict:
     if dataset.n_points < 2:
         raise InputError(f"{args.data}: hierarchy scoring needs at least 2 points")
     if args.linkage == "auto":
-        try:
-            dendrogram = single_linkage(dataset)
-        except ValueError as exc:  # a merge height passed the largest float
-            raise InputError(f"{args.data}: {exc}") from exc
+        dendrogram = _checked(args.data, single_linkage, dataset)  # a merge height may pass the largest float
     else:
         table = _read_linkage(args.linkage, dataset.n_points)
-        try:
-            dendrogram = Dendrogram(dataset.n_points, table[:, :2], table[:, 2])
-        except ValueError as exc:
-            raise InputError(f"{args.linkage}: {exc}") from exc
-    try:
-        curve = si_curve(dataset, dendrogram)
-    except ValueError as exc:  # a level's index passed the largest float
-        raise InputError(f"{args.data}: {exc}") from exc
+        dendrogram = _checked(args.linkage, dendrogram_from_merges, dataset.n_points, table)
+    curve = _checked(args.data, si_curve, dataset, dendrogram)  # a level's index may pass the largest float
     min_level, min_value = curve.minimum()
     return {
         "command": "hierarchical",

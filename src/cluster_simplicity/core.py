@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
@@ -715,7 +715,8 @@ class ClusterStats:
             rows /= self.sizes
             rows[index, labels] = math.inf
         total = math.fsum(pair_sums)
-        within = (own, np.add.reduceat(own, starts) / 2, total)
+        # one cluster's pairs are all the pairs, so its pair sum is the total, not a second sum of them
+        within = (own, np.add.reduceat(own, starts) / 2 if k > 1 else np.array([total]), total)
         reduced: dict[str, Any] = {"rows": rows, "within": within, "extremes": (float(largest), float(smallest))}
         if tails is not None:
             low, high = tails.sums()
@@ -836,17 +837,22 @@ def dendrogram_from_merges(
     in the first two columns of a scipy linkage matrix. Raises ValueError
     naming the offending row for a row that is not three values, for ids that
     are not integers, out of range or merged twice, and for decreasing
-    distances.
+    distances. The rows are cast at once by :func:`_real`, and walked only if
+    that fails or the table is not r x 3; if every row is three values, the
+    cast's own error is raised.
     """
-    rows = list(merges)
-    for row, values in enumerate(rows, start=1):
-        try:
-            count = len(values)
-        except TypeError:  # a bare number
-            count = None
-        if count != 3:
-            raise ValueError(f"merge row {row}: expected 3 values (left, right, distance), got {values!r}")
-    table = _real(rows, "merges").reshape(len(rows), 3)
+    rows, table = merges if isinstance(merges, np.ndarray) else list(merges), None
+    with suppress(ValueError):
+        table = _real(rows, "merges")
+    if table is None or table.shape[1:] != (3,):
+        for row, values in enumerate(rows, start=1):
+            try:
+                count = len(values)
+            except TypeError:  # a bare number
+                count = None
+            if count != 3:
+                raise ValueError(f"merge row {row}: expected 3 values (left, right, distance), got {values!r}")
+        table = _real(rows, "merges").reshape(len(rows), 3)
     return Dendrogram(n_points, table[:, :2], table[:, 2])
 
 

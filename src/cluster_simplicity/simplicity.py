@@ -8,8 +8,8 @@ clusters. The index multiplies the three ingredients into
 where ``k`` is the number of clusters, ``size_n`` the member count of cluster
 ``n``, ``radius_n`` its radius and ``R`` the radius of the whole dataset. Lower is better; the best possible value is
 1 (a single cluster of coincident points) and both extreme partitions of N
-distinct points (all singletons, or one all-inclusive cluster) score N, the
-reference for the most complex state. When the dataset radius is zero every
+distinct points (all singletons, or one all-inclusive cluster) score exactly
+N, the reference for the most complex state. When the dataset radius is zero every
 exponent is taken as zero, which removes the only division hazard.
 
 Two radius notions are supported: the centroid form uses the mean distance of
@@ -25,12 +25,12 @@ tree.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .core import UNDEFINED, ClusterStats, Dataset, Dendrogram, IndexValue, _TEXT, _merge_radii
+from .core import UNDEFINED, ClusterStats, Dataset, Dendrogram, IndexValue, _TEXT, _merge_radii, _real
 
 
 def _exponents(radii: np.ndarray, reference: float) -> np.ndarray:
@@ -47,6 +47,16 @@ def _si(k: int, log_sum: float) -> float:
         return math.inf
 
 
+def _si_of(exponents: np.ndarray, sizes: np.ndarray) -> float:
+    """The index of clusters of ``sizes`` that enter with ``exponents``. One
+    cluster's is ``size ** exponent``, whose exponent is 1, or 0 when the
+    points coincide: exactly N or 1, where exp(ln N) may miss N. More
+    clusters' is :func:`_si` of their sum of exponent * ln(size)."""
+    if len(sizes) == 1:
+        return float(sizes[0]) ** float(exponents[0])
+    return _si(len(sizes), float(np.dot(exponents, np.log(sizes))))
+
+
 def _si_centroid(stats: ClusterStats) -> float:
     """Simplicity index of a partition, centroid-radius form.
 
@@ -56,8 +66,7 @@ def _si_centroid(stats: ClusterStats) -> float:
     raw ones. A finite value >= 1; where the index itself passes the largest
     float, the scoring step raises ValueError naming the index.
     """
-    exponents = _exponents(stats.clusters[2], stats.whole[2][0])
-    return _si(stats.k, float(np.dot(exponents, np.log(stats.sizes))))
+    return _si_of(_exponents(stats.clusters[2], stats.whole[2][0]), stats.sizes)
 
 
 def _si_distance(stats: ClusterStats) -> float:
@@ -65,7 +74,7 @@ def _si_distance(stats: ClusterStats) -> float:
     _, sums, total = stats.reduced("within")
     whole_mean = total / (n * (n - 1) // 2) if n > 1 else 0.0
     cluster_means = sums / np.maximum(sizes * (sizes - 1) // 2, 1)  # 0 for a singleton
-    return _si(stats.k, float(np.dot(_exponents(cluster_means, whole_mean), np.log(sizes))))
+    return _si_of(_exponents(cluster_means, whole_mean), sizes)
 
 
 @dataclass(frozen=True)
@@ -73,19 +82,17 @@ class SiCurve:
     """Simplicity index sampled along a dendrogram's merge distances.
 
     One ``(distance, si_value)`` sample per level, in level order, with
-    nondecreasing distances. For a dataset of N distinct points the first
-    sample is N and the last, whose exponent is exactly 1, is exp(ln N):
-    3.0000000000000004 for the points 0, 1, 3 and 399.9999999999999 on a
-    20 x 20 integer grid.
+    nondecreasing distances, stored as float pairs. For a dataset of N
+    distinct points the first sample and the last are exactly N.
     """
 
     samples: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        samples = _pairs(self.samples)
-        if not samples:
+        table = _sample_table(self.samples)
+        if not len(table):
             raise ValueError("curve has no samples")
-        table = np.fromiter(chain.from_iterable(samples), float, 2 * len(samples)).reshape(-1, 2)
+        samples = tuple(map(tuple, table.tolist()))
         distances = table[:, 0]
         invalid = ~np.isfinite(table).all(axis=1) | (distances < 0)
         decreasing = np.concatenate(([False], distances[1:] < distances[:-1]))
@@ -118,18 +125,18 @@ class SiCurve:
         return level + 1, values[level]
 
 
-def _pairs(samples: object) -> tuple[tuple[float, float], ...]:
-    """Float (distance, value) pairs, cast at once; walked one by one only if
-    that fails or a sample or entry is text, to name the first bad one."""
+def _sample_table(samples: object) -> np.ndarray:
+    """The samples as an n x 2 float table, cast at once by :func:`~.core._real` when they form one,
+    and walked one by one only when they do not, to name the first bad sample or to read samples
+    that numpy cannot, such as iterators."""
+    with suppress(ValueError):
+        table = _real(samples, "curve samples")
+        if table.ndim == 2 and table.shape[1] == 2:
+            return table
     try:
         samples = tuple(samples)
-        pairs = tuple((float(d), float(v)) for d, v in samples)
-    except (TypeError, ValueError, OverflowError):
-        if not isinstance(samples, tuple):  # not iterable
-            raise ValueError(f"curve samples must be a sequence of (distance, value) pairs, got {samples!r}") from None
-    else:  # text never equals its float, so only samples the cast changed are searched for it
-        if pairs == samples or not any(issubclass(t, _TEXT) for t in set(map(type, chain(samples, *samples)))):
-            return pairs
+    except TypeError:
+        raise ValueError(f"curve samples must be a sequence of (distance, value) pairs, got {samples!r}") from None
     walked = []
     for i, sample in enumerate(samples, start=1):
         try:
@@ -139,7 +146,7 @@ def _pairs(samples: object) -> tuple[tuple[float, float], ...]:
             walked.append((float(d), float(v)))
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"sample {i} must be a (distance, value) pair of real numbers, got {sample!r}") from None
-    return tuple(walked)
+    return np.array(walked).reshape(-1, 2)
 
 
 def si_curve(dataset: Dataset, dendrogram: Dendrogram) -> SiCurve:
@@ -150,21 +157,26 @@ def si_curve(dataset: Dataset, dendrogram: Dendrogram) -> SiCurve:
     parts'. The merged clusters' sizes and radii, and the dataset radius,
     which is the top merge's, come from one :func:`~.core._merge_radii` pass
     and the running sum from :func:`_running_sums`, which is compensated, so
-    it carries no more rounding than a fresh sum. No Partition is built.
-    ValueError when a level's index passes the largest float.
+    it carries no more rounding than a fresh sum. The top level is
+    :func:`_si_of` its one cluster, exactly N for distinct points. No
+    Partition is built. ValueError when a level's index passes the largest
+    float.
     """
     n = dendrogram.n_points
     if n != dataset.n_points:
         raise ValueError(f"dendrogram covers {n} points, dataset has {dataset.n_points}")
     sizes, radii, reference = _merge_radii(dataset.points, dendrogram)
-    merged = _exponents(radii, reference) * np.log(sizes)
+    exponents = _exponents(radii, reference)
+    merged = exponents * np.log(sizes)
     # each level adds its merged cluster's term and takes away its parts'; a point's term is 0
     term = np.concatenate((np.zeros(n), merged))
     sums = _running_sums(np.column_stack((merged, -term[dendrogram.merges])).ravel())[2::3]
-    values = list(map(_si, range(n - 1, 0, -1), sums.tolist()))
+    values = [float(n), *map(_si, range(n - 1, 0, -1), sums.tolist())]
+    if n > 1:  # the top level: one cluster of all the points, whose exponent is 1 (0 if they coincide)
+        values[-1] = _si_of(exponents[-1:], sizes[-1:])
     if not all(map(math.isfinite, values)):
         raise ValueError("si_curve: the arithmetic overflowed to inf; a level's index passes the largest float")
-    return SiCurve(((0.0, float(n)), *zip(dendrogram.distances.tolist(), values)))
+    return SiCurve(np.column_stack((np.concatenate(([0.0], dendrogram.distances)), values)))
 
 
 def _running_sums(steps: np.ndarray) -> np.ndarray:

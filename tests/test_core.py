@@ -1204,6 +1204,14 @@ class TestDendrogramFromMerges:
             with pytest.raises(ValueError, match="merges must be real numbers"):
                 dendrogram_from_merges(2, rows)
 
+    def test_reads_arrays_lists_and_iterators_alike(self):
+        table = np.array([[1.0, 2.0, 0.5], [0.0, 3.0, 2.0]])
+        expected = Dendrogram(3, table[:, :2], table[:, 2])
+        for rows in (table, [tuple(row) for row in table.tolist()], iter(table.tolist())):
+            dendrogram = dendrogram_from_merges(3, rows)
+            assert dendrogram.merges.tolist() == expected.merges.tolist()
+            assert dendrogram.distances.tolist() == expected.distances.tolist()
+
     def test_matches_linkage_convention(self):
         dg = dendrogram_from_merges(3, [(0, 1, 1.0), (2, 3, 2.0)])
         assert dg.distances.tolist() == [1.0, 2.0]

@@ -201,6 +201,26 @@ class TestSiProperties:
             assert si(dataset, singletons) == pytest.approx(float(n), rel=1e-12)
             assert si(dataset, whole) == pytest.approx(float(n), rel=1e-12)
 
+    @given(
+        arrays(np.int64, st.tuples(st.integers(2, 12), st.integers(1, 3)), elements=st.integers(-20, 20)),
+        st.floats(1e-3, 1e3),
+        st.floats(-1e4, 1e4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_reference_values_are_exact(self, grid, scale, shift):
+        # the paper's references, exactly: N at both extreme partitions of N distinct points and
+        # at both ends of their curve, and 1 for coincident points in one cluster
+        n = len(grid)
+        assume(len(np.unique(grid, axis=0)) == n)
+        singletons, whole = Partition(np.arange(n)), Partition(np.zeros(n, dtype=int))
+        for points, reference in ((grid * scale + shift, float(n)), (np.full(grid.shape, shift), 1.0)):
+            data = Dataset(points)
+            assert si_centroid(data, whole) == si_distance_of(data, whole) == reference
+            assert si_curve(data, single_linkage(data)).values[-1] == reference
+        data = Dataset(grid * scale + shift)
+        assert si_centroid(data, singletons) == si_distance_of(data, singletons) == float(n)
+        assert si_curve(data, single_linkage(data)).values[0] == float(n)
+
 
 def _single_linkage_tree():
     # a chaining tree over three blobs
@@ -290,6 +310,16 @@ class TestSiCurve:
         assert curve.samples == ((0.0, 3.0), (0.5, 1 / 3), (1.0, 2.0))
         assert all(type(x) is float for sample in curve.samples for x in sample)
 
+    @pytest.mark.parametrize(
+        "samples",
+        [np.array([[0.0, 3.0], [1.0, 2.0]]), [np.array([0.0, 3.0]), np.array([1.0, 2.0])], np.array([[0, 3], [1, 2]])],
+        ids=["float-table", "list-of-rows", "int-table"],
+    )
+    def test_reads_numpy_samples_as_floats(self, samples):
+        curve = SiCurve(samples)
+        assert curve.samples == ((0.0, 3.0), (1.0, 2.0))
+        assert all(type(x) is float for sample in curve.samples for x in sample)
+
     def test_rejects_decreasing_distances(self):
         with pytest.raises(ValueError, match="nondecreasing"):
             SiCurve(((1.0, 3.0), (0.5, 2.0)))
@@ -316,11 +346,12 @@ class TestSiCurve:
             (((0.0, 1.0), (1.0, bytearray(b"2"))), r"sample 2 must be .* real numbers, got \(1.0, bytearray"),
             (((0.0, 1.0), "12"), r"sample 2 must be .* real numbers, got '12'"),
             ((b"12",), r"sample 1 must be .* real numbers, got b'12'"),
+            ([np.array(["1", "2"])], r"sample 1 must be a \(distance, value\) pair of real numbers, got array"),
         ],
         ids=[
             "empty", "infinite-value", "nan-distance", "negative-and-decreasing", "decreasing-before-nan",
             "bare-number", "none", "complex", "triple", "int-past-float", "not-iterable",
-            "text", "bytearray", "text-sample", "bytes-sample",
+            "text", "bytearray", "text-sample", "bytes-sample", "text-array",
         ],
     )
     def test_rejects_empty_and_non_finite_samples(self, samples, message):
@@ -368,11 +399,11 @@ class TestSiCurve:
     @given(shifted_points_with_tree())
     @settings(max_examples=100, deadline=None)
     def test_top_merge_has_exponent_one(self, case):
-        # the dataset radius is the top merge's own radius, so the last sample is exp(ln N), bit for bit
+        # the dataset radius is the top merge's own radius, so the last sample is N ** 1, exactly N
         pts, tree = case
         radii, radius = core._merge_radii(pts, tree)[1:]
         assert radius == radii[-1]
-        assert si_curve(Dataset(pts), tree).values[-1] == simplicity._si(1, float(np.log(len(pts))))
+        assert si_curve(Dataset(pts), tree).values[-1] == float(len(pts))
 
 
 class TestSiFinalStep:
