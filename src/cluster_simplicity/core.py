@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
@@ -493,6 +493,10 @@ _DISTANCES, _BLOCK = 2**14, 2**16
 # numpy's default ufunc buffer, in elements, and the one the kernel runs under.
 _UFUNC_BUFFER, _KERNEL_BUFFER = 2**13, 16
 
+# The scope of a distance block whose kernel work fits in one default buffer: made once, since a new
+# nullcontext per block slowed the many small passes of an audit by about 1.6%.
+_DEFAULT_BUFFER = nullcontext()
+
 
 @contextmanager
 def _kernel_buffer() -> Iterator[None]:
@@ -549,19 +553,10 @@ def _distance_blocks(points: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]
     for start, stop in _row_blocks(n):
         step = max(1, _BLOCK // (d * (n - start)))
         block, right, rows = np.empty((stop - start, n - start)), columns[:, start:], points[start:stop, :, None]
-        if block.size * d > _UFUNC_BUFFER:
-            with _kernel_buffer():
-                _fill(block, right, rows, step)
-        else:  # not a nullcontext: one per block slowed the many small passes of an audit by about 1.6%
-            _fill(block, right, rows, step)
+        with _kernel_buffer() if block.size * d > _UFUNC_BUFFER else _DEFAULT_BUFFER:
+            for first in range(0, len(block), step):
+                block[first : first + step] = _squares(right, rows[first : first + step])
         yield start, stop, np.sqrt(block, out=block)
-
-
-def _fill(block: np.ndarray, columns: np.ndarray, rows: np.ndarray, step: int) -> None:
-    """Squared distances from each of the b x d x 1 ``rows`` to the d x w
-    ``columns`` into the b x w ``block``, ``step`` rows per :func:`_squares` call."""
-    for first in range(0, len(block), step):
-        block[first : first + step] = _squares(columns, rows[first : first + step])
 
 
 def _squares(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:

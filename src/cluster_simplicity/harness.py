@@ -4,12 +4,13 @@ Probes an index on the builtin benchmark datasets and condenses the outcome
 into three flags:
 
 * invariance ``S`` / ``s``: the value on the two-cluster X dataset survives
-  scalar rescaling and constant shifting (``S`` = both, ``s`` = exactly one);
-* optimality ``B`` / ``b``: the index attains its declared best value when
-  coincident points share one cluster (``b``), and additionally rates any
-  split of those points strictly worse (``B``);
-* baseline ``C``: the declared reference value is attained at both extreme
-  partitions (one big cluster, and one cluster per point).
+  scalar rescaling and constant shifting, within ``RELATIVE_TOLERANCE``
+  (``S`` = both, ``s`` = exactly one);
+* optimality ``B`` / ``b``: the index attains exactly its declared best
+  value when coincident points share one cluster (``b``), and additionally
+  rates any split of those points strictly worse (``B``);
+* baseline ``C``: the declared reference value is attained exactly at both
+  extreme partitions (one big cluster, and one cluster per point).
 
 An UNDEFINED probe can never silently pass: two UNDEFINEDs count as equal for
 the invariance comparison (both transforms degenerate identically) but fail
@@ -36,7 +37,7 @@ _VARIANTS = {
 
 
 def values_equal(value: IndexValue, reference: IndexValue) -> bool:
-    """Equality with UNDEFINED equal only to UNDEFINED.
+    """Equality with UNDEFINED equal only to UNDEFINED, for the invariance probes.
 
     Finite values compare within ``RELATIVE_TOLERANCE * max(1, |reference|)``.
     """
@@ -124,9 +125,10 @@ def _audit_table(index_ids: Sequence[str], variant: str) -> list[PropertyFlags]:
             split_worse = y2_value < y1_value
         scale_ok = all(values_equal(values[f"X2*{a:g}"], reference) for a in SCALE_FACTORS)
         shift_ok = all(values_equal(values[f"X2{b:+g}"], reference) for b in SHIFT_OFFSETS)
-        is_best = meta.best_value is not None and values_equal(y1_value, meta.best_value)
+        is_best = meta.best_value is not None and is_defined(y1_value) and y1_value == meta.best_value
         at_x1, at_xmax = (
-            meta.baseline is not None and values_equal(values[name], meta.baseline(probes[name][0].n_points))
+            meta.baseline is not None and is_defined(values[name])
+            and values[name] == meta.baseline(probes[name][0].n_points)
             for name in ("X1", "Xmax")
         )
         rows.append(PropertyFlags(

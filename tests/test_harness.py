@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from cluster_simplicity import (
@@ -6,6 +9,8 @@ from cluster_simplicity import (
     UnknownIndexError,
     audit,
     audit_all,
+    harness,
+    synthetic_dataset,
     values_equal,
 )
 from cluster_simplicity.core import ClusterStats
@@ -60,6 +65,27 @@ class TestChecks:
             assert (d.baseline_at_x1, d.baseline_at_xmax) == (True, True)
         d = audit("ch").detail
         assert (d.baseline_at_x1, d.baseline_at_xmax) == (False, False)
+
+    @pytest.mark.parametrize("probe, field, flag", [
+        ("X1", "baseline_at_x1", "baseline"),
+        ("Y1", "is_best_at_y1", "optimality"),
+    ])
+    def test_reference_values_one_ulp_off_fail(self, monkeypatch, probe, field, flag):
+        """The best value at Y1 and the baseline at X1 are compared exactly, not within the tolerance."""
+        target = synthetic_dataset(harness._VARIANTS["short"][probe])
+        evaluate_many = harness.evaluate_many
+
+        def nudged(index_ids, dataset, partition):
+            values = evaluate_many(index_ids, dataset, partition)
+            if np.array_equal(dataset.points, target[0].points) and np.array_equal(partition.labels, target[1].labels):
+                return [math.nextafter(v, math.inf) for v in values]
+            return values
+
+        monkeypatch.setattr(harness, "evaluate_many", nudged)
+        for row in audit_all(["si_centroid", "si_distance"]):
+            assert getattr(row.detail, field) is False
+            assert getattr(row, flag) == "none"
+            assert row.invariance == "S"
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="unknown variant"):
